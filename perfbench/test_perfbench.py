@@ -1,5 +1,5 @@
-"""Self-tests of the benchmark's own code: span arithmetic, wrappers, and the
-count-conservation check.
+"""Self-tests of the benchmark's own code: span arithmetic, wrappers, the
+count-conservation check and the gauge arithmetic.
 
     python3 -m pytest perfbench
 """
@@ -20,6 +20,7 @@ from flexarray.geometry import ArrayConfig, FlexModel  # noqa: E402
 from flexarray.radiation import PatternKind, PatternSpec  # noqa: E402
 
 import layers  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 from tracer import self_times, wrapped_names  # noqa: E402
 
@@ -167,3 +168,12 @@ def test_redrawn_draw_is_counted_and_left_out_of_the_closed_form(monkeypatch):
     assert layers.layer_metrics(spans, n_ops=1)["harness.crb_redraws"] == 1
     assert int(spans.named("estimation.fisher_matrix").sum()) == workload.fisher_builds() + 1
     assert layers.conservation_problems(spans, [0, len(tracer)], workload) == []
+
+
+def test_gauged_times_scale_each_interval_by_the_gauges_around_it():
+    # interval i lies between gauges i and i + 1; a gauge that reads the
+    # reference time leaves an interval as it was measured
+    ref = run.GAUGE_REFERENCE_S
+    assert run.gauged([1.0, 3.0], [ref, ref, 3.0 * ref]) == pytest.approx([1.0, 1.5])
+    with pytest.raises(ValueError):
+        run.gauged([1.0, 3.0], [ref, ref])
