@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .bayesopt import (GpDataset, GpPosterior, Kernel, OptimizeResult, expected_improvement,
                        gp_posterior, kernel_eval, optimize, propose_next)
-from .channel import (MultiSectorChannel, PathSet, array_manifold, channel_power,
-                      channel_power_expansion, flexible_channel, full_channel,
-                      manifold_derivatives, sector_channel_matrix)
+from .channel import (PathSet, array_manifold, channel_power, flexible_channel,
+                      manifold_derivatives, sector_block)
 from .errors import (ConfigError, FlexArrayError, GramConditionError, OptimizationError,
                      PatternBoundaryError, RankDeficiencyError, SingularFisherError)
 from .estimation import (FisherMatrix, channel_param_derivatives, crb, fisher_matrix,
@@ -21,8 +20,8 @@ from .geometry import (ArrayConfig, ArrayGeometry, FlexModel, bent_geometry, fle
                        folded_geometry, mounted_geometry, planar_positions, rotated_geometry)
 from .harness import (Scenario, StrategyResult, generate_scenario, optimize_strategy,
                       run_experiment)
-from .precoding import (PrecodingResult, effective_gain, jfp_sumrate, sfp_sumrate,
-                        single_sector_sumrate, sjfp_sumrate, zf_precoder, zf_solution)
+from .precoding import (effective_gain, jfp_sumrate, single_sector_sumrate, sjfp_sumrate,
+                        zf_precoder)
 from .radiation import (PatternKind, PatternSpec, element_pattern_vector,
                         normalization_integral, pattern_coefficient, pattern_derivatives,
                         pattern_gain, wrap_angle)

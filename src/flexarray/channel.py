@@ -8,21 +8,23 @@ The channel of a deformed array is
 where e stacks the per-element pattern coefficients under the deformation's
 boresight offsets, g is the far-field planar-wave array manifold at the
 deformed element positions, and (.) is the elementwise product. Path angles
-are global; mounting an array rotates its geometry, not the path set.
+are global; a mount rotates the array or, equivalently, the path azimuths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import ArrayConfig, ArrayGeometry, FlexModel, flex_geometry
-from .radiation import PatternSpec, pattern_coefficient
+from .radiation import PatternSpec, pattern_coefficient, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
+
+MOUNTS = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)  # array m faces sector m's center
 
 
 @dataclass
@@ -52,24 +54,6 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         return self.theta.size
-
-
-@dataclass
-class MultiSectorChannel:
-    """3 x 3 grid of N x K blocks; block (m, m') couples array m to sector m' users."""
-
-    blocks: list
-
-    def __post_init__(self):
-        shape = self.blocks[0][0].shape
-        for row in self.blocks:
-            for block in row:
-                if block.shape != shape:
-                    raise ValueError("all channel blocks must share the same shape")
-
-    def stacked(self) -> np.ndarray:
-        """Full (3N, 3K) matrix in sector order."""
-        return np.block(self.blocks)
 
 
 def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.ndarray:
@@ -122,59 +106,16 @@ def channel_power(h: np.ndarray) -> float:
     return float(np.vdot(h, h).real)
 
 
-def channel_power_expansion(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
-                            paths: PathSet, psi: float, mount: float = 0.0) -> float:
-    """Channel power via its per-path expansion.
-
-    Sums the per-path norms and the pairwise real cross terms explicitly;
-    agrees with ``channel_power(flexible_channel(...))`` and serves as an
-    independent route for testing.
-    """
-    geometry = flex_geometry(model, cfg, psi, mount)
-    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
-    vectors = pattern * manifold  # (L, N)
-    beta = paths.beta
-    n_paths = paths.n_paths
-    diag = np.sum(np.abs(beta) ** 2 * np.sum(np.abs(vectors) ** 2, axis=1))
-    cross = 0.0
-    for l2 in range(n_paths):
-        for l1 in range(l2 + 1, n_paths):
-            inner = np.sum(pattern[l2] * pattern[l1] * np.conj(manifold[l2]) * manifold[l1])
-            cross += 2.0 * np.real(beta[l1] * np.conj(beta[l2]) * inner)
-    return float((diag + cross) / n_paths)
-
-
-def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector: int) -> np.ndarray:
-    """Channels from one already-built array geometry to a sector's users,
-    shape (N, K), vectorized over users and paths."""
-    path_sets = [scenario.path_sets[(faa, sector, k)] for k in range(scenario.k_users)]
-    theta = np.stack([p.theta for p in path_sets])[:, :, None]  # (K, L, 1)
-    phi = np.stack([p.phi for p in path_sets])[:, :, None]
-    beta = np.stack([p.beta for p in path_sets])[:, :, None]
-    pattern = pattern_coefficient(scenario.pattern, theta,
-                                  phi - geometry.orientation_offsets)
+def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sectors) -> np.ndarray:
+    """Channels from array ``faa``, already built as ``geometry`` at zero
+    mount, to the users of ``sectors``: one sector index gives (N, K), a
+    slice of sectors (N, S*K) in sector order. Vectorized over users and
+    paths; the array's local azimuths subtract its mount."""
+    n_paths = scenario.n_paths
+    theta = scenario.theta[sectors].reshape(-1, n_paths, 1)
+    phi = wrap_angle(scenario.phi[sectors] - MOUNTS[faa]).reshape(-1, n_paths, 1)
+    beta = scenario.beta[sectors].reshape(-1, n_paths, 1)
+    pattern = pattern_coefficient(scenario.pattern, theta, phi - geometry.orientation_offsets)
     manifold = array_manifold(geometry.positions, theta, phi, scenario.cfg.wavelength)
-    columns = np.sqrt(1.0 / theta.shape[1]) * (beta * pattern * manifold).sum(axis=1)
+    columns = np.sqrt(1.0 / n_paths) * (beta * pattern * manifold).sum(axis=1)
     return columns.T
-
-
-def sector_channel_matrix(scenario: "Scenario", faa: int, sector: int, psi: float) -> np.ndarray:
-    """Stack the channels from array ``faa`` to all users of ``sector``, shape (N, K).
-
-    Scenario path sets carry azimuths local to each array's frame (the mount
-    is already subtracted), so the channel is built with a zero mount; by
-    mount covariance this equals the global-frame construction.
-    """
-    geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi)
-    return sector_block(scenario, geometry, faa, sector)
-
-
-def full_channel(scenario: "Scenario", psi: Sequence[float]) -> MultiSectorChannel:
-    """All nine sector blocks at the per-array flex angles ``psi`` (3 values)."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (3,):
-        raise ValueError("psi must hold one flex angle per array (3 values)")
-    geometries = [flex_geometry(scenario.flex_model, scenario.cfg, p) for p in psi]
-    blocks = [[sector_block(scenario, geometries[m], m, mp) for mp in range(3)]
-              for m in range(3)]
-    return MultiSectorChannel(blocks)

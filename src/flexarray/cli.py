@@ -310,9 +310,6 @@ def run(ctx, config_path, out):
             for key, value in parser.items(section):
                 if key != "experiment":
                     merged[key.replace("-", "_")] = value
-    for key in ("full_load",):
-        if key in merged:
-            merged[key] = str(merged[key]).strip().lower() in ("1", "true", "yes", "on")
     if out:
         merged["out"] = out
     try:

@@ -20,16 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from . import bayesopt, precoding
-from .channel import PathSet, channel_power, flexible_channel, sector_channel_matrix
+from .channel import PathSet, channel_power, flexible_channel, sector_block
 from .errors import ConfigError, OptimizationError, PatternBoundaryError, RankDeficiencyError, SingularFisherError
 from .estimation import fisher_matrix, mean_angle_crb, optimal_psi_for_crb
-from .geometry import ArrayConfig, FlexModel
-from .radiation import PatternKind, PatternSpec, wrap_angle
+from .geometry import ArrayConfig, FlexModel, flex_geometry
+from .radiation import PatternKind, PatternSpec
 
-MOUNTS = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 SECTOR_RANGES = ((-np.pi / 3, np.pi / 3), (np.pi / 3, np.pi), (np.pi, 5 * np.pi / 3))
 ELEVATION_RANGE = (np.pi / 3, 2 * np.pi / 3)
-USER_RADIUS = 100.0  # meters; logged only, the far-field channel ignores it
 
 PSI_BOUNDS = {
     FlexModel.PLANAR: (0.0, 0.0),
@@ -43,20 +41,33 @@ STRATEGIES = ("single-sector", "sfp", "jfp", "sjfp")
 
 @dataclass
 class Scenario:
-    """One realization of the three-sector system."""
+    """One realization of the three-sector system.
+
+    ``theta``, ``phi`` and ``beta`` hold the paths of every user, shape
+    (3 sectors, K, L); ``phi`` is the global azimuth. Every array sees the
+    same paths: :func:`~flexarray.channel.sector_block` subtracts its mount.
+    """
 
     cfg: ArrayConfig
     pattern: PatternSpec
     flex_model: FlexModel
-    k_users: int
-    n_paths: int
     snr_db: float
     sigma2: float
-    mounts: tuple
-    sector_ranges: tuple
-    psi_bounds: tuple
-    path_sets: dict  # (array m, sector m', user k) -> PathSet, local azimuths
-    user_distances: dict  # (sector m', user k) -> meters
+    theta: np.ndarray
+    phi: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def k_users(self) -> int:
+        return self.theta.shape[1]
+
+    @property
+    def n_paths(self) -> int:
+        return self.theta.shape[2]
+
+    @property
+    def psi_bounds(self) -> tuple:
+        return PSI_BOUNDS[self.flex_model]
 
     @property
     def p_total(self) -> float:
@@ -70,28 +81,23 @@ def generate_scenario(cfg: ArrayConfig, pattern: PatternSpec, flex_model: FlexMo
     """Draw a scenario: per user and path, a global azimuth uniform in the
     sector wedge, an elevation uniform in [pi/3, 2pi/3], and a CN(0,1) gain.
 
-    Every array sees the same paths; local azimuths subtract the array's
-    mount. Deterministic for a fixed seed.
+    Deterministic for a fixed seed.
     """
     if k_users < 1 or n_paths < 1:
         raise ValueError("need k_users >= 1 and n_paths >= 1")
     rng = np.random.default_rng(seed)
-    path_sets = {}
-    distances = {}
+    theta = np.empty((3, k_users, n_paths))
+    phi = np.empty((3, k_users, n_paths))
+    beta = np.empty((3, k_users, n_paths), dtype=complex)
     for sector in range(3):
-        lo, hi = SECTOR_RANGES[sector]
         for k in range(k_users):
-            distances[(sector, k)] = USER_RADIUS * np.sqrt(rng.uniform())
-            azimuth = rng.uniform(lo, hi, size=n_paths)
-            elevation = rng.uniform(*ELEVATION_RANGE, size=n_paths)
-            beta = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
-            for m in range(3):
-                path_sets[(m, sector, k)] = PathSet(
-                    theta=elevation, phi=wrap_angle(azimuth - MOUNTS[m]), beta=beta)
-    return Scenario(cfg=cfg, pattern=pattern, flex_model=flex_model, k_users=k_users,
-                    n_paths=n_paths, snr_db=snr_db, sigma2=sigma2, mounts=MOUNTS,
-                    sector_ranges=SECTOR_RANGES, psi_bounds=PSI_BOUNDS[flex_model],
-                    path_sets=path_sets, user_distances=distances)
+            rng.uniform()  # a user distance the far-field channel ignores; kept for the seed streams
+            phi[sector, k] = rng.uniform(*SECTOR_RANGES[sector], size=n_paths)
+            theta[sector, k] = rng.uniform(*ELEVATION_RANGE, size=n_paths)
+            beta[sector, k] = (rng.standard_normal(n_paths)
+                               + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
+    return Scenario(cfg=cfg, pattern=pattern, flex_model=flex_model, snr_db=snr_db,
+                    sigma2=sigma2, theta=theta, phi=phi, beta=beta)
 
 
 def _rank_safe(func, scenario: Scenario):
@@ -107,29 +113,35 @@ def _rank_safe(func, scenario: Scenario):
     return wrapped
 
 
-def _single_sector_objective(scenario: Scenario, sector: int = 0):
-    def objective(psi):
-        try:
-            own = sector_channel_matrix(scenario, sector, sector, float(psi[0]))
+def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None):
+    """The sum-rate an optimizer maximizes for ``strategy`` and the number of
+    flex angles it takes.
+
+    The 1-D objectives reshape array ``sector`` alone: single-sector serves
+    its users with the whole power and no neighbours; SFP holds the leakage
+    the other arrays send its users fixed at ``leakage`` (default: the
+    leakage with all arrays planar). The joint objectives take all three
+    angles.
+    """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
+    if sector not in (0, 1, 2):
+        raise ConfigError(f"sector: expected 0, 1 or 2, got {sector!r}")
+    if strategy == "single-sector":
+        def rate(scenario, psi):
+            geometry = flex_geometry(scenario.flex_model, scenario.cfg, float(psi[0]))
+            own = sector_block(scenario, geometry, sector, sector)
             return precoding.single_sector_sumrate(own, scenario.p_total, scenario.sigma2)
-        except RankDeficiencyError:
-            return 0.0
+    elif strategy == "sfp":
+        if leakage is None:
+            leakage = precoding.sfp_leakage(scenario, np.zeros(3))
 
-    return objective
-
-
-def _sfp_sector_objective(scenario: Scenario, sector: int, baseline_leakage: np.ndarray):
-    """Per-sector SFP objective: the sector reshapes itself while the other
-    arrays stay planar, so their leakage onto this sector's users is fixed."""
-
-    def objective(psi):
-        try:
-            return precoding.sector_rate_given_leakage(
-                scenario, sector, float(psi[0]), baseline_leakage[sector])
-        except RankDeficiencyError:
-            return 0.0
-
-    return objective
+        def rate(scenario, psi):
+            return precoding.sector_rate_given_leakage(scenario, sector, float(psi[0]),
+                                                       leakage[sector])
+    else:
+        rate = precoding.jfp_sumrate if strategy == "jfp" else precoding.sjfp_sumrate
+    return _rank_safe(rate, scenario), 3 if strategy in ("jfp", "sjfp") else 1
 
 
 @dataclass
@@ -151,35 +163,27 @@ def optimize_strategy(scenario: Scenario, strategy: str, seed=0,
     the three per-sector incumbents; the joint strategies optimize all three
     angles on the full objective.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
     lo, hi = scenario.psi_bounds
-    if strategy == "single-sector":
-        objective = _single_sector_objective(scenario)
-        result = bayesopt.optimize(objective, [(lo, hi)], budget_1d, n_init=n_init,
-                                   seed=np.random.default_rng([2, _entropy(seed)]))
-        return StrategyResult(rate_fixed=objective(np.zeros(1)),
-                              rate_flex=result.best_value,
-                              psi_star=np.array([result.best_point[0], 0.0, 0.0]))
     if strategy == "sfp":
-        baseline_leakage = precoding.sfp_leakage(scenario, np.zeros(3))
-        fixed = 0.0
-        flex = 0.0
+        leakage = precoding.sfp_leakage(scenario, np.zeros(3))
+        fixed = flex = 0.0
         psi_star = np.zeros(3)
         for m in range(3):
-            objective = _sfp_sector_objective(scenario, m, baseline_leakage)
+            objective, _ = _objective(scenario, "sfp", m, leakage)
             result = bayesopt.optimize(objective, [(lo, hi)], budget_1d, n_init=n_init,
                                        seed=np.random.default_rng([3, m, _entropy(seed)]))
             fixed += objective(np.zeros(1))
             flex += result.best_value
             psi_star[m] = result.best_point[0]
         return StrategyResult(rate_fixed=fixed, rate_flex=flex, psi_star=psi_star)
-    target = precoding.jfp_sumrate if strategy == "jfp" else precoding.sjfp_sumrate
-    objective = _rank_safe(target, scenario)
-    result = bayesopt.optimize(objective, [(lo, hi)] * 3, budget_3d, n_init=n_init,
-                               seed=np.random.default_rng([4, _entropy(seed)]))
-    return StrategyResult(rate_fixed=objective(np.zeros(3)),
-                          rate_flex=result.best_value, psi_star=result.best_point)
+    objective, dim = _objective(scenario, strategy)
+    budget, salt = (budget_1d, 2) if dim == 1 else (budget_3d, 4)  # single-sector is 1-D
+    result = bayesopt.optimize(objective, [(lo, hi)] * dim, budget, n_init=n_init,
+                               seed=np.random.default_rng([salt, _entropy(seed)]))
+    psi_star = np.zeros(3)
+    psi_star[:dim] = result.best_point
+    return StrategyResult(rate_fixed=objective(np.zeros(dim)),
+                          rate_flex=result.best_value, psi_star=psi_star)
 
 
 def _entropy(seed) -> int:
@@ -304,18 +308,8 @@ def _mix(*parts: int) -> int:
 def experiment_bo_trace(objective_name: str, scenario: Scenario, seed: int,
                         budget: int | None = None, n_init: int = 4, sector: int = 0):
     """Measurement-by-measurement record of one optimization run."""
-    if objective_name not in STRATEGIES:
-        raise ConfigError(f"objective: expected one of {STRATEGIES}, got {objective_name!r}")
     lo, hi = scenario.psi_bounds
-    if objective_name == "single-sector":
-        objective, dim = _single_sector_objective(scenario, sector), 1
-    elif objective_name == "sfp":
-        baseline = precoding.sfp_leakage(scenario, np.zeros(3))
-        objective, dim = _sfp_sector_objective(scenario, sector, baseline), 1
-    elif objective_name == "jfp":
-        objective, dim = _rank_safe(precoding.jfp_sumrate, scenario), 3
-    else:
-        objective, dim = _rank_safe(precoding.sjfp_sumrate, scenario), 3
+    objective, dim = _objective(scenario, objective_name, sector)
     if budget is None:
         budget = 30 if dim == 1 else 60
     result = bayesopt.optimize(objective, [(lo, hi)] * dim, budget, n_init=n_init,
@@ -393,6 +387,22 @@ def _require(config: dict, key: str, cast, default=None, choices=None):
     return value
 
 
+def _flag(value) -> bool:
+    """A bool, or one of the strings true/false, 1/0, yes/no, on/off."""
+    word = str(value).strip().lower()
+    if word not in ("true", "false", "1", "0", "yes", "no", "on", "off"):
+        raise ValueError(f"expected true/false, 1/0, yes/no or on/off, got {value!r}")
+    return word in ("true", "1", "yes", "on")
+
+
+def _served_users(k_users: int, cfg: ArrayConfig) -> int:
+    """``k_users``, if each array can zero-force that many users."""
+    if not 1 <= k_users <= cfg.n_elements:
+        raise ConfigError(f"k_users: need 1 <= k_users <= nh*nv = {cfg.n_elements}, "
+                          f"got {k_users}")
+    return k_users
+
+
 def _snr_list(raw) -> list:
     if isinstance(raw, (int, float)):
         return [float(raw)]
@@ -443,19 +453,21 @@ def run_experiment(config: dict) -> ExperimentResult:
         l_max = _require(config, "l_max", int, default=6)
         if l_min < 1 or l_max < l_min:
             raise ConfigError(f"l_min/l_max: need 1 <= l_min <= l_max, got {l_min}..{l_max}")
+        draws = _require(config, "draws", int, default=200)
+        if draws < 1:
+            raise ConfigError(f"draws: need at least 1, got {draws}")
         header, rows = experiment_crb_sweep(
-            models, spec, cfg, list(range(l_min, l_max + 1)),
-            draws=_require(config, "draws", int, default=200), seed=seed,
+            models, spec, cfg, list(range(l_min, l_max + 1)), draws=draws, seed=seed,
             sigma2=_require(config, "sigma2", float, default=1.0),
             grid_size=_require(config, "grid_size", int, default=181))
     elif experiment == "sumrate":
         model = parse_model(_require(config, "model", str))
         k_users = _require(config, "k_users", int, default=4)
-        if _require(config, "full_load", bool, default=False):
+        if _require(config, "full_load", _flag, default=False):
             k_users = cfg.n_elements
         header, rows = experiment_sumrate(
             _require(config, "strategy", str, choices={"sfp", "jfp", "sjfp"}),
-            model, spec, cfg, k_users=k_users,
+            model, spec, cfg, k_users=_served_users(k_users, cfg),
             n_paths=_require(config, "paths", int, default=5),
             snr_values=_snr_list(config.get("snr_db", 15.0)),
             trials=_require(config, "trials", int, default=10), seed=seed,
@@ -467,13 +479,13 @@ def run_experiment(config: dict) -> ExperimentResult:
         model = parse_model(_require(config, "model", str))
         scenario = generate_scenario(
             cfg, spec, model,
-            k_users=_require(config, "k_users", int, default=4),
+            k_users=_served_users(_require(config, "k_users", int, default=4), cfg),
             n_paths=_require(config, "paths", int, default=5),
             snr_db=_snr_list(config.get("snr_db", 15.0))[0],
             sigma2=_require(config, "sigma2", float, default=1.0),
             seed=[5, seed, 0])
         header, rows = experiment_bo_trace(
-            _require(config, "objective", str), scenario, seed=seed,
+            _require(config, "objective", str, choices=set(STRATEGIES)), scenario, seed=seed,
             budget=_require(config, "budget", int, default=0) or None,
             n_init=_require(config, "n_init", int, default=4),
             sector=_require(config, "sector", int, default=0))

@@ -9,12 +9,12 @@ exactly, so a user only sees other-sector leakage and noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import permutations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import full_channel, sector_block, sector_channel_matrix
+from .channel import sector_block
 from .errors import RankDeficiencyError
 from .geometry import flex_geometry
 
@@ -22,16 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
 ZF_COND_MAX = 1e12
-
-
-@dataclass
-class PrecodingResult:
-    """ZF solution for one channel: the precoder (N, K), the per-user
-    effective gains (K,), and the equal-power sum-rate in bit/s/Hz."""
-
-    precoder: np.ndarray
-    per_user_gain: np.ndarray
-    sum_rate: float
 
 
 def _gram_inverse(channel: np.ndarray) -> np.ndarray:
@@ -66,36 +56,35 @@ def single_sector_sumrate(channel: np.ndarray, p_total: float, sigma2: float) ->
     return float(np.sum(np.log2(1.0 + p_total * gains / (k * sigma2))))
 
 
-def zf_solution(channel: np.ndarray, p_total: float, sigma2: float) -> PrecodingResult:
-    """Precoder, effective gains, and equal-power sum-rate in one call."""
-    if p_total < 0 or sigma2 <= 0:
-        raise ValueError("need p_total >= 0 and sigma2 > 0")
-    inv = _gram_inverse(channel)
-    gains = 1.0 / np.diag(inv).real
-    rate = float(np.sum(np.log2(1.0 + p_total * gains / (channel.shape[1] * sigma2))))
-    return PrecodingResult(precoder=channel @ inv, per_user_gain=gains, sum_rate=rate)
+def _array_responses(scenario: "Scenario", psi: Sequence[float]) -> list:
+    """Channel from each array, deformed to its flex angle, to all 3K users:
+    three (N, 3K) blocks whose column block m' holds sector m' users."""
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (3,):
+        raise ValueError("psi must hold one flex angle per array (3 values)")
+    return [sector_block(scenario, flex_geometry(scenario.flex_model, scenario.cfg, p), m,
+                         slice(None)) for m, p in enumerate(psi)]
 
 
-def _sector_state(scenario: "Scenario", psi: np.ndarray):
-    """Per-sector gains, scaled ZF precoders, and cross leakage in one pass
-    over the nine channel blocks."""
-    stream_power = scenario.p_total / (3.0 * scenario.k_users)
-    geometries = [flex_geometry(scenario.flex_model, scenario.cfg, p) for p in psi]
+def _sector_state(scenario: "Scenario", psi: Sequence[float]):
+    """Per-sector gains, scaled ZF precoders, and cross leakage from one
+    channel build per array."""
+    k = scenario.k_users
+    stream_power = scenario.p_total / (3.0 * k)
+    responses = _array_responses(scenario, psi)
+    users = [slice(m * k, (m + 1) * k) for m in range(3)]
     precoders, gains = [], []
     for m in range(3):
-        own = sector_block(scenario, geometries[m], m, m)
+        own = responses[m][:, users[m]]
         inv = _gram_inverse(own)
         f = own @ inv
         f = f / np.linalg.norm(f, axis=0, keepdims=True)
         precoders.append(np.sqrt(stream_power) * f)
         gains.append(1.0 / np.diag(inv).real)
-    leakage = np.zeros((3, scenario.k_users))
-    for m in range(3):
-        for mp in range(3):
-            if mp == m:
-                continue
-            cross = sector_block(scenario, geometries[mp], mp, m)  # array mp -> sector m users
-            leakage[m] += np.sum(np.abs(cross.conj().T @ precoders[mp]) ** 2, axis=1)
+    leakage = np.zeros((3, k))
+    for m, mp in permutations(range(3), 2):
+        cross = responses[mp][:, users[m]]  # array mp -> sector m users
+        leakage[m] += np.sum(np.abs(cross.conj().T @ precoders[mp]) ** 2, axis=1)
     return np.array(gains), leakage, stream_power
 
 
@@ -106,7 +95,6 @@ def sfp_leakage(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
     streams, the received power |h_{m',(m,k)}^H f_{m'_i}|^2 with the actual
     scaled ZF columns of sector m'.
     """
-    psi = np.asarray(psi, dtype=float)
     _, leakage, _ = _sector_state(scenario, psi)
     return leakage
 
@@ -114,34 +102,24 @@ def sfp_leakage(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
 def sector_rate_given_leakage(scenario: "Scenario", sector: int, psi_m: float,
                               leakage: np.ndarray) -> float:
     """Sum-rate of one sector under per-sector ZF and fixed received leakage."""
-    own = sector_channel_matrix(scenario, sector, sector, psi_m)
-    gains = effective_gain(own)
+    geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
+    gains = effective_gain(sector_block(scenario, geometry, sector, sector))
     stream_power = scenario.p_total / (3.0 * scenario.k_users)
     sinr = stream_power * gains / (leakage + scenario.sigma2)
     return float(np.sum(np.log2(1.0 + sinr)))
 
 
-def sfp_sumrate(scenario: "Scenario", psi: Sequence[float]):
-    """Separate per-sector ZF evaluated at the flex angles ``psi``.
-
-    Returns (total, per_sector) where per_sector holds the three sector
-    sum-rates including the cross-sector leakage each user receives.
-    """
-    psi = np.asarray(psi, dtype=float)
-    gains, leakage, stream_power = _sector_state(scenario, psi)
-    sinr = stream_power * gains / (leakage + scenario.sigma2)
-    per_sector = np.sum(np.log2(1.0 + sinr), axis=1)
-    return float(per_sector.sum()), per_sector
-
-
 def jfp_sumrate(scenario: "Scenario", psi: Sequence[float]) -> float:
     """Fully joint ZF over the stacked (3N, 3K) channel with equal power."""
-    stacked = full_channel(scenario, psi).stacked()
+    stacked = np.vstack(_array_responses(scenario, psi))
     return single_sector_sumrate(stacked, scenario.p_total, scenario.sigma2)
 
 
 def sjfp_sumrate(scenario: "Scenario", psi: Sequence[float]) -> float:
     """Per-sector ZF as in SFP, viewed as a joint function of all three flex
-    angles so an optimizer can shape the cross-sector leakage."""
-    total, _ = sfp_sumrate(scenario, psi)
-    return total
+    angles: the sum of the three sector rates, each under the cross-sector
+    leakage its users receive at ``psi``, so an optimizer can shape it."""
+    gains, leakage, stream_power = _sector_state(scenario, psi)
+    sinr = stream_power * gains / (leakage + scenario.sigma2)
+    per_sector = np.sum(np.log2(1.0 + sinr), axis=1)
+    return float(per_sector.sum())

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from flexarray.channel import (PathSet, array_manifold, channel_power,
-                               channel_power_expansion, flexible_channel, full_channel,
-                               manifold_derivatives, sector_channel_matrix)
-from flexarray.geometry import ArrayConfig, FlexModel
+from flexarray.channel import (MOUNTS, PathSet, array_manifold, channel_power,
+                               flexible_channel, manifold_derivatives, path_factors,
+                               sector_block)
+from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
 from flexarray.radiation import PatternKind, PatternSpec
 
@@ -17,6 +17,24 @@ def random_paths(rng, n_paths, phi_span=0.5):
     return PathSet(theta=rng.uniform(np.pi / 3, 2 * np.pi / 3, n_paths),
                    phi=rng.uniform(-phi_span, phi_span, n_paths),
                    beta=rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+
+
+def channel_power_expansion(model, cfg, spec, paths, psi, mount=0.0):
+    """Channel power via its per-path expansion: the per-path norms plus the
+    pairwise real cross terms, an independent route to
+    ``channel_power(flexible_channel(...))``."""
+    geometry = flex_geometry(model, cfg, psi, mount)
+    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
+    vectors = pattern * manifold  # (L, N)
+    beta = paths.beta
+    n_paths = paths.n_paths
+    diag = np.sum(np.abs(beta) ** 2 * np.sum(np.abs(vectors) ** 2, axis=1))
+    cross = 0.0
+    for l2 in range(n_paths):
+        for l1 in range(l2 + 1, n_paths):
+            inner = np.sum(pattern[l2] * pattern[l1] * np.conj(manifold[l2]) * manifold[l1])
+            cross += 2.0 * np.real(beta[l1] * np.conj(beta[l2]) * inner)
+    return float((diag + cross) / n_paths)
 
 
 class TestManifold:
@@ -161,41 +179,56 @@ class TestChannelPower:
 
 
 class TestSectorAssembly:
-    def make_scenario(self, **kwargs):
+    def make_scenario(self, pattern=OMNI, **kwargs):
         cfg = ArrayConfig(4, 2, wavelength=WAVELENGTH)
         defaults = dict(k_users=2, n_paths=3, snr_db=10.0, seed=42)
         defaults.update(kwargs)
-        return generate_scenario(cfg, OMNI, FlexModel.ROTATABLE, **defaults)
+        return generate_scenario(cfg, pattern, FlexModel.ROTATABLE, **defaults)
+
+    def blocks(self, scenario, psi):
+        """block[m][m']: array m, flexed to psi[m], to the users of sector m'."""
+        geometries = [flex_geometry(scenario.flex_model, scenario.cfg, p) for p in psi]
+        return [[sector_block(scenario, geometries[m], m, mp) for mp in range(3)]
+                for m in range(3)]
 
     def test_full_channel_shape(self):
         scenario = self.make_scenario(k_users=1)
-        stacked = full_channel(scenario, np.zeros(3)).stacked()
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.0)
+        stacked = np.vstack([sector_block(scenario, geometry, m, slice(None))
+                             for m in range(3)])
         assert stacked.shape == (3 * scenario.cfg.n_elements, 3)
 
     def test_zero_cross_gains_zero_blocks(self):
-        scenario = self.make_scenario()
-        for (m, mp, k), paths in scenario.path_sets.items():
-            if m != mp:
-                scenario.path_sets[(m, mp, k)] = PathSet(
-                    theta=paths.theta, phi=paths.phi, beta=np.zeros_like(paths.beta))
-        channel = full_channel(scenario, np.array([0.1, -0.2, 0.05]))
+        # cosine kappa=1 elements radiate nothing beyond 90 degrees off their
+        # boresight: paths within 10 degrees of their own sector center reach
+        # the other arrays 110 degrees or more off it, beyond the flex offsets
+        scenario = self.make_scenario(pattern=COS1)
+        rng = np.random.default_rng(7)
+        for sector in range(3):
+            scenario.phi[sector] = MOUNTS[sector] + rng.uniform(
+                -np.radians(10), np.radians(10), scenario.phi[sector].shape)
+        blocks = self.blocks(scenario, np.array([0.1, -0.2, 0.05]))
         for m in range(3):
             for mp in range(3):
                 if m != mp:
-                    np.testing.assert_array_equal(channel.blocks[m][mp], 0.0)
+                    np.testing.assert_array_equal(blocks[m][mp], 0.0)
                 else:
-                    assert np.linalg.norm(channel.blocks[m][mp]) > 0
+                    assert np.linalg.norm(blocks[m][mp]) > 0
 
     def test_blocks_match_per_user_channels(self):
         scenario = self.make_scenario()
         psi = np.array([0.2, -0.1, 0.3])
-        channel = full_channel(scenario, psi)
+        blocks = self.blocks(scenario, psi)
         for m in range(3):
             for mp in range(3):
                 for k in range(scenario.k_users):
-                    expected = flexible_channel(
-                        scenario.flex_model, scenario.cfg, scenario.pattern,
-                        scenario.path_sets[(m, mp, k)], psi[m])
-                    np.testing.assert_allclose(channel.blocks[m][mp][:, k], expected)
-        block = sector_channel_matrix(scenario, 1, 2, psi[1])
-        np.testing.assert_allclose(channel.blocks[1][2], block)
+                    paths = PathSet(theta=scenario.theta[mp, k], phi=scenario.phi[mp, k],
+                                    beta=scenario.beta[mp, k])
+                    expected = flexible_channel(scenario.flex_model, scenario.cfg,
+                                                scenario.pattern, paths, psi[m],
+                                                mount=MOUNTS[m])
+                    np.testing.assert_allclose(blocks[m][mp][:, k], expected,
+                                               rtol=1e-10, atol=1e-12)
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi[1])
+        np.testing.assert_array_equal(sector_block(scenario, geometry, 1, slice(None)),
+                                      np.hstack(blocks[1]))

@@ -122,6 +122,36 @@ class TestSumrateAndTraces:
             assert float(row[2]) <= float(row[3]) * (1 + 1e-9)
 
 
+class TestBadSettingsExitTwo:
+    """Settings no run can satisfy are usage errors: exit code 2, a message
+    naming the setting, and no traceback."""
+
+    def assert_usage_error(self, result, setting):
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert setting in result.output
+
+    def test_bo_trace_sector_outside_the_three(self, runner):
+        result = runner.invoke(main, ["bo-trace", "--objective", "sfp", "--model", "rotate",
+                                      "--sector", "5"])
+        self.assert_usage_error(result, "sector")
+
+    def test_crb_sweep_zero_draws(self, runner):
+        result = runner.invoke(main, ["crb-sweep", "--draws", "0"])
+        self.assert_usage_error(result, "draws")
+
+    def test_sumrate_more_users_than_elements(self, runner):
+        result = runner.invoke(main, ["sumrate", "--strategy", "jfp", "--model", "rotate",
+                                      "--k-users", "20"])
+        self.assert_usage_error(result, "k_users")
+
+    def test_bo_trace_more_users_than_elements(self, runner):
+        result = runner.invoke(main, ["bo-trace", "--objective", "jfp", "--model", "rotate",
+                                      "--k-users", "20"])
+        self.assert_usage_error(result, "k_users")
+
+
 class TestConfigHandling:
     def test_dumped_config_reruns_identically(self, runner, tmp_path):
         conf = tmp_path / "geometry.ini"

@@ -3,14 +3,14 @@ import io
 import numpy as np
 import pytest
 
+from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
 from flexarray.errors import ConfigError
-from flexarray.geometry import ArrayConfig, FlexModel
-from flexarray.harness import (MOUNTS, PSI_BOUNDS, SECTOR_RANGES, Scenario, config_hash,
-                               default_sweep_paths, experiment_bo_trace,
-                               experiment_power_sweep, experiment_sumrate,
-                               generate_scenario, optimize_strategy, run_experiment,
-                               write_csv)
-from flexarray.precoding import jfp_sumrate, sfp_sumrate
+from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
+from flexarray.harness import (PSI_BOUNDS, SECTOR_RANGES, config_hash, default_sweep_paths,
+                               experiment_bo_trace, experiment_power_sweep,
+                               experiment_sumrate, generate_scenario, optimize_strategy,
+                               run_experiment, write_csv)
+from flexarray.precoding import jfp_sumrate, sjfp_sumrate
 from flexarray.radiation import PatternKind, PatternSpec, wrap_angle
 
 OMNI = PatternSpec(PatternKind.OMNI)
@@ -27,52 +27,54 @@ class TestGenerateScenario:
     def test_deterministic_given_seed(self):
         a = small_scenario(seed=123)
         b = small_scenario(seed=123)
-        for key in a.path_sets:
-            np.testing.assert_array_equal(a.path_sets[key].theta, b.path_sets[key].theta)
-            np.testing.assert_array_equal(a.path_sets[key].phi, b.path_sets[key].phi)
-            np.testing.assert_array_equal(a.path_sets[key].beta, b.path_sets[key].beta)
-        assert a.user_distances == b.user_distances
+        for name in ("theta", "phi", "beta"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_shapes_set_the_sizes(self):
+        scenario = small_scenario(k_users=5, n_paths=7)
+        for paths in (scenario.theta, scenario.phi, scenario.beta):
+            assert paths.shape == (3, 5, 7)
+        assert (scenario.k_users, scenario.n_paths) == (5, 7)
+        assert scenario.psi_bounds == PSI_BOUNDS[FlexModel.ROTATABLE]
 
     def test_different_seeds_differ(self):
         a = small_scenario(seed=1)
         b = small_scenario(seed=2)
-        assert not np.allclose(a.path_sets[(0, 0, 0)].phi, b.path_sets[(0, 0, 0)].phi)
+        assert not np.allclose(a.phi[0, 0], b.phi[0, 0])
 
     def test_sector_one_azimuths_inside_wedge(self):
         scenario = small_scenario(k_users=8, n_paths=6, seed=5)
-        # array 0 is mounted at zero, so its local angles are the global ones
-        for k in range(8):
-            phi = scenario.path_sets[(0, 0, k)].phi
-            assert np.all(phi >= SECTOR_RANGES[0][0]) and np.all(phi <= SECTOR_RANGES[0][1])
+        for sector, (lo, hi) in enumerate(SECTOR_RANGES):
+            phi = scenario.phi[sector]
+            assert np.all(phi >= lo) and np.all(phi <= hi)
 
     def test_local_angles_subtract_mount(self):
         scenario = small_scenario(seed=9)
-        for (m, sector, k), paths in scenario.path_sets.items():
-            reference = scenario.path_sets[(0, sector, k)]
-            np.testing.assert_allclose(
-                paths.phi, wrap_angle(reference.phi - MOUNTS[m]), atol=1e-12)
-            np.testing.assert_array_equal(paths.beta, reference.beta)
-            np.testing.assert_array_equal(paths.theta, reference.theta)
+        psi = 0.2
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi)
+        for m in range(3):
+            for sector in range(3):
+                block = sector_block(scenario, geometry, m, sector)
+                for k in range(scenario.k_users):
+                    local = PathSet(theta=scenario.theta[sector, k],
+                                    phi=wrap_angle(scenario.phi[sector, k] - MOUNTS[m]),
+                                    beta=scenario.beta[sector, k])
+                    expected = flexible_channel(scenario.flex_model, scenario.cfg,
+                                                scenario.pattern, local, psi)
+                    np.testing.assert_allclose(block[:, k], expected, rtol=1e-12)
 
     def test_elevations_inside_band(self):
         scenario = small_scenario(k_users=5, n_paths=8, seed=6)
-        for paths in scenario.path_sets.values():
-            assert np.all(paths.theta >= np.pi / 3) and np.all(paths.theta <= 2 * np.pi / 3)
+        assert np.all(scenario.theta >= np.pi / 3) and np.all(scenario.theta <= 2 * np.pi / 3)
 
     def test_gain_second_moment_near_unit(self):
         scenario = generate_scenario(CFG, OMNI, FlexModel.ROTATABLE, k_users=30,
                                      n_paths=40, snr_db=0.0, seed=7)
-        betas = np.concatenate([scenario.path_sets[(0, s, k)].beta
-                                for s in range(3) for k in range(30)])
-        assert abs(np.mean(np.abs(betas) ** 2) - 1.0) < 0.05
+        assert abs(np.mean(np.abs(scenario.beta) ** 2) - 1.0) < 0.05
 
     def test_snr_to_power(self):
         scenario = small_scenario(snr_db=15.0)
         assert scenario.p_total == pytest.approx(10 ** 1.5)
-
-    def test_distances_within_radius(self):
-        scenario = small_scenario(seed=11)
-        assert all(0 <= d <= 100.0 for d in scenario.user_distances.values())
 
 
 class TestOptimizeStrategy:
@@ -96,8 +98,8 @@ class TestOptimizeStrategy:
     def test_sfp_fixed_matches_joint_evaluation_at_zero(self):
         scenario = small_scenario(seed=4)
         result = optimize_strategy(scenario, "sfp", seed=0, budget_1d=2, n_init=2)
-        total, _ = sfp_sumrate(scenario, np.zeros(3))
-        assert result.rate_fixed == pytest.approx(total, rel=1e-12)
+        assert result.rate_fixed == pytest.approx(sjfp_sumrate(scenario, np.zeros(3)),
+                                                  rel=1e-12)
 
     def test_jfp_fixed_is_planar_baseline(self):
         scenario = small_scenario(seed=8)
@@ -138,6 +140,11 @@ class TestExperiments:
         incumbents = [row[-1] for row in rows]
         assert all(a <= b for a, b in zip(incumbents, incumbents[1:]))
         assert rows[-1][0] == len(rows) - 1
+
+    @pytest.mark.parametrize("sector", [-1, 3])
+    def test_sector_outside_the_three_rejected(self, sector):
+        with pytest.raises(ConfigError, match="sector"):
+            experiment_bo_trace("sfp", small_scenario(), seed=0, budget=1, sector=sector)
 
 
 class TestRunExperiment:
@@ -195,6 +202,31 @@ class TestRunExperiment:
         result = run_experiment(config)  # runs with K = N = 4 without error
         assert len(result.rows) == 1
         assert result.rows[0][3] >= 0.0
+
+    def test_full_load_words_parse_as_flags(self):
+        config = {"experiment": "sumrate", "strategy": "jfp", "model": "rotate",
+                  "trials": 1, "seed": 1, "k_users": 2, "paths": 2, "nh": 2, "nv": 2,
+                  "budget_3d": 1, "n_init": 1}
+        rows = {flag: run_experiment({**config, "full_load": flag}).rows
+                for flag in (False, True)}
+        assert rows[False] != rows[True]
+        for word, flag in [("false", False), ("No", False), ("0", False),
+                           ("true", True), ("on", True), ("1", True)]:
+            assert run_experiment({**config, "full_load": word}).rows == rows[flag], word
+
+    def test_full_load_rejects_other_words(self):
+        with pytest.raises(ConfigError, match="full_load"):
+            run_experiment({"experiment": "sumrate", "strategy": "jfp", "model": "rotate",
+                            "full_load": "maybe"})
+
+    def test_more_users_than_elements_rejected(self):
+        with pytest.raises(ConfigError, match="k_users"):
+            run_experiment({"experiment": "sumrate", "strategy": "jfp", "model": "rotate",
+                            "nh": 2, "nv": 2, "k_users": 5})
+
+    def test_zero_draws_rejected(self):
+        with pytest.raises(ConfigError, match="draws"):
+            run_experiment({"experiment": "crb-sweep", "draws": 0})
 
 
 class TestCsvWriter:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from flexarray.channel import PathSet, sector_channel_matrix
+from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
 from flexarray.errors import RankDeficiencyError
-from flexarray.geometry import ArrayConfig, FlexModel
+from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
-from flexarray.precoding import (effective_gain, jfp_sumrate, sfp_leakage, sfp_sumrate,
-                                 single_sector_sumrate, sjfp_sumrate, zf_precoder)
+from flexarray.precoding import (effective_gain, jfp_sumrate, sector_rate_given_leakage,
+                                 sfp_leakage, single_sector_sumrate, sjfp_sumrate,
+                                 zf_precoder)
 from flexarray.radiation import PatternKind, PatternSpec
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)
+COS2 = PatternSpec(PatternKind.COSINE, kappa=2.0)
 
 
 def random_channel(rng, n, k):
@@ -29,12 +31,22 @@ def make_scenario(pattern=OMNI, model=FlexModel.ROTATABLE, seed=0, **kwargs):
     return generate_scenario(cfg, pattern, model, **defaults)
 
 
-def zero_cross_sectors(scenario):
-    for (m, mp, k), paths in list(scenario.path_sets.items()):
-        if m != mp:
-            scenario.path_sets[(m, mp, k)] = PathSet(
-                theta=paths.theta, phi=paths.phi, beta=np.zeros_like(paths.beta))
+def uncoupled_scenario(seed):
+    """Cosine kappa=1 scenario whose paths lie within 10 degrees of their own
+    sector center: every array reaches the other sectors' users 110 degrees
+    or more off boresight, where its elements radiate exactly nothing, as
+    long as the flex angles stay within 0.3 rad."""
+    scenario = make_scenario(pattern=COS1, seed=seed)
+    rng = np.random.default_rng(seed)
+    for sector in range(3):
+        scenario.phi[sector] = MOUNTS[sector] + rng.uniform(
+            -np.radians(10), np.radians(10), scenario.phi[sector].shape)
     return scenario
+
+
+def own_block(scenario, sector, psi_m):
+    geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
+    return sector_block(scenario, geometry, sector, sector)
 
 
 class TestZfPrecoder:
@@ -90,18 +102,6 @@ class TestEffectiveGain:
             np.testing.assert_allclose(via_columns, via_inverse, rtol=1e-10)
 
 
-class TestZfSolution:
-    def test_bundles_consistent_pieces(self):
-        from flexarray.precoding import zf_solution
-
-        h = random_channel(np.random.default_rng(30), 12, 3)
-        result = zf_solution(h, 4.0, 1.0)
-        np.testing.assert_allclose(result.precoder, zf_precoder(h), rtol=1e-12)
-        np.testing.assert_allclose(result.per_user_gain, effective_gain(h), rtol=1e-12)
-        assert result.sum_rate == pytest.approx(single_sector_sumrate(h, 4.0, 1.0))
-        assert np.all(result.per_user_gain > 0)
-
-
 class TestSingleSectorSumrate:
     def test_orthonormal_two_user_value(self):
         h = orthonormal_channel(np.random.default_rng(8), 6, 2)
@@ -127,14 +127,15 @@ class TestSingleSectorSumrate:
 
 class TestSfp:
     def test_no_cross_sector_coupling_reduces_to_single_sector(self):
-        scenario = zero_cross_sectors(make_scenario(seed=12))
+        scenario = uncoupled_scenario(seed=12)
         psi = np.array([0.1, -0.2, 0.3])
-        total, per_sector = sfp_sumrate(scenario, psi)
+        leakage = sfp_leakage(scenario, psi)
+        np.testing.assert_array_equal(leakage, 0.0)
         for m in range(3):
-            own = sector_channel_matrix(scenario, m, m, psi[m])
-            expected = single_sector_sumrate(own, scenario.p_total / 3.0, scenario.sigma2)
-            assert per_sector[m] == pytest.approx(expected, rel=1e-12)
-        assert total == pytest.approx(per_sector.sum())
+            rate = sector_rate_given_leakage(scenario, m, psi[m], leakage[m])
+            expected = single_sector_sumrate(own_block(scenario, m, psi[m]),
+                                             scenario.p_total / 3.0, scenario.sigma2)
+            assert rate == pytest.approx(expected, rel=1e-12)
 
     def test_leakage_invariant_to_user_permutation_in_interferer(self):
         scenario = make_scenario(seed=13)
@@ -142,11 +143,8 @@ class TestSfp:
         # relabel the users of sector 2; leakage received by sector 0 sums
         # over the interfering streams, so it cannot change
         permuted = make_scenario(seed=13)
-        k = permuted.k_users
-        for target in range(3):
-            originals = [permuted.path_sets[(target, 2, i)] for i in range(k)]
-            for i in range(k):
-                permuted.path_sets[(target, 2, i)] = originals[(i + 1) % k]
+        for paths in (permuted.theta, permuted.phi, permuted.beta):
+            paths[2] = np.roll(paths[2], -1, axis=0)
         swapped = sfp_leakage(permuted, np.zeros(3))
         np.testing.assert_allclose(swapped[0], base[0], rtol=1e-10)
 
@@ -154,14 +152,10 @@ class TestSfp:
         # one user per sector exactly at its sector center: the cosine pattern
         # radiates nothing toward the other sectors, the omni pattern does
         def centered_scenario(pattern):
-            scenario = make_scenario(pattern=pattern, k_users=1, seed=14)
-            for sector, center in enumerate((0.0, 2 * np.pi / 3, 4 * np.pi / 3)):
-                for m in range(3):
-                    from flexarray.radiation import wrap_angle
-
-                    local = wrap_angle(center - scenario.mounts[m])
-                    scenario.path_sets[(m, sector, 0)] = PathSet(
-                        theta=[np.pi / 2], phi=[local], beta=[1.0])
+            scenario = make_scenario(pattern=pattern, k_users=1, n_paths=1, seed=14)
+            scenario.theta[...] = np.pi / 2
+            scenario.phi[:, 0, 0] = MOUNTS
+            scenario.beta[...] = 1.0
             return scenario
 
         omni_leak = sfp_leakage(centered_scenario(OMNI), np.zeros(3)).sum()
@@ -174,20 +168,19 @@ class TestSfp:
         psi = np.array([0.2, 0.0, -0.4])
         leakage = sfp_leakage(scenario, psi)
         stream_power = scenario.p_total / (3 * scenario.k_users)
-        from flexarray.channel import flexible_channel
-
         for m in range(3):
             for k in range(scenario.k_users):
+                paths = PathSet(theta=scenario.theta[m, k], phi=scenario.phi[m, k],
+                                beta=scenario.beta[m, k])
                 brute = 0.0
                 for mp in range(3):
                     if mp == m:
                         continue
-                    own = sector_channel_matrix(scenario, mp, mp, psi[mp])
-                    f = zf_precoder(own)
+                    f = zf_precoder(own_block(scenario, mp, psi[mp]))
                     f = np.sqrt(stream_power) * f / np.linalg.norm(f, axis=0, keepdims=True)
                     victim = flexible_channel(scenario.flex_model, scenario.cfg,
-                                              scenario.pattern,
-                                              scenario.path_sets[(mp, m, k)], psi[mp])
+                                              scenario.pattern, paths, psi[mp],
+                                              mount=MOUNTS[mp])
                     for i in range(scenario.k_users):
                         brute += abs(victim.conj() @ f[:, i]) ** 2
                 assert leakage[m, k] == pytest.approx(brute, rel=1e-10)
@@ -195,11 +188,11 @@ class TestSfp:
 
 class TestJfp:
     def test_block_diagonal_reduction(self):
-        scenario = zero_cross_sectors(make_scenario(seed=16))
+        scenario = uncoupled_scenario(seed=16)
         psi = np.array([0.15, -0.05, 0.3])
         joint = jfp_sumrate(scenario, psi)
         separate = sum(
-            single_sector_sumrate(sector_channel_matrix(scenario, m, m, psi[m]),
+            single_sector_sumrate(own_block(scenario, m, psi[m]),
                                   scenario.p_total / 3.0, scenario.sigma2)
             for m in range(3))
         assert joint == pytest.approx(separate, rel=1e-9)
@@ -217,18 +210,24 @@ class TestJfp:
 
 class TestSjfp:
     def test_equals_sfp_total_pointwise(self):
+        # the SFP total at psi: every sector's rate under the leakage at psi
         scenario = make_scenario(seed=19)
         for psi in (np.zeros(3), np.array([0.3, -0.2, 0.1])):
-            total, _ = sfp_sumrate(scenario, psi)
-            assert sjfp_sumrate(scenario, psi) == total
+            leakage = sfp_leakage(scenario, psi)
+            total = sum(sector_rate_given_leakage(scenario, m, psi[m], leakage[m])
+                        for m in range(3))
+            assert sjfp_sumrate(scenario, psi) == pytest.approx(total, rel=1e-12)
 
     def test_zero_cross_equals_sfp(self):
-        scenario = zero_cross_sectors(make_scenario(seed=20))
+        scenario = uncoupled_scenario(seed=20)
         psi = np.array([0.1, 0.2, 0.3])
-        assert sjfp_sumrate(scenario, psi) == sfp_sumrate(scenario, psi)[0]
+        separate = sum(
+            single_sector_sumrate(own_block(scenario, m, psi[m]),
+                                  scenario.p_total / 3.0, scenario.sigma2)
+            for m in range(3))
+        assert sjfp_sumrate(scenario, psi) == pytest.approx(separate, rel=1e-12)
 
     def test_joint_optimum_dominates_per_sector_optima(self):
-        from flexarray.precoding import sector_rate_given_leakage, sfp_leakage
         import itertools
 
         scenario = make_scenario(seed=21)
@@ -242,3 +241,24 @@ class TestSjfp:
         joint_best = max(sjfp_sumrate(scenario, np.array(p))
                          for p in itertools.product(grid, repeat=3))
         assert joint_best >= sjfp_sumrate(scenario, selfish)
+
+
+class TestFixedSeedValues:
+    """Exact sum-rates of two fixed scenarios, written with ``repr``. Fixed-seed
+    outputs must stay byte-identical across refactors of the channel and ZF
+    layers, so these compare with ``==``."""
+
+    PSI = np.array([0.3, -0.2, 0.1])
+
+    @pytest.mark.parametrize("pattern, model, k_users, expected", [
+        (OMNI, FlexModel.ROTATABLE, 4, (16.131022697152126, 49.561997463041344,
+                                        5.886508143936524)),
+        (COS2, FlexModel.BENDABLE, 16, (7.263326859766974, 1.9248020351850013,
+                                        3.249808087267173)),
+    ], ids=["omni-k4", "cosine2-full-load"])
+    def test_sumrates_bit_identical(self, pattern, model, k_users, expected):
+        scenario = make_scenario(pattern=pattern, model=model, seed=7, k_users=k_users)
+        leakage = sfp_leakage(scenario, np.zeros(3))
+        got = (sjfp_sumrate(scenario, self.PSI), jfp_sumrate(scenario, self.PSI),
+               sector_rate_given_leakage(scenario, 1, float(self.PSI[1]), leakage[1]))
+        assert got == expected
