@@ -2,31 +2,37 @@
 
 One executable with a subcommand per task; every flag can also be supplied
 from an INI config file (section named after the subcommand, keys matching
-the flag names) via ``--config``, with explicit flags taking precedence.
-``--dump-config`` writes the effective settings back out so a run can be
-reproduced from the file alone. Exit codes: 0 success, 2 configuration or
-usage error, 3 numerical failure.
+the flag names) via ``--config``, with explicit flags taking precedence and
+keys that name no flag rejected. ``--dump-config`` writes the effective
+settings back out so a run can be reproduced from the file alone. The four
+experiment subcommands are generated from ``harness.EXPERIMENTS`` and run,
+like ``run``, through ``harness.run_experiment``. Exit codes: 0 success, 2
+configuration or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import configparser
-import json
 import platform
-import sys
 
 import click
 import numpy as np
 
 from . import __version__, harness
-from .channel import PathSet
 from .errors import ConfigError, FlexArrayError
 from .geometry import ArrayConfig, FlexModel, flex_geometry
 from .radiation import pattern_gain
 
 MODEL_CHOICE = click.Choice(["planar", "rotate", "bend", "fold"])
-FLEX_CHOICE = click.Choice(["rotate", "bend", "fold"])
 PATTERN_CHOICE = click.Choice(["omni", "cosine"])
+NOT_SETTINGS = ("out", "config", "dump_config")
+SUMMARIES = {
+    "power-sweep": "Channel power versus flex angle relative to the planar array.",
+    "crb-sweep": "Mean angle CRB versus number of paths, optimized flex vs planar.",
+    "sumrate": "Monte Carlo multi-sector sum-rate, fixed baseline vs optimized flex.",
+    "bo-trace": "Dump one optimization run measurement by measurement.",
+}
+ALIASES = {"l_min": ("--L-min",), "l_max": ("--L-max",)}
 
 
 def _load_config_defaults(ctx: click.Context, param: click.Parameter, value):
@@ -34,26 +40,30 @@ def _load_config_defaults(ctx: click.Context, param: click.Parameter, value):
     if not value:
         return value
     parser = configparser.ConfigParser()
-    read = parser.read(value)
-    if not read:
+    if not parser.read(value):
         raise click.UsageError(f"config file not found: {value}")
     section = ctx.command.name or ""
     if parser.has_section(section):
         defaults = {key.replace("-", "_"): raw for key, raw in parser.items(section)}
+        known = {option.name for option in ctx.command.params}
+        for key in defaults:
+            if key not in known or key in ("config", "dump_config"):
+                raise click.UsageError(f"{key}: not a {section} setting (in {value})")
         ctx.default_map = {**(ctx.default_map or {}), **defaults}
     return value
 
 
-def _dump_config(ctx: click.Context, path: str | None) -> None:
+def _dump_config(ctx: click.Context) -> None:
+    """Write the settings to ``--dump-config``; an experiment also gets the
+    ``[run]`` section that lets ``flexarray run`` replay it."""
+    path = ctx.params.get("dump_config")
     if not path:
         return
     parser = configparser.ConfigParser()
-    section = ctx.command.name or "run"
-    parser.add_section(section)
-    for key, value in ctx.params.items():
-        if key in ("config", "dump_config") or value is None:
-            continue
-        parser.set(section, key, str(value))
+    if ctx.command.name in harness.EXPERIMENTS:
+        parser["run"] = {"experiment": ctx.command.name}
+    parser[ctx.command.name] = {key: str(value) for key, value in ctx.params.items()
+                                if key not in NOT_SETTINGS and value is not None}
     with open(path, "w") as handle:
         parser.write(handle)
 
@@ -69,21 +79,20 @@ def common_options(func):
     return func
 
 
-def _emit(ctx, out, header, rows, comments) -> None:
-    target = sys.stdout if out == "-" else out
-    harness.write_csv(target, header, rows, comments)
-    _dump_config(ctx, ctx.params.get("dump_config"))
-
-
-def _run_guarded(ctx, out, builder) -> None:
+def _run_guarded(ctx: click.Context, out: str | None, build) -> None:
+    """Print the CSV text ``build(path)`` returns, or let it write ``path``
+    (None for stdout); configuration errors exit 2, numerical failures 3."""
+    path = None if out in (None, "-") else out
     try:
-        header, rows, comments = builder()
+        text = build(path)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
     except FlexArrayError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         ctx.exit(3)
-    _emit(ctx, out, header, rows, comments)
+    if path is None:
+        click.echo(text, nl=False)
+    _dump_config(ctx)
 
 
 @click.group()
@@ -107,15 +116,16 @@ def main():
 def geometry(ctx, model, nh, nv, psi, mount, wavelength, spacing, out, config, dump_config):
     """Dump element positions and boresight offsets as CSV."""
 
-    def build():
-        cfg = ArrayConfig(n_h=nh, n_v=nv, wavelength=wavelength, spacing=spacing)
+    def build(path):
         try:
+            cfg = ArrayConfig(n_h=nh, n_v=nv, wavelength=wavelength, spacing=spacing)
             geom = flex_geometry(FlexModel(model), cfg, psi, mount)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         rows = [(n, *geom.positions[n], geom.orientation_offsets[n])
                 for n in range(geom.n_elements)]
-        return ["n", "x", "y", "z", "orient"], rows, {"psi": psi, "mount": mount}
+        return harness.write_csv(path, ["n", "x", "y", "z", "orient"], rows,
+                                 {"psi": psi, "mount": mount})
 
     _run_guarded(ctx, out, build)
 
@@ -130,7 +140,7 @@ def geometry(ctx, model, nh, nv, psi, mount, wavelength, spacing, out, config, d
 def pattern(ctx, kind, kappa, grid, out, config, dump_config):
     """Dump the element gain on a (theta, phi) grid as CSV."""
 
-    def build():
+    def build(path):
         spec = harness.parse_pattern(kind, kappa)
         if grid < 1:
             raise ConfigError(f"grid: must be >= 1, got {grid}")
@@ -138,157 +148,40 @@ def pattern(ctx, kind, kappa, grid, out, config, dump_config):
         phis = -np.pi + 2.0 * np.pi * (np.arange(grid) + 1) / grid
         rows = [(float(theta), float(phi), pattern_gain(spec, theta, phi))
                 for theta in thetas for phi in phis]
-        return ["theta", "phi", "gain"], rows, {"kind": kind, "kappa": kappa}
+        return harness.write_csv(path, ["theta", "phi", "gain"], rows,
+                                 {"kind": kind, "kappa": kappa})
 
     _run_guarded(ctx, out, build)
 
 
-def _scenario_paths(path: str) -> PathSet:
-    with open(path) as handle:
-        data = json.load(handle)
-    try:
-        beta = np.asarray(data["beta_real"], dtype=float) + 1j * np.asarray(
-            data.get("beta_imag", np.zeros(len(data["beta_real"]))), dtype=float)
-        return PathSet(theta=np.asarray(data["theta"], dtype=float),
-                       phi=np.asarray(data["phi"], dtype=float), beta=beta)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"scenario-file: {exc}") from exc
+def _option(setting: harness.Setting):
+    """The flag of one experiment setting; click parses it as the type of
+    its default."""
+    flags = ("--" + setting.name.replace("_", "-"), *ALIASES.get(setting.name, ()))
+    kwargs = {"type": click.Choice(setting.choices) if setting.choices else None,
+              "help": setting.help}
+    if setting.default is harness.REQUIRED:
+        kwargs["required"] = True
+    else:
+        kwargs.update(default=setting.default, show_default=True,
+                      is_flag=isinstance(setting.default, bool))
+    return click.option(*flags, setting.name, **kwargs)
 
 
-@main.command("power-sweep")
-@click.option("--model", type=FLEX_CHOICE, required=True)
-@click.option("--pattern", "pattern_kind", type=PATTERN_CHOICE, default="omni", show_default=True)
-@click.option("--kappa", type=float, default=1.0, show_default=True)
-@click.option("--psi-min", type=float, default=-np.pi / 2, show_default=True)
-@click.option("--psi-max", type=float, default=np.pi / 2, show_default=True)
-@click.option("--steps", type=int, default=181, show_default=True)
-@click.option("--scenario-file", default=None,
-              help="JSON file with theta/phi/beta_real[/beta_imag] path arrays.")
-@click.option("--nh", type=int, default=8, show_default=True)
-@click.option("--nv", type=int, default=2, show_default=True)
-@click.option("--wavelength", type=float, default=0.03, show_default=True)
-@click.option("--mount", type=float, default=0.0, show_default=True)
-@common_options
-@click.pass_context
-def power_sweep(ctx, model, pattern_kind, kappa, psi_min, psi_max, steps, scenario_file,
-                nh, nv, wavelength, mount, out, config, dump_config):
-    """Channel power versus flex angle relative to the planar array."""
+def _experiment_command(name: str) -> None:
+    @click.pass_context
+    def command(ctx, out, config, dump_config, **settings):
+        _run_guarded(ctx, out, lambda path: harness.run_experiment(
+            {"experiment": name, **settings, "out": path}).csv_text)
 
-    def build():
-        spec = harness.parse_pattern(pattern_kind, kappa)
-        cfg = ArrayConfig(n_h=nh, n_v=nv, wavelength=wavelength)
-        paths = _scenario_paths(scenario_file) if scenario_file else None
-        header, rows = harness.experiment_power_sweep(
-            FlexModel(model), spec, cfg=cfg, paths=paths,
-            psi_min=psi_min, psi_max=psi_max, steps=steps, mount=mount)
-        digest = harness.config_hash(dict(ctx.params))
-        return header, rows, {"config-hash": digest}
-
-    _run_guarded(ctx, out, build)
+    command = common_options(command)
+    for setting in reversed(harness.EXPERIMENTS[name]):
+        command = _option(setting)(command)
+    main.command(name, help=SUMMARIES[name])(command)
 
 
-@main.command("crb-sweep")
-@click.option("--model", type=click.Choice(["rotate", "bend", "fold", "all"]),
-              default="all", show_default=True)
-@click.option("--pattern", "pattern_kind", type=PATTERN_CHOICE, default="omni", show_default=True)
-@click.option("--kappa", type=float, default=1.0, show_default=True)
-@click.option("--l-min", "--L-min", "l_min", type=int, default=1, show_default=True)
-@click.option("--l-max", "--L-max", "l_max", type=int, default=6, show_default=True)
-@click.option("--draws", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--nh", type=int, default=8, show_default=True)
-@click.option("--nv", type=int, default=8, show_default=True)
-@click.option("--wavelength", type=float, default=0.03, show_default=True)
-@click.option("--sigma2", type=float, default=1.0, show_default=True)
-@click.option("--grid-size", type=int, default=181, show_default=True)
-@common_options
-@click.pass_context
-def crb_sweep(ctx, model, pattern_kind, kappa, l_min, l_max, draws, seed, nh, nv,
-              wavelength, sigma2, grid_size, out, config, dump_config):
-    """Mean angle CRB versus number of paths, optimized flex vs planar."""
-
-    def build():
-        result = harness.run_experiment({
-            "experiment": "crb-sweep", "model": model, "pattern": pattern_kind,
-            "kappa": kappa, "l_min": l_min, "l_max": l_max, "draws": draws,
-            "seed": seed, "nh": nh, "nv": nv, "wavelength": wavelength,
-            "sigma2": sigma2, "grid_size": grid_size})
-        return result.header, result.rows, {"config-hash": result.config_hash, "seed": seed}
-
-    _run_guarded(ctx, out, build)
-
-
-@main.command()
-@click.option("--strategy", type=click.Choice(["sfp", "jfp", "sjfp"]), required=True)
-@click.option("--model", type=FLEX_CHOICE, required=True)
-@click.option("--pattern", "pattern_kind", type=PATTERN_CHOICE, default="omni", show_default=True)
-@click.option("--kappa", type=float, default=1.0, show_default=True)
-@click.option("--snr-db", default="15", show_default=True,
-              help="SNR grid in dB, comma or space separated.")
-@click.option("--trials", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--k-users", type=int, default=4, show_default=True)
-@click.option("--full-load", is_flag=True, default=False,
-              help="Serve as many users per sector as there are elements.")
-@click.option("--paths", type=int, default=5, show_default=True)
-@click.option("--nh", type=int, default=8, show_default=True)
-@click.option("--nv", type=int, default=2, show_default=True)
-@click.option("--wavelength", type=float, default=0.03, show_default=True)
-@click.option("--budget-1d", type=int, default=30, show_default=True)
-@click.option("--budget-3d", type=int, default=60, show_default=True)
-@click.option("--n-init", type=int, default=4, show_default=True)
-@common_options
-@click.pass_context
-def sumrate(ctx, strategy, model, pattern_kind, kappa, snr_db, trials, seed, k_users,
-            full_load, paths, nh, nv, wavelength, budget_1d, budget_3d, n_init,
-            out, config, dump_config):
-    """Monte Carlo multi-sector sum-rate, fixed baseline vs optimized flex."""
-
-    def build():
-        result = harness.run_experiment({
-            "experiment": "sumrate", "strategy": strategy, "model": model,
-            "pattern": pattern_kind, "kappa": kappa, "snr_db": snr_db,
-            "trials": trials, "seed": seed, "k_users": k_users,
-            "full_load": full_load, "paths": paths, "nh": nh, "nv": nv,
-            "wavelength": wavelength, "budget_1d": budget_1d, "budget_3d": budget_3d,
-            "n_init": n_init})
-        return result.header, result.rows, {"config-hash": result.config_hash, "seed": seed}
-
-    _run_guarded(ctx, out, build)
-
-
-@main.command("bo-trace")
-@click.option("--objective", type=click.Choice(list(harness.STRATEGIES)), required=True)
-@click.option("--model", type=FLEX_CHOICE, required=True)
-@click.option("--pattern", "pattern_kind", type=PATTERN_CHOICE, default="omni", show_default=True)
-@click.option("--kappa", type=float, default=1.0, show_default=True)
-@click.option("--snr-db", type=float, default=15.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=0, show_default=True,
-              help="Rounds after the initial design; 0 picks 30 (1-D) or 60 (3-D).")
-@click.option("--n-init", type=int, default=4, show_default=True)
-@click.option("--sector", type=int, default=0, show_default=True,
-              help="Sector index for the 1-D objectives.")
-@click.option("--k-users", type=int, default=4, show_default=True)
-@click.option("--paths", type=int, default=5, show_default=True)
-@click.option("--nh", type=int, default=8, show_default=True)
-@click.option("--nv", type=int, default=2, show_default=True)
-@click.option("--wavelength", type=float, default=0.03, show_default=True)
-@common_options
-@click.pass_context
-def bo_trace(ctx, objective, model, pattern_kind, kappa, snr_db, seed, budget, n_init,
-             sector, k_users, paths, nh, nv, wavelength, out, config, dump_config):
-    """Dump one optimization run measurement by measurement."""
-
-    def build():
-        result = harness.run_experiment({
-            "experiment": "bo-trace", "objective": objective, "model": model,
-            "pattern": pattern_kind, "kappa": kappa, "snr_db": snr_db, "seed": seed,
-            "budget": budget, "n_init": n_init, "sector": sector, "k_users": k_users,
-            "paths": paths, "nh": nh, "nv": nv, "wavelength": wavelength})
-        return result.header, result.rows, {"config-hash": result.config_hash, "seed": seed}
-
-    _run_guarded(ctx, out, build)
+for _name in harness.EXPERIMENTS:
+    _experiment_command(_name)
 
 
 @main.command()
@@ -301,26 +194,14 @@ def run(ctx, config_path, out):
     parser = configparser.ConfigParser()
     if not parser.read(config_path):
         raise click.UsageError(f"config file not found: {config_path}")
-    if not parser.has_section("run") or not parser.has_option("run", "experiment"):
+    if not parser.has_option("run", "experiment"):
         raise click.UsageError("config must provide [run] experiment = <name>")
-    experiment = parser.get("run", "experiment")
-    merged: dict = {"experiment": experiment}
-    for section in ("run", experiment):
+    config: dict = {}
+    for section in ("run", parser.get("run", "experiment")):
         if parser.has_section(section):
-            for key, value in parser.items(section):
-                if key != "experiment":
-                    merged[key.replace("-", "_")] = value
-    if out:
-        merged["out"] = out
-    try:
-        result = harness.run_experiment(merged)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except FlexArrayError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        ctx.exit(3)
-    if not merged.get("out"):
-        click.echo(result.csv_text, nl=False)
+            config.update((key.replace("-", "_"), value) for key, value in parser.items(section))
+    _run_guarded(ctx, out or config.get("out"),
+                 lambda path: harness.run_experiment({**config, "out": path}).csv_text)
 
 
 if __name__ == "__main__":  # pragma: no cover

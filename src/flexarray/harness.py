@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -281,13 +281,12 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
 
 def experiment_sumrate(strategy: str, model: FlexModel, spec: PatternSpec, cfg: ArrayConfig,
                        k_users: int, n_paths: int, snr_values: Sequence[float], trials: int,
-                       seed: int, budget_1d: int = 30, budget_3d: int = 60, n_init: int = 4,
-                       sigma2: float = 1.0):
+                       seed: int, budget_1d: int = 30, budget_3d: int = 60, n_init: int = 4):
     """Monte Carlo sum-rate of one strategy: fixed baseline vs optimized flex."""
     rows = []
     for trial in range(trials):
         scenario = generate_scenario(cfg, spec, model, k_users=k_users, n_paths=n_paths,
-                                     snr_db=snr_values[0], sigma2=sigma2, seed=[5, seed, trial])
+                                     snr_db=snr_values[0], seed=[5, seed, trial])
         for snr_index, snr_db in enumerate(snr_values):
             at_snr = replace(scenario, snr_db=float(snr_db))
             result = optimize_strategy(at_snr, strategy, seed=_mix(seed, trial, snr_index),
@@ -351,39 +350,28 @@ def write_csv(target, header: Sequence[str], rows: Sequence, comments: dict | No
     return text
 
 
-MODEL_NAMES = {model.value: model for model in FlexModel}
-
-
-def parse_model(name: str) -> FlexModel:
-    try:
-        return MODEL_NAMES[name]
-    except KeyError:
-        raise ConfigError(f"model: expected one of {sorted(MODEL_NAMES)}, got {name!r}") from None
-
-
 def parse_pattern(kind: str, kappa: float = 1.0) -> PatternSpec:
+    """The pattern ``kind`` ('omni' or 'cosine', checked by the caller) with
+    sharpness ``kappa``; a kappa the pattern cannot take is a ConfigError."""
     try:
-        pattern_kind = PatternKind(kind)
-    except ValueError:
-        raise ConfigError(f"pattern: expected 'omni' or 'cosine', got {kind!r}") from None
-    try:
-        return PatternSpec(pattern_kind, kappa=float(kappa))
+        return PatternSpec(PatternKind(kind), kappa=_real(kappa))
     except ValueError as exc:
         raise ConfigError(f"kappa: {exc}") from None
 
 
-def _require(config: dict, key: str, cast, default=None, choices=None):
-    if key not in config or config[key] is None:
-        if default is None and key not in config:
-            raise ConfigError(f"{key}: required setting is missing")
-        value = default
-    else:
-        try:
-            value = cast(config[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {value!r}")
+def _real(raw) -> float:
+    """A finite float."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _positive(raw) -> float:
+    """A finite float above 0."""
+    value = _real(raw)
+    if value <= 0:
+        raise ValueError(f"must be > 0, got {value}")
     return value
 
 
@@ -395,21 +383,137 @@ def _flag(value) -> bool:
     return word in ("true", "1", "yes", "on")
 
 
-def _served_users(k_users: int, cfg: ArrayConfig) -> int:
-    """``k_users``, if each array can zero-force that many users."""
-    if not 1 <= k_users <= cfg.n_elements:
-        raise ConfigError(f"k_users: need 1 <= k_users <= nh*nv = {cfg.n_elements}, "
-                          f"got {k_users}")
-    return k_users
-
-
-def _snr_list(raw) -> list:
+def _real_list(raw) -> list:
+    """Finite floats from a number, a sequence, or a comma or space separated string."""
     if isinstance(raw, (int, float)):
-        return [float(raw)]
-    values = [part for part in str(raw).replace(",", " ").split() if part]
-    if not values:
-        raise ConfigError("snr_db: no values given")
-    return [float(part) for part in values]
+        raw = [raw]
+    elif isinstance(raw, str):
+        raw = raw.replace(",", " ").split()
+    if len(raw) == 0:
+        raise ValueError("no values given")
+    return [_real(part) for part in raw]
+
+
+def _scenario_paths(path: str) -> PathSet:
+    """The paths in a JSON file with theta/phi/beta_real[/beta_imag] arrays."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+        beta = np.asarray(data["beta_real"], dtype=float) + 1j * np.asarray(
+            data.get("beta_imag", np.zeros(len(data["beta_real"]))), dtype=float)
+        return PathSet(theta=np.asarray(data["theta"], dtype=float),
+                       phi=np.asarray(data["phi"], dtype=float), beta=beta)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario_file: {exc}") from None
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One experiment setting: the CLI flag ``--name`` (underscores as
+    hyphens), the INI key and the :func:`run_experiment` key ``name``.
+
+    ``cast`` reads a flag, INI or library value and raises ValueError on one
+    it cannot take; values below ``low`` are rejected too. A setting without
+    a default is required and has ``choices``; the CLI parses a flag as the
+    type of its default.
+    """
+
+    name: str
+    cast: Callable = str
+    default: Any = REQUIRED
+    choices: tuple = ()
+    low: int | None = None
+    help: str | None = None
+
+
+_FLEX_MODELS = ("rotate", "bend", "fold")
+_MODEL = Setting("model", choices=_FLEX_MODELS, help="Array deformation model.")
+_PATTERN = (Setting("pattern", str, "omni", ("omni", "cosine"), help="Element pattern kind."),
+            Setting("kappa", _real, 1.0, help="Cosine sharpness (>= 1)."))
+_SEED = Setting("seed", int, 0, low=0)
+_N_INIT = Setting("n_init", int, 4, low=1, help="Random points before the GP rounds.")
+_USERS = (Setting("k_users", int, 4, low=1, help="Users per sector."),
+          Setting("paths", int, 5, low=1, help="Paths per user."))
+
+
+def _array(n_v: int) -> tuple:
+    return (Setting("nh", int, 8, low=1, help="Horizontal element count."),
+            Setting("nv", int, n_v, low=1, help="Vertical element count."),
+            Setting("wavelength", _positive, 0.03, help="Carrier wavelength in metres."))
+
+
+EXPERIMENTS = {
+    "power-sweep": (
+        _MODEL, *_PATTERN,
+        Setting("psi_min", _real, -np.pi / 2), Setting("psi_max", _real, np.pi / 2),
+        Setting("steps", int, 181, low=1, help="Flex angles in the sweep."),
+        Setting("scenario_file", str, None,
+                help="JSON file with theta/phi/beta_real[/beta_imag] path arrays."),
+        *_array(2),
+        Setting("mount", _real, 0.0, help="Mount azimuth in radians.")),
+    "crb-sweep": (
+        Setting("model", str, "all", _FLEX_MODELS + ("all",), help="Array deformation model."),
+        *_PATTERN,
+        Setting("l_min", int, 1, low=1, help="Fewest paths."),
+        Setting("l_max", int, 6, help="Most paths."),
+        Setting("draws", int, 200, low=1, help="Path draws averaged per L."),
+        _SEED, *_array(8),
+        Setting("sigma2", _positive, 1.0, help="Noise power."),
+        Setting("grid_size", int, 181, low=2, help="Flex angles searched per model.")),
+    "sumrate": (
+        Setting("strategy", choices=("sfp", "jfp", "sjfp")),
+        _MODEL, *_PATTERN,
+        Setting("snr_db", _real_list, "15", help="SNR grid in dB, comma or space separated."),
+        Setting("trials", int, 10, low=1), _SEED, *_USERS,
+        Setting("full_load", _flag, False,
+                help="Serve as many users per sector as there are elements."),
+        *_array(2),
+        Setting("budget_1d", int, 30, low=0, help="BO rounds per sector angle."),
+        Setting("budget_3d", int, 60, low=0, help="BO rounds for the three joint angles."),
+        _N_INIT),
+    "bo-trace": (
+        Setting("objective", choices=STRATEGIES),
+        _MODEL, *_PATTERN,
+        Setting("snr_db", _real, 15.0), _SEED,
+        Setting("budget", int, 0, low=0,
+                help="Rounds after the initial design; 0 picks 30 (1-D) or 60 (3-D)."),
+        _N_INIT, Setting("sector", int, 0, help="Sector index for the 1-D objectives."),
+        *_USERS, *_array(2)),
+}
+
+
+def _resolve(config: dict) -> dict:
+    """The experiment named by ``config['experiment']`` and its settings: cast,
+    range-checked and defaulted (also for a None value). Every other key but
+    ``out`` must name one of its settings."""
+    experiment = config.get("experiment")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment: expected one of {sorted(EXPERIMENTS)}, got {experiment!r}")
+    settings = EXPERIMENTS[experiment]
+    unknown = set(config) - {setting.name for setting in settings} - {"experiment", "out"}
+    if unknown:
+        raise ConfigError(f"{sorted(unknown)[0]}: not a {experiment} setting")
+    resolved = {"experiment": experiment}
+    for setting in settings:
+        raw = config.get(setting.name)
+        if raw is None:
+            if setting.default is REQUIRED:
+                raise ConfigError(f"{setting.name}: required setting is missing")
+            raw = setting.default
+        try:
+            value = None if raw is None else setting.cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{setting.name}: {exc}") from None
+        if setting.choices and value not in setting.choices:
+            raise ConfigError(f"{setting.name}: expected one of {list(setting.choices)}, "
+                              f"got {value!r}")
+        if setting.low is not None and value < setting.low:
+            raise ConfigError(f"{setting.name}: need >= {setting.low}, got {value}")
+        resolved[setting.name] = value
+    return resolved
 
 
 @dataclass
@@ -421,77 +525,50 @@ class ExperimentResult:
 
 
 def run_experiment(config: dict) -> ExperimentResult:
-    """Run one named experiment from a flat configuration mapping.
+    """Run one named experiment from a flat mapping of its settings (see
+    ``EXPERIMENTS`` and :func:`_resolve`).
 
     Writes CSV to ``config['out']`` when present; always returns the result.
+    The config hash covers the experiment and its resolved settings only.
     """
-    experiment = _require(config, "experiment", str,
-                          choices={"power-sweep", "crb-sweep", "sumrate", "bo-trace"})
-    seed = _require(config, "seed", int, default=0)
-    n_h = _require(config, "nh", int, default=8)
-    n_v = _require(config, "nv", int, default=8 if experiment == "crb-sweep" else 2)
-    wavelength = _require(config, "wavelength", float, default=0.03)
-    cfg = ArrayConfig(n_h=n_h, n_v=n_v, wavelength=wavelength)
-    spec = parse_pattern(_require(config, "pattern", str, default="omni"),
-                         _require(config, "kappa", float, default=1.0))
-
+    s = _resolve(config)
+    cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"])
+    spec = parse_pattern(s["pattern"], s["kappa"])
+    k_users = cfg.n_elements if s.get("full_load") else s.get("k_users", 1)
+    if k_users > cfg.n_elements:  # zero-forcing serves at most one user per element
+        raise ConfigError(f"k_users: need k_users <= nh*nv = {cfg.n_elements}, got {k_users}")
+    experiment = s["experiment"]
     if experiment == "power-sweep":
-        model = parse_model(_require(config, "model", str))
+        paths = _scenario_paths(s["scenario_file"]) if s["scenario_file"] else None
         header, rows = experiment_power_sweep(
-            model, spec, cfg=cfg,
-            psi_min=_require(config, "psi_min", float, default=-np.pi / 2),
-            psi_max=_require(config, "psi_max", float, default=np.pi / 2),
-            steps=_require(config, "steps", int, default=181),
-            mount=_require(config, "mount", float, default=0.0))
+            FlexModel(s["model"]), spec, cfg=cfg, paths=paths, psi_min=s["psi_min"],
+            psi_max=s["psi_max"], steps=s["steps"], mount=s["mount"])
     elif experiment == "crb-sweep":
-        model_name = _require(config, "model", str, default="all")
-        if model_name == "all":
-            models = [FlexModel.ROTATABLE, FlexModel.BENDABLE, FlexModel.FOLDABLE]
-        else:
-            models = [parse_model(model_name)]
-        l_min = _require(config, "l_min", int, default=1)
-        l_max = _require(config, "l_max", int, default=6)
-        if l_min < 1 or l_max < l_min:
-            raise ConfigError(f"l_min/l_max: need 1 <= l_min <= l_max, got {l_min}..{l_max}")
-        draws = _require(config, "draws", int, default=200)
-        if draws < 1:
-            raise ConfigError(f"draws: need at least 1, got {draws}")
+        names = _FLEX_MODELS if s["model"] == "all" else [s["model"]]
+        if s["l_max"] < s["l_min"]:
+            raise ConfigError(f"l_max: need l_min <= l_max, got {s['l_min']}..{s['l_max']}")
         header, rows = experiment_crb_sweep(
-            models, spec, cfg, list(range(l_min, l_max + 1)), draws=draws, seed=seed,
-            sigma2=_require(config, "sigma2", float, default=1.0),
-            grid_size=_require(config, "grid_size", int, default=181))
+            [FlexModel(name) for name in names], spec, cfg,
+            list(range(s["l_min"], s["l_max"] + 1)), draws=s["draws"], seed=s["seed"],
+            sigma2=s["sigma2"], grid_size=s["grid_size"])
     elif experiment == "sumrate":
-        model = parse_model(_require(config, "model", str))
-        k_users = _require(config, "k_users", int, default=4)
-        if _require(config, "full_load", _flag, default=False):
-            k_users = cfg.n_elements
         header, rows = experiment_sumrate(
-            _require(config, "strategy", str, choices={"sfp", "jfp", "sjfp"}),
-            model, spec, cfg, k_users=_served_users(k_users, cfg),
-            n_paths=_require(config, "paths", int, default=5),
-            snr_values=_snr_list(config.get("snr_db", 15.0)),
-            trials=_require(config, "trials", int, default=10), seed=seed,
-            budget_1d=_require(config, "budget_1d", int, default=30),
-            budget_3d=_require(config, "budget_3d", int, default=60),
-            n_init=_require(config, "n_init", int, default=4),
-            sigma2=_require(config, "sigma2", float, default=1.0))
+            s["strategy"], FlexModel(s["model"]), spec, cfg,
+            k_users=k_users, n_paths=s["paths"], snr_values=s["snr_db"],
+            trials=s["trials"], seed=s["seed"], budget_1d=s["budget_1d"],
+            budget_3d=s["budget_3d"], n_init=s["n_init"])
     else:  # bo-trace
-        model = parse_model(_require(config, "model", str))
         scenario = generate_scenario(
-            cfg, spec, model,
-            k_users=_served_users(_require(config, "k_users", int, default=4), cfg),
-            n_paths=_require(config, "paths", int, default=5),
-            snr_db=_snr_list(config.get("snr_db", 15.0))[0],
-            sigma2=_require(config, "sigma2", float, default=1.0),
-            seed=[5, seed, 0])
+            cfg, spec, FlexModel(s["model"]), k_users=k_users,
+            n_paths=s["paths"], snr_db=s["snr_db"], seed=[5, s["seed"], 0])
         header, rows = experiment_bo_trace(
-            _require(config, "objective", str, choices=set(STRATEGIES)), scenario, seed=seed,
-            budget=_require(config, "budget", int, default=0) or None,
-            n_init=_require(config, "n_init", int, default=4),
-            sector=_require(config, "sector", int, default=0))
+            s["objective"], scenario, seed=s["seed"], budget=s["budget"] or None,
+            n_init=s["n_init"], sector=s["sector"])
 
-    digest = config_hash(config)
-    text = write_csv(config.get("out"), header, rows,
-                     comments={"config-hash": digest, "seed": seed})
+    digest = config_hash(s)
+    comments = {"config-hash": digest}
+    if "seed" in s:
+        comments["seed"] = s["seed"]
+    text = write_csv(config.get("out"), header, rows, comments)
     return ExperimentResult(header=list(header), rows=list(rows),
                             config_hash=digest, csv_text=text)

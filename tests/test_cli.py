@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from flexarray import harness
 from flexarray.cli import main
+from flexarray.errors import ConfigError
+from flexarray.harness import EXPERIMENTS, REQUIRED, run_experiment
 
 
 @pytest.fixture
@@ -122,6 +125,26 @@ class TestSumrateAndTraces:
             assert float(row[2]) <= float(row[3]) * (1 + 1e-9)
 
 
+def _flag(setting):
+    return "--" + setting.name.replace("_", "-")
+
+
+def _out_of_range_cases():
+    """One out-of-range value per bound of every experiment setting in the
+    spec: below ``low``, and non-finite (or, for positive ones, zero) floats."""
+    finite = (harness._real, harness._positive, harness._real_list)
+    for command, settings in EXPERIMENTS.items():
+        required = [arg for setting in settings if setting.default is REQUIRED
+                    for arg in (_flag(setting), setting.choices[0])]
+        for setting in settings:
+            values = [str(setting.low - 1)] if setting.low is not None else []
+            values += ["nan", "inf"] if setting.cast in finite else []
+            values += ["0"] if setting.cast is harness._positive else []
+            for value in values:
+                yield pytest.param(command, [*required, _flag(setting), value], setting.name,
+                                   id=f"{command}-{setting.name}={value}")
+
+
 class TestBadSettingsExitTwo:
     """Settings no run can satisfy are usage errors: exit code 2, a message
     naming the setting, and no traceback."""
@@ -150,6 +173,10 @@ class TestBadSettingsExitTwo:
         result = runner.invoke(main, ["bo-trace", "--objective", "jfp", "--model", "rotate",
                                       "--k-users", "20"])
         self.assert_usage_error(result, "k_users")
+
+    @pytest.mark.parametrize("command, args, setting", list(_out_of_range_cases()))
+    def test_out_of_range_setting(self, runner, command, args, setting):
+        self.assert_usage_error(runner.invoke(main, [command, *args]), setting)
 
 
 class TestConfigHandling:
@@ -192,6 +219,165 @@ class TestConfigHandling:
         conf.write_text("[run]\n")
         result = runner.invoke(main, ["run", "--config", str(conf)])
         assert result.exit_code == 2
+
+
+def _hash(text):
+    first = text.splitlines()[0]
+    assert first.startswith("# config-hash: ")
+    return first
+
+
+def _ini(experiment, settings):
+    body = "".join(f"{key} = {value}\n" for key, value in settings.items())
+    return f"[run]\nexperiment = {experiment}\n[{experiment}]\n{body}"
+
+
+class TestOneExperimentOneHash:
+    """Every route to one experiment (flags, INI, library dict, any output
+    path) gets one config hash; the hash covers the resolved settings only."""
+
+    SUMRATE = {"strategy": "jfp", "model": "rotate", "trials": "1", "k_users": "2",
+               "paths": "2", "budget_3d": "1", "n_init": "1"}
+
+    def routes(self, runner, tmp_path, experiment, settings):
+        """CSV texts of the same experiment run every way the package offers."""
+        flags = [experiment] + [arg for key, value in settings.items()
+                                for arg in ("--" + key.replace("_", "-"), value)]
+        texts = [runner.invoke(main, flags).stdout_bytes.decode()]
+        for name in ("a.csv", "b.csv"):
+            assert runner.invoke(main, [*flags, "--out", str(tmp_path / name)]).exit_code == 0
+            texts.append((tmp_path / name).read_bytes().decode())
+        conf = tmp_path / "exp.ini"
+        conf.write_text(_ini(experiment, settings))
+        texts.append(runner.invoke(main, ["run", "--config", str(conf)]).stdout_bytes.decode())
+        texts.append(run_experiment({"experiment": experiment, **settings}).csv_text)
+        defaults = {setting.name: setting.default for setting in EXPERIMENTS[experiment]
+                    if setting.default is not REQUIRED}
+        texts.append(run_experiment({"experiment": experiment, **defaults, **settings}).csv_text)
+        return texts
+
+    def test_sumrate(self, runner, tmp_path):
+        texts = self.routes(runner, tmp_path, "sumrate", self.SUMRATE)
+        assert len({_hash(text) for text in texts}) == 1
+        assert len(set(texts)) == 1
+        other_seed = run_experiment({"experiment": "sumrate", **self.SUMRATE, "seed": 1})
+        assert _hash(other_seed.csv_text) != _hash(texts[0])
+
+    def test_power_sweep_with_scenario_file(self, runner, tmp_path):
+        scenario = tmp_path / "paths.json"
+        scenario.write_text('{"theta": [1.0, 1.4], "phi": [0.2, -0.5], "beta_real": [1.0, 0.5]}')
+        settings = {"model": "bend", "steps": "5", "scenario_file": str(scenario)}
+        texts = self.routes(runner, tmp_path, "power-sweep", settings)
+        assert len({_hash(text) for text in texts}) == 1
+        assert len(set(texts)) == 1
+        assert "# seed" not in texts[0]  # the sweep draws nothing at random
+        other = run_experiment({"experiment": "power-sweep", **settings, "steps": 6})
+        assert _hash(other.csv_text) != _hash(texts[0])
+
+
+class TestDumpedConfigRuns:
+    def test_sumrate_dump_replays_under_run(self, runner, tmp_path):
+        conf = tmp_path / "d.ini"
+        first = runner.invoke(main, ["sumrate", "--strategy", "sjfp", "--model", "bend",
+                                     "--pattern", "cosine", "--kappa", "2", "--trials", "1",
+                                     "--k-users", "2", "--paths", "2", "--budget-3d", "1",
+                                     "--n-init", "1", "--dump-config", str(conf)])
+        assert first.exit_code == 0
+        text = conf.read_text()
+        assert "[run]\nexperiment = sumrate\n" in text
+        assert "pattern = cosine\n" in text and "kappa = 2.0\n" in text
+        for key in ("pattern_kind", "out =", "config =", "dump_config"):
+            assert key not in text
+        for args in (["run", "--config", str(conf)], ["sumrate", "--config", str(conf)]):
+            again = runner.invoke(main, args)
+            assert again.exit_code == 0, again.output
+            assert again.stdout_bytes == first.stdout_bytes
+
+
+class TestUnknownKeysRejected:
+    @pytest.mark.parametrize("command, settings, key", [
+        ("sumrate", {"strategy": "jfp", "model": "rotate"}, "trails"),
+        ("bo-trace", {"objective": "jfp", "model": "rotate"}, "sigma2"),
+        ("power-sweep", {"model": "bend"}, "frobnicate"),
+        ("geometry", {"model": "bend", "nh": 2, "nv": 1}, "frobnicate"),
+        ("pattern", {"kind": "omni"}, "frobnicate"),
+    ], ids=["sumrate", "bo-trace", "power-sweep", "geometry", "pattern"])
+    def test_in_ini_files(self, runner, tmp_path, command, settings, key):
+        conf = tmp_path / "exp.ini"
+        conf.write_text(_ini(command, {**settings, key: 1}))
+        routes = [[command, "--config", str(conf)]]
+        if command in EXPERIMENTS:
+            routes.append(["run", "--config", str(conf)])
+        for args in routes:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert key in result.output
+            assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("key", ["trails", "sigma2", "pattern_kind"])
+    def test_in_library_dicts(self, key):
+        with pytest.raises(ConfigError, match=key):
+            run_experiment({"experiment": "sumrate", "strategy": "jfp", "model": "rotate",
+                            key: 1})
+
+
+# Option strings, defaults and types of the experiment commands as they were
+# written by hand before the commands were generated from the spec.
+REQUIRED_FLAG = "required"
+FLAG_SURFACE = {
+    "power-sweep": {
+        "--model": (REQUIRED_FLAG, "choice"), "--pattern": ("omni", "choice"),
+        "--kappa": (1.0, "float"), "--psi-min": (-1.5707963267948966, "float"),
+        "--psi-max": (1.5707963267948966, "float"), "--steps": (181, "integer"),
+        "--scenario-file": (None, "text"), "--nh": (8, "integer"), "--nv": (2, "integer"),
+        "--wavelength": (0.03, "float"), "--mount": (0.0, "float"),
+    },
+    "crb-sweep": {
+        "--model": ("all", "choice"), "--pattern": ("omni", "choice"),
+        "--kappa": (1.0, "float"), "--l-min/--L-min": (1, "integer"),
+        "--l-max/--L-max": (6, "integer"), "--draws": (200, "integer"),
+        "--seed": (0, "integer"), "--nh": (8, "integer"), "--nv": (8, "integer"),
+        "--wavelength": (0.03, "float"), "--sigma2": (1.0, "float"),
+        "--grid-size": (181, "integer"),
+    },
+    "sumrate": {
+        "--strategy": (REQUIRED_FLAG, "choice"), "--model": (REQUIRED_FLAG, "choice"),
+        "--pattern": ("omni", "choice"), "--kappa": (1.0, "float"),
+        "--snr-db": ("15", "text"), "--trials": (10, "integer"), "--seed": (0, "integer"),
+        "--k-users": (4, "integer"), "--full-load": (False, "boolean"),
+        "--paths": (5, "integer"), "--nh": (8, "integer"), "--nv": (2, "integer"),
+        "--wavelength": (0.03, "float"), "--budget-1d": (30, "integer"),
+        "--budget-3d": (60, "integer"), "--n-init": (4, "integer"),
+    },
+    "bo-trace": {
+        "--objective": (REQUIRED_FLAG, "choice"), "--model": (REQUIRED_FLAG, "choice"),
+        "--pattern": ("omni", "choice"), "--kappa": (1.0, "float"),
+        "--snr-db": (15.0, "float"), "--seed": (0, "integer"), "--budget": (0, "integer"),
+        "--n-init": (4, "integer"), "--sector": (0, "integer"), "--k-users": (4, "integer"),
+        "--paths": (5, "integer"), "--nh": (8, "integer"), "--nv": (2, "integer"),
+        "--wavelength": (0.03, "float"),
+    },
+}
+COMMON_FLAGS = {"--dump-config": (None, "text"), "--config": (None, "text"),
+                "--out": ("-", "text")}
+CHOICES = {("power-sweep", "--model"): ["rotate", "bend", "fold"],
+           ("crb-sweep", "--model"): ["rotate", "bend", "fold", "all"],
+           ("sumrate", "--strategy"): ["sfp", "jfp", "sjfp"],
+           ("bo-trace", "--objective"): ["single-sector", "sfp", "jfp", "sjfp"]}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+def test_generated_flags_match_the_hand_written_ones(command):
+    params = main.commands[command].params
+    surface = {"/".join(param.opts): (REQUIRED_FLAG if param.required else param.default,
+                                      param.type.name) for param in params}
+    assert surface == {**FLAG_SURFACE[command], **COMMON_FLAGS}
+    flags = {"/".join(param.opts) for param in params if param.is_flag}
+    assert flags == ({"--full-load"} if command == "sumrate" else set())
+    for param in params:
+        expected = CHOICES.get((command, "/".join(param.opts)))
+        if expected:
+            assert list(param.type.choices) == expected
 
 
 class TestHelpAndVersion:

@@ -176,7 +176,7 @@ class TestRunExperiment:
         out = tmp_path / "sweep.csv"
         run_experiment({"experiment": "power-sweep", "model": "fold", "steps": 5,
                         "out": str(out)})
-        assert out.read_text().splitlines()[2] == "psi,power_db_vs_fixed"
+        assert out.read_text().splitlines()[1] == "psi,power_db_vs_fixed"
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError):
