@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm, qmc
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.special import ndtr
+from scipy.stats import qmc
 
 from .errors import GramConditionError
 
@@ -39,6 +40,12 @@ class Kernel:
             raise ValueError("need eta0 > 0, eta1 > 0 and jitter >= 0")
 
 
+def _is_duplicate(point: np.ndarray, existing) -> bool:
+    """Whether ``point`` lies within DUPLICATE_TOL of any row of ``existing``."""
+    stacked = np.reshape(existing, (-1, point.size))
+    return bool(np.any(np.sum((stacked - point) ** 2, axis=1) < DUPLICATE_TOL**2))
+
+
 @dataclass
 class GpDataset:
     """Measured sample points, shape (T, D), and their values, shape (T,)."""
@@ -53,10 +60,8 @@ class GpDataset:
         vals = np.asarray(self.values, dtype=float).ravel()
         if pts.shape[0] != vals.shape[0] or pts.shape[0] < 1:
             raise ValueError("points and values must share a positive length")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.sum(diff**2, axis=-1)
-        np.fill_diagonal(dist2, np.inf)
-        if np.any(dist2 < DUPLICATE_TOL**2):
+        dist2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        if np.any(np.tril(dist2 < DUPLICATE_TOL**2, k=-1)):
             raise ValueError("dataset contains duplicate points")
         self.points = pts
         self.values = vals
@@ -80,11 +85,10 @@ class GpPosterior:
 
 def kernel_eval(kernel: Kernel, a, b) -> float:
     """Kernel value between two points of equal dimension (no jitter)."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return float(kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.sum((a - b) ** 2)))
+    return float(_cross_kernel(kernel, a, b)[0, 0])
 
 
 def _gram_cholesky(kernel: Kernel, points: np.ndarray):
@@ -106,58 +110,53 @@ def _gram_cholesky(kernel: Kernel, points: np.ndarray):
 
 
 def _cross_kernel(kernel: Kernel, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - queries[None, :, :]
-    return kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.sum(diff**2, axis=-1))
+    """Kernel between (T, D) points and (C, D) queries, shape (T, C); squared
+    distances in expansion form, clipped at 0 against cancellation."""
+    dist2 = (np.sum(points**2, axis=1)[:, None] + np.sum(queries**2, axis=1)[None, :]
+             - 2.0 * points @ queries.T)
+    return kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.clip(dist2, 0.0, None))
 
 
 def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
-    """Predictive means and variances at many query points at once."""
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim == 1:
-        queries = queries[:, None]
+    """Predictive means and variances at (C, D) query points at once."""
     if queries.shape[1] != data.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != data dimension {data.dim}")
     factor = _gram_cholesky(kernel, data.points)
-    alpha = cho_solve(factor, data.values)
     k_star = _cross_kernel(kernel, data.points, queries)  # (T, C)
-    mean = k_star.T @ alpha
-    solved = cho_solve(factor, k_star)
-    variance = kernel.eta0 - np.sum(k_star * solved, axis=0)
+    mean = k_star.T @ cho_solve(factor, data.values)
+    v = solve_triangular(factor[0], k_star, lower=True)  # k*' K^-1 k* = |L^-1 k*|^2
+    variance = kernel.eta0 - np.sum(v * v, axis=0)
     return mean, np.clip(variance, 0.0, None)
 
 
 def gp_posterior(kernel: Kernel, data: GpDataset, query) -> GpPosterior:
     """Zero-prior-mean GP posterior at one query point."""
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    mean, variance = _posterior_batch(kernel, data, query)
+    mean, variance = _posterior_batch(kernel, data, np.atleast_2d(np.asarray(query, dtype=float)))
     return GpPosterior(mean=float(mean[0]), variance=float(variance[0]))
 
 
 def expected_improvement(mean: float, sigma: float, f_best: float) -> float:
     """Closed-form expected improvement over the incumbent ``f_best``."""
-    if sigma <= 0.0:
-        return 0.0
-    with np.errstate(all="ignore"):  # extreme z only saturates cdf/pdf
-        z = (mean - f_best) / sigma
-        value = (mean - f_best) * norm.cdf(z) + sigma * norm.pdf(z)
-    return float(max(value, 0.0))
+    return float(_expected_improvement_batch(*np.array([[mean], [sigma]], dtype=float), f_best)[0])
 
 
 def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:
+    """EI (Jones, Schonlau & Welch 1998); 0 where sigma is not positive."""
     out = np.zeros_like(mean)
     positive = sigma > 0.0
-    z = (mean[positive] - f_best) / sigma[positive]
-    out[positive] = (mean[positive] - f_best) * norm.cdf(z) + sigma[positive] * norm.pdf(z)
+    gap = mean[positive] - f_best
+    with np.errstate(all="ignore"):  # extreme z only saturates cdf/pdf
+        z = gap / sigma[positive]
+        out[positive] = gap * ndtr(z) + sigma[positive] * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
     return np.clip(out, 0.0, None)
 
 
 def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
     """Candidate with the largest expected improvement; first index wins ties."""
     candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim == 1:
-        candidates = candidates[:, None]
-    if candidates.shape[0] == 0:
+    if len(candidates) == 0:
         raise ValueError("need at least one candidate")
+    candidates = candidates.reshape(len(candidates), -1)  # 1-D: one coordinate per candidate
     mean, variance = _posterior_batch(kernel, data, candidates)
     ei = _expected_improvement_batch(mean, np.sqrt(variance), float(np.max(data.values)))
     return candidates[int(np.argmax(ei))].copy()
@@ -172,10 +171,6 @@ class OptimizeResult:
     trace: list = field(default_factory=list)  # (point, value) per measurement
 
 
-def _is_duplicate(point: np.ndarray, existing: list) -> bool:
-    return any(np.sum((point - other) ** 2) < DUPLICATE_TOL**2 for other in existing)
-
-
 def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget: int,
              n_init: int = 4, seed=0, include_zero: bool = True,
              kernel: Kernel | None = None) -> OptimizeResult:
@@ -186,7 +181,8 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     zero baseline), then runs ``budget`` rounds of posterior fitting and EI
     maximization over the round's candidate set. Observed values are
     standardized before each fit and reported unscaled. Deterministic for a
-    fixed seed.
+    fixed seed. A 1-D round after a duplicate proposal sees the same data and
+    grid as the round before, so it repeats that proposal without refitting.
     """
     if budget < 0 or n_init < 1:
         raise ValueError("need budget >= 0 and n_init >= 1")
@@ -203,12 +199,14 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     values: list[float] = []
     trace: list = []
 
-    def measure(point: np.ndarray) -> None:
+    def measure(point: np.ndarray) -> bool:
         value = float(objective(point))
         trace.append((point.copy(), value))
-        if not _is_duplicate(point, points):
-            points.append(point.copy())
-            values.append(value)
+        if _is_duplicate(point, points):
+            return False
+        points.append(point.copy())
+        values.append(value)
+        return True
 
     for row in rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_init, dim)):
         measure(row)
@@ -216,16 +214,18 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
         measure(np.zeros(dim))
 
     sobol = qmc.Sobol(d=dim, scramble=True, seed=rng) if dim > 1 else None
+    grid = np.linspace(bounds[0, 0], bounds[0, 1], GRID_CANDIDATES_1D)[:, None]
+    added = True
     for _ in range(budget):
-        raw = np.array(values)
-        spread = raw.std()
-        scaled = (raw - raw.mean()) / (spread if spread > 0 else 1.0)
-        data = GpDataset(np.array(points), scaled)
-        if dim == 1:
-            candidates = np.linspace(bounds[0, 0], bounds[0, 1], GRID_CANDIDATES_1D)[:, None]
-        else:
-            candidates = qmc.scale(sobol.random(SOBOL_CANDIDATES), bounds[:, 0], bounds[:, 1])
-        measure(propose_next(kernel, data, candidates))
+        if dim > 1 or added:
+            raw = np.array(values)
+            spread = raw.std()
+            scaled = (raw - raw.mean()) / (spread if spread > 0 else 1.0)
+            data = GpDataset(np.array(points), scaled)
+            candidates = grid if dim == 1 else qmc.scale(
+                sobol.random(SOBOL_CANDIDATES), bounds[:, 0], bounds[:, 1])
+            proposal = propose_next(kernel, data, candidates)
+        added = measure(proposal)
 
     best = int(np.argmax(values))
     return OptimizeResult(best_point=points[best].copy(), best_value=values[best], trace=trace)

@@ -184,6 +184,11 @@ for _name in harness.EXPERIMENTS:
     _experiment_command(_name)
 
 
+def _section_key(name: str) -> str:
+    """A section name with case and '_' versus '-' folded away."""
+    return name.lower().replace("_", "-")
+
+
 @main.command()
 @click.option("--config", "config_path", required=True,
               help="INI file with a [run] section naming the experiment.")
@@ -196,8 +201,13 @@ def run(ctx, config_path, out):
         raise click.UsageError(f"config file not found: {config_path}")
     if not parser.has_option("run", "experiment"):
         raise click.UsageError("config must provide [run] experiment = <name>")
+    experiment = parser.get("run", "experiment")
+    for section in parser.sections():
+        if section != experiment and _section_key(section) == _section_key(experiment):
+            raise click.UsageError(f"section [{section}]: the {experiment} settings go "
+                                   f"under [{experiment}]")
     config: dict = {}
-    for section in ("run", parser.get("run", "experiment")):
+    for section in ("run", experiment):
         if parser.has_section(section):
             config.update((key.replace("-", "_"), value) for key, value in parser.items(section))
     _run_guarded(ctx, out or config.get("out"),

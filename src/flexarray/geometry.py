@@ -29,6 +29,11 @@ class FlexModel(enum.Enum):
     FOLDABLE = "fold"
 
 
+PSI_LIMITS = {FlexModel.BENDABLE: np.pi, FlexModel.FOLDABLE: np.pi / 2}
+"""Largest |psi| a shape takes: a bend beyond pi overlaps itself, a fold
+beyond pi/2 passes through itself. Rotation takes any angle."""
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Grid size and spacing of one array.
@@ -133,7 +138,7 @@ def bent_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     BEND_EPS returns the planar limit.
     """
     psi = _check_psi(psi)
-    if abs(psi) > np.pi:
+    if abs(psi) > PSI_LIMITS[FlexModel.BENDABLE]:
         raise ValueError(f"bend angle |psi| must not exceed pi, got {psi!r}")
     if abs(psi) < BEND_EPS:
         return planar_positions(cfg)
@@ -156,7 +161,7 @@ def folded_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     the values {+psi, 0, -psi} with zero reserved for a center column.
     """
     psi = _check_psi(psi)
-    if abs(psi) > np.pi / 2:
+    if abs(psi) > PSI_LIMITS[FlexModel.FOLDABLE]:
         raise ValueError(f"fold angle |psi| must not exceed pi/2, got {psi!r}")
     half = _centered_axis(cfg.n_h, cfg.spacing)  # signed y of each column
     geom = planar_positions(cfg)

@@ -23,7 +23,7 @@ from . import bayesopt, precoding
 from .channel import PathSet, channel_power, flexible_channel, sector_block
 from .errors import ConfigError, OptimizationError, PatternBoundaryError, RankDeficiencyError, SingularFisherError
 from .estimation import fisher_matrix, mean_angle_crb, optimal_psi_for_crb
-from .geometry import ArrayConfig, FlexModel, flex_geometry
+from .geometry import PSI_LIMITS, ArrayConfig, FlexModel, flex_geometry
 from .radiation import PatternKind, PatternSpec
 
 SECTOR_RANGES = ((-np.pi / 3, np.pi / 3), (np.pi / 3, np.pi), (np.pi, 5 * np.pi / 3))
@@ -537,8 +537,15 @@ def run_experiment(config: dict) -> ExperimentResult:
     k_users = cfg.n_elements if s.get("full_load") else s.get("k_users", 1)
     if k_users > cfg.n_elements:  # zero-forcing serves at most one user per element
         raise ConfigError(f"k_users: need k_users <= nh*nv = {cfg.n_elements}, got {k_users}")
+    if s["model"] in ("bend", "all") and cfg.n_h < 2:
+        raise ConfigError(f"nh: the bend model needs nh >= 2, got {cfg.n_h}")
     experiment = s["experiment"]
     if experiment == "power-sweep":
+        limit = PSI_LIMITS.get(FlexModel(s["model"]), np.inf)
+        for key in ("psi_min", "psi_max"):
+            if abs(s[key]) > limit:
+                raise ConfigError(f"{key}: the {s['model']} model takes |psi| <= {limit:.6g} "
+                                  f"(pi for bend, pi/2 for fold), got {s[key]!r}")
         paths = _scenario_paths(s["scenario_file"]) if s["scenario_file"] else None
         header, rows = experiment_power_sweep(
             FlexModel(s["model"]), spec, cfg=cfg, paths=paths, psi_min=s["psi_min"],

@@ -1,11 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
+from scipy.stats import norm
 
-from flexarray.bayesopt import (GpDataset, Kernel, expected_improvement, gp_posterior,
-                                kernel_eval, optimize, propose_next)
+from flexarray import bayesopt, harness
+from flexarray.bayesopt import (GpDataset, Kernel, _cross_kernel, _expected_improvement_batch,
+                                _gram_cholesky, _posterior_batch, expected_improvement,
+                                gp_posterior, kernel_eval, optimize, propose_next)
 from flexarray.errors import GramConditionError
+from flexarray.geometry import ArrayConfig, FlexModel
+from flexarray.radiation import PatternKind, PatternSpec
 
 UNIT = Kernel(eta0=1.0, eta1=1.0, jitter=0.0)
 
@@ -35,6 +44,42 @@ class TestKernel:
         pts = rng.normal(size=(12, 3))
         gram = np.array([[kernel_eval(UNIT, a, b) for b in pts] for a in pts])
         assert np.linalg.eigvalsh(gram).min() > -1e-10
+
+
+def difference_form_kernel(kernel, points, queries):
+    """Reference: the kernel from the (T, C, D) difference tensor."""
+    diff = points[:, None, :] - queries[None, :, :]
+    return kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.sum(diff**2, axis=-1))
+
+
+class TestCrossKernel:
+    """The expansion-form kernel ||a||^2 + ||b||^2 - 2a'b against the
+    difference form, with near-duplicate and identical query points."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_matches_difference_form(self, dim):
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-np.pi / 2, np.pi / 2, size=(40, dim))
+        queries = np.vstack([rng.uniform(-np.pi / 2, np.pi / 2, size=(300, dim)),
+                             points, points + 1e-9, points - 1e-15])
+        kernel = Kernel(eta0=2.5, eta1=1.7)
+        got = _cross_kernel(kernel, points, queries)
+        np.testing.assert_allclose(got, difference_form_kernel(kernel, points, queries),
+                                   rtol=0, atol=1e-12)
+        assert np.all(got <= kernel.eta0)
+
+    def test_posterior_variance_matches_two_solve_form(self):
+        rng = np.random.default_rng(12)
+        data = GpDataset(points=rng.uniform(-1, 1, size=(15, 3)), values=rng.normal(size=15))
+        queries = np.vstack([rng.uniform(-1, 1, size=(200, 3)), data.points,
+                             data.points + 1e-9])
+        kernel = Kernel()
+        _, variance = _posterior_batch(kernel, data, queries)
+        k_star = difference_form_kernel(kernel, data.points, queries)
+        factor = _gram_cholesky(kernel, data.points)
+        reference = kernel.eta0 - np.sum(k_star * cho_solve(factor, k_star), axis=0)
+        np.testing.assert_allclose(variance, np.clip(reference, 0.0, None), rtol=0, atol=1e-10)
+        assert np.all(variance >= 0.0) and np.all(variance <= kernel.eta0)
 
 
 class TestDataset:
@@ -113,6 +158,15 @@ class TestExpectedImprovement:
     @given(mean=st.floats(-50, 50), sigma=st.floats(0, 20), best=st.floats(-50, 50))
     def test_nonnegative(self, mean, sigma, best):
         assert expected_improvement(mean, sigma, best) >= 0.0
+
+    def test_batch_equals_the_scipy_norm_form(self):
+        rng = np.random.default_rng(13)
+        mean = rng.normal(scale=3.0, size=500)
+        sigma = np.concatenate([np.abs(rng.normal(size=490)), np.zeros(5), np.full(5, 1e-9)])
+        ei = _expected_improvement_batch(mean, sigma, 0.7)
+        z = (mean - 0.7) / np.where(sigma > 0, sigma, 1.0)
+        reference = np.where(sigma > 0, (mean - 0.7) * norm.cdf(z) + sigma * norm.pdf(z), 0.0)
+        assert np.array_equal(ei, np.clip(reference, 0.0, None))
 
     def test_monotone_in_sigma_below_incumbent(self):
         sigmas = np.linspace(0.0, 3.0, 31)
@@ -212,3 +266,45 @@ class TestOptimize:
             optimize(lambda p: 0.0, [(-1, 1)], budget=1, n_init=0)
         with pytest.raises(ValueError):
             optimize(lambda p: 0.0, [(1, -1)], budget=1)
+
+
+TRACES = json.loads((Path(__file__).parent / "data" / "optimize_traces.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def full_load_scenario():
+    """The sum-rate benchmark's full-load drop: 8x2 bendable arrays, cosine
+    kappa=2, K=N=16 users, 5 paths, 15 dB."""
+    return harness.generate_scenario(ArrayConfig(8, 2, wavelength=0.03),
+                                     PatternSpec(PatternKind.COSINE, kappa=2.0),
+                                     FlexModel.BENDABLE, k_users=16, n_paths=5, snr_db=15.0,
+                                     seed=0)
+
+
+class TestPinnedTraces:
+    """Whole ``optimize`` traces, every float as ``repr`` wrote it
+    (``tests/data/optimize_traces.json``), recorded before the acquisition
+    used the expansion-form kernel, one triangular solve, the closed-form EI
+    and the reuse of stalled 1-D proposals; compared with ``==``."""
+
+    @pytest.mark.parametrize("strategy, budget, seed", [("sfp", 30, [3, 0, 0]),
+                                                        ("sjfp", 60, [4, 0])])
+    def test_trace_and_acquisitions(self, full_load_scenario, monkeypatch, strategy, budget,
+                                    seed):
+        calls = []
+        propose = bayesopt.propose_next
+        monkeypatch.setattr(bayesopt, "propose_next",
+                            lambda *args: calls.append(args) or propose(*args))
+        objective, dim = harness._objective(full_load_scenario, strategy)
+        lo, hi = full_load_scenario.psi_bounds
+        result = optimize(objective, [(lo, hi)] * dim, budget, n_init=4,
+                          seed=np.random.default_rng(seed))
+        rows = [[*map(float, point), value] for point, value in result.trace]
+        assert rows == TRACES[strategy]
+        points = [tuple(row[:-1]) for row in rows]
+        new = [point not in points[:i] for i, point in enumerate(points)]
+        if dim == 1:
+            # round r >= 1 refits only after measurement 4 + r added a point
+            assert len(calls) == 1 + sum(new[5:4 + budget]) < budget / 2
+        else:
+            assert len(calls) == budget  # fresh Sobol candidates every round

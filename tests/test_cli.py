@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexarray import harness
 from flexarray.cli import main
@@ -81,6 +83,14 @@ class TestPowerSweep:
         _, rows = parse_csv(result.output)
         # single omni path: power is flat in psi
         assert all(abs(float(r[1])) < 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("model, limit", [("bend", np.pi), ("fold", np.pi / 2)])
+    def test_sweep_reaching_the_shape_limits(self, runner, model, limit):
+        result = runner.invoke(main, ["power-sweep", "--model", model, f"--psi-min={-limit!r}",
+                                      f"--psi-max={limit!r}", "--steps", "3"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        assert [float(row[0]) for row in rows] == [-limit, 0.0, limit]
 
 
 class TestSumrateAndTraces:
@@ -178,6 +188,21 @@ class TestBadSettingsExitTwo:
     def test_out_of_range_setting(self, runner, command, args, setting):
         self.assert_usage_error(runner.invoke(main, [command, *args]), setting)
 
+    @pytest.mark.parametrize("model, flag, value", [("bend", "--psi-max", "9"),
+                                                    ("bend", "--psi-min", "-3.2"),
+                                                    ("fold", "--psi-min", "-2"),
+                                                    ("fold", "--psi-max", "1.6")])
+    def test_power_sweep_outside_the_shape_range(self, runner, model, flag, value):
+        result = runner.invoke(main, ["power-sweep", "--model", model, f"{flag}={value}"])
+        self.assert_usage_error(result, flag[2:].replace("-", "_"))
+        assert "pi for bend, pi/2 for fold" in result.output
+
+    @pytest.mark.parametrize("command", ["power-sweep", "sumrate", "crb-sweep"])
+    def test_bend_needs_two_columns(self, runner, command):
+        required = {"sumrate": ["--strategy", "sfp", "--k-users", "1"]}.get(command, [])
+        result = runner.invoke(main, [command, "--model", "bend", "--nh", "1", *required])
+        self.assert_usage_error(result, "nh")
+
 
 class TestConfigHandling:
     def test_dumped_config_reruns_identically(self, runner, tmp_path):
@@ -219,6 +244,27 @@ class TestConfigHandling:
         conf.write_text("[run]\n")
         result = runner.invoke(main, ["run", "--config", str(conf)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("experiment, section", [("crb-sweep", "crb_sweep"),
+                                                     ("crb-sweep", "CRB-Sweep"),
+                                                     ("power-sweep", "Power_Sweep"),
+                                                     ("bo-trace", "BO-trace")])
+    def test_run_rejects_a_misspelled_experiment_section(self, runner, tmp_path, experiment,
+                                                         section):
+        # read as written, crb-sweep would run its 200-draw 8x8 default
+        conf = tmp_path / "exp.ini"
+        conf.write_text(f"[run]\nexperiment = {experiment}\n[{section}]\nmodel = rotate\nnh = 2\n")
+        result = runner.invoke(main, ["run", "--config", str(conf)])
+        assert result.exit_code == 2, result.output
+        assert f"[{section}]" in result.output and f"[{experiment}]" in result.output
+
+    def test_run_ignores_unrelated_sections(self, runner, tmp_path):
+        conf = tmp_path / "exp.ini"
+        conf.write_text("[run]\nexperiment = power-sweep\n[power-sweep]\nmodel = rotate\n"
+                        "steps = 3\n[geometry]\nnh = 2\n[crb_sweep]\ndraws = 1\n")
+        result = runner.invoke(main, ["run", "--config", str(conf)])
+        assert result.exit_code == 0, result.output
+        assert len(parse_csv(result.output)[1]) == 3
 
 
 def _hash(text):
@@ -395,3 +441,43 @@ class TestHelpAndVersion:
         if command != "run":
             assert "--out" in result.output
         assert "--config" in result.output
+
+
+_ODD_REALS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-9", "9", "1e300"]),
+                       st.floats(-4.0, 4.0).map(repr))
+_SMALL_COUNTS = st.integers(-1, 4).map(str)
+
+
+def _flags(required, **optional):
+    """Flag lists with the ``required`` flags and any of the ``optional`` ones
+    (left out, a flag keeps its valid default)."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda drawn: [f"--{key.replace('_', '-')}={value}" for key, value in drawn.items()])
+
+
+_FUZZED_COMMANDS = {
+    "power-sweep": _flags({"model": st.sampled_from(["rotate", "bend", "fold"]),
+                           "steps": st.integers(-1, 5).map(str)},
+                          psi_min=_ODD_REALS, psi_max=_ODD_REALS, nh=_SMALL_COUNTS,
+                          nv=_SMALL_COUNTS, mount=_ODD_REALS, wavelength=_ODD_REALS,
+                          pattern=st.sampled_from(["omni", "cosine"]), kappa=_ODD_REALS),
+    "geometry": _flags({"model": st.sampled_from(["planar", "rotate", "bend", "fold"]),
+                        "nh": _SMALL_COUNTS, "nv": _SMALL_COUNTS},
+                       psi=_ODD_REALS, mount=_ODD_REALS, wavelength=_ODD_REALS,
+                       spacing=_ODD_REALS),
+    "pattern": _flags({"kind": st.sampled_from(["omni", "cosine"]),
+                       "grid": st.integers(-1, 5).map(str)}, kappa=_ODD_REALS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZED_COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_flags_keep_the_exit_code_contract(command, data):
+    """Drawn flag values, nan, inf, 0, negative and out-of-range ones
+    included, end in exit 0, 2 or 3 and never in an uncaught exception."""
+    args = data.draw(_FUZZED_COMMANDS[command])
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code in (0, 2, 3), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output
