@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .bayesopt import (GpDataset, GpPosterior, Kernel, OptimizeResult, expected_improvement,
                        gp_posterior, kernel_eval, optimize, propose_next)
-from .channel import (PathSet, array_manifold, channel_power, flexible_channel,
-                      manifold_derivatives, sector_block)
+from .channel import PathSet, array_manifold, channel_power, flexible_channel, sector_block
 from .errors import (ConfigError, FlexArrayError, GramConditionError, OptimizationError,
                      PatternBoundaryError, RankDeficiencyError, SingularFisherError)
 from .estimation import (FisherMatrix, channel_param_derivatives, crb, fisher_matrix,
@@ -23,7 +22,7 @@ from .harness import (Scenario, StrategyResult, generate_scenario, optimize_stra
 from .precoding import (effective_gain, jfp_sumrate, single_sector_sumrate, sjfp_sumrate,
                         zf_precoder)
 from .radiation import (PatternKind, PatternSpec, element_pattern_vector,
-                        normalization_integral, pattern_coefficient, pattern_derivatives,
-                        pattern_gain, wrap_angle)
+                        normalization_integral, pattern_and_derivatives, pattern_coefficient,
+                        pattern_derivatives, pattern_gain, wrap_angle)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -70,19 +70,6 @@ def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.n
     return np.exp(-2j * np.pi / wavelength * arg)
 
 
-def manifold_derivatives(positions: np.ndarray, theta, phi, wavelength: float):
-    """Partials of the manifold with respect to elevation and azimuth."""
-    positions = np.asarray(positions, dtype=float)
-    x, y, z = positions[..., 0], positions[..., 1], positions[..., 2]
-    g = array_manifold(positions, theta, phi, wavelength)
-    k = 2.0 * np.pi / wavelength
-    d_arg_theta = (x * np.cos(theta) * np.cos(phi)
-                   + y * np.cos(theta) * np.sin(phi)
-                   - z * np.sin(theta))
-    d_arg_phi = -x * np.sin(theta) * np.sin(phi) + y * np.sin(theta) * np.cos(phi)
-    return -1j * k * d_arg_theta * g, -1j * k * d_arg_phi * g
-
-
 def path_factors(geometry: ArrayGeometry, spec: PatternSpec, paths: PathSet, wavelength: float):
     """Pattern and manifold factors of every path, both shaped (L, N)."""
     offsets = geometry.orientation_offsets

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, manifold_derivatives, path_factors
+from .channel import PathSet
 from .errors import OptimizationError, PatternBoundaryError, SingularFisherError
 from .geometry import ArrayConfig, FlexModel, flex_geometry
-from .radiation import PatternSpec, pattern_derivatives
+from .radiation import PatternSpec, pattern_and_derivatives
 
 FISHER_COND_MAX = 1e12
 
@@ -31,9 +31,15 @@ class FisherMatrix:
     n_paths: int
 
     def inverse(self) -> np.ndarray:
-        """Inverse Fisher matrix; raises SingularFisherError when ill conditioned."""
-        cond = np.linalg.cond(self.matrix)
-        if not np.isfinite(cond) or cond > FISHER_COND_MAX:
+        """Inverse Fisher matrix; raises SingularFisherError when the condition
+        number |lambda|max / |lambda|min exceeds FISHER_COND_MAX. LU scales exactly
+        by powers of two, so doubling sigma2 doubles every CRB bit for bit."""
+        if not np.isfinite(self.matrix).all():
+            raise SingularFisherError(np.nan)
+        magnitudes = np.abs(np.linalg.eigvalsh(self.matrix))
+        smallest = magnitudes.min()
+        cond = magnitudes.max() / smallest if smallest > 0 else np.inf
+        if cond > FISHER_COND_MAX:
             raise SingularFisherError(cond)
         return np.linalg.inv(self.matrix)
 
@@ -41,24 +47,25 @@ class FisherMatrix:
 def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                       paths: PathSet, psi: float, mount: float) -> np.ndarray:
     """Channel derivatives for all parameters, columns (N, 4L) ordered
-    [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]."""
+    [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass: the manifold
+    g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi),
+    and its partials -jk (da/dxi) g share one set of path sines and cosines."""
     geometry = flex_geometry(model, cfg, psi, mount)
-    offsets = geometry.orientation_offsets
-    theta = paths.theta[:, None]
-    local_phi = paths.phi[:, None] - offsets[None, :]
-
-    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
-    d_pat_theta, d_pat_phi = pattern_derivatives(spec, theta, local_phi)
-    d_man_theta, d_man_phi = manifold_derivatives(
-        geometry.positions, theta, paths.phi[:, None], cfg.wavelength)
+    theta, phi = paths.theta[:, None], paths.phi[:, None]
+    pattern, d_pat_theta, d_pat_phi = pattern_and_derivatives(
+        spec, theta, phi - geometry.orientation_offsets)
+    sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    x, y, z = geometry.positions.T
+    u = x * cos_phi + y * sin_phi
+    jk = 2j * np.pi / cfg.wavelength
+    manifold = np.exp(-jk * (sin_theta * u + z * cos_theta))
 
     scale = np.sqrt(1.0 / paths.n_paths)
-    beta = paths.beta[:, None]
-    d_theta = scale * beta * (d_pat_theta * manifold + d_man_theta * pattern)
-    d_phi = scale * beta * (d_pat_phi * manifold + d_man_phi * pattern)
+    weighted = scale * paths.beta[:, None] * manifold
+    d_theta = weighted * (d_pat_theta - jk * (cos_theta * u - z * sin_theta) * pattern)
+    d_phi = weighted * (d_pat_phi - jk * sin_theta * (y * cos_phi - x * sin_phi) * pattern)
     d_beta_r = scale * pattern * manifold
-    d_beta_i = 1j * d_beta_r
-    return np.hstack([d_theta.T, d_phi.T, d_beta_r.T, d_beta_i.T])
+    return np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).T
 
 
 def stack_parameters(paths: PathSet) -> np.ndarray:

@@ -53,12 +53,12 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError(f"element counts must be >= 1, got {self.n_h}x{self.n_v}")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if not math.isfinite(self.wavelength) or self.wavelength <= 0:
+            raise ValueError(f"wavelength must be finite and positive, got {self.wavelength!r}")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not math.isfinite(self.spacing) or self.spacing <= 0:
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing!r}")
 
     @property
     def n_elements(self) -> int:
@@ -101,15 +101,22 @@ def _check_psi(psi: float) -> float:
     return psi
 
 
+def _grid(cfg: ArrayConfig, x_row, y_row, offset_row) -> ArrayGeometry:
+    """Geometry whose every row (one vertical index) has horizontal
+    coordinates ``x_row``, ``y_row`` and boresight offsets ``offset_row``,
+    each N_h values or one shared value; z is the centred vertical axis."""
+    positions = np.empty((cfg.n_v, cfg.n_h, 3))
+    positions[..., 0] = x_row
+    positions[..., 1] = y_row
+    positions[..., 2] = _centered_axis(cfg.n_v, cfg.spacing)[:, None]
+    offsets = np.empty((cfg.n_v, cfg.n_h))
+    offsets[...] = offset_row
+    return ArrayGeometry(positions.reshape(-1, 3), offsets.reshape(-1))
+
+
 def planar_positions(cfg: ArrayConfig) -> ArrayGeometry:
     """Flat array on the y-z plane, boresight along +x."""
-    y_row = _centered_axis(cfg.n_h, cfg.spacing)
-    z_col = _centered_axis(cfg.n_v, cfg.spacing)
-    n = cfg.n_elements
-    pos = np.zeros((n, 3))
-    pos[:, 1] = np.tile(y_row, cfg.n_v)
-    pos[:, 2] = np.repeat(z_col, cfg.n_h)
-    return ArrayGeometry(pos, np.zeros(n))
+    return _grid(cfg, 0.0, _centered_axis(cfg.n_h, cfg.spacing), 0.0)
 
 
 def rotated_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
@@ -119,13 +126,7 @@ def rotated_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     """
     psi = _check_psi(psi)
     y_row = _centered_axis(cfg.n_h, cfg.spacing)
-    geom = planar_positions(cfg)
-    x = np.tile(-y_row * np.sin(psi), cfg.n_v)
-    y = np.tile(y_row * np.cos(psi), cfg.n_v)
-    geom.positions[:, 0] = x
-    geom.positions[:, 1] = y
-    geom.orientation_offsets[:] = psi
-    return geom
+    return _grid(cfg, -y_row * np.sin(psi), y_row * np.cos(psi), psi)
 
 
 def bent_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
@@ -146,11 +147,7 @@ def bent_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
         raise ValueError("bending undefined for a single horizontal element")
     radius = (cfg.n_h - 1) * cfg.spacing / (2.0 * psi)
     psi_n = -psi + 2.0 * psi * np.arange(cfg.n_h) / (cfg.n_h - 1)
-    geom = planar_positions(cfg)
-    geom.positions[:, 0] = np.tile(radius * (np.cos(psi_n) - 1.0), cfg.n_v)
-    geom.positions[:, 1] = np.tile(radius * np.sin(psi_n), cfg.n_v)
-    geom.orientation_offsets = np.tile(psi_n, cfg.n_v)
-    return geom
+    return _grid(cfg, radius * (np.cos(psi_n) - 1.0), radius * np.sin(psi_n), psi_n)
 
 
 def folded_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
@@ -164,11 +161,7 @@ def folded_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     if abs(psi) > PSI_LIMITS[FlexModel.FOLDABLE]:
         raise ValueError(f"fold angle |psi| must not exceed pi/2, got {psi!r}")
     half = _centered_axis(cfg.n_h, cfg.spacing)  # signed y of each column
-    geom = planar_positions(cfg)
-    geom.positions[:, 0] = np.tile(-np.abs(half) * np.sin(psi), cfg.n_v)
-    geom.positions[:, 1] = np.tile(half * np.cos(psi), cfg.n_v)
-    geom.orientation_offsets = np.tile(np.sign(half) * psi, cfg.n_v)
-    return geom
+    return _grid(cfg, -np.abs(half) * np.sin(psi), half * np.cos(psi), np.sign(half) * psi)
 
 
 def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeometry:

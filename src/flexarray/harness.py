@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bayesopt, precoding
 from .channel import PathSet, channel_power, flexible_channel, sector_block
-from .errors import ConfigError, OptimizationError, PatternBoundaryError, RankDeficiencyError, SingularFisherError
+from .errors import (ConfigError, FlexArrayError, OptimizationError, PatternBoundaryError,
+                     RankDeficiencyError, SingularFisherError)
 from .estimation import fisher_matrix, mean_angle_crb, optimal_psi_for_crb
 from .geometry import PSI_LIMITS, ArrayConfig, FlexModel, flex_geometry
 from .radiation import PatternKind, PatternSpec
@@ -37,6 +38,7 @@ PSI_BOUNDS = {
 }
 
 STRATEGIES = ("single-sector", "sfp", "jfp", "sjfp")
+SNR_DB_MAX = 300.0  # a linear 1e30 keeps SINR products far from float overflow (at 3082 dB)
 
 
 @dataclass
@@ -215,6 +217,8 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
     cfg = cfg or DEFAULT_SWEEP_CFG
     paths = paths or default_sweep_paths()
     baseline = channel_power(flexible_channel(model, cfg, spec, paths, 0.0, mount))
+    if baseline == 0.0:  # every path misses the fixed array's pattern
+        raise FlexArrayError("the fixed array receives zero power; the dB ratio is undefined")
     rows = []
     for psi in np.linspace(psi_min, psi_max, steps):
         power = channel_power(flexible_channel(model, cfg, spec, paths, float(psi), mount))
@@ -532,13 +536,18 @@ def run_experiment(config: dict) -> ExperimentResult:
     The config hash covers the experiment and its resolved settings only.
     """
     s = _resolve(config)
-    cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"])
+    try:  # a subnormal wavelength halves to a zero spacing
+        cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"])
+    except ValueError as exc:
+        raise ConfigError(f"wavelength: {exc}") from None
     spec = parse_pattern(s["pattern"], s["kappa"])
     k_users = cfg.n_elements if s.get("full_load") else s.get("k_users", 1)
     if k_users > cfg.n_elements:  # zero-forcing serves at most one user per element
         raise ConfigError(f"k_users: need k_users <= nh*nv = {cfg.n_elements}, got {k_users}")
     if s["model"] in ("bend", "all") and cfg.n_h < 2:
         raise ConfigError(f"nh: the bend model needs nh >= 2, got {cfg.n_h}")
+    if np.max(s.get("snr_db", 0.0)) > SNR_DB_MAX:
+        raise ConfigError(f"snr_db: need <= {SNR_DB_MAX:g} dB, got {s['snr_db']}")
     experiment = s["experiment"]
     if experiment == "power-sweep":
         limit = PSI_LIMITS.get(FlexModel(s["model"]), np.inf)

@@ -98,40 +98,43 @@ def element_pattern_vector(spec: PatternSpec, geometry, theta, phi) -> np.ndarra
     return pattern_coefficient(spec, theta, phi - geometry.orientation_offsets)
 
 
-def pattern_derivatives(spec: PatternSpec, theta, phi):
-    """Partial derivatives (dA/dtheta, dA/dphi) of the amplitude coefficient.
+def pattern_and_derivatives(spec: PatternSpec, theta, phi):
+    """Amplitude coefficient and its partials (A, dA/dtheta, dA/dphi).
 
-    On the open cosine support these are (kappa/2) A cot(theta) and
-    -(kappa/2) A tan(phi); outside the support both vanish identically. Any
-    point within BOUNDARY_EPS of a support edge raises PatternBoundaryError
-    rather than returning a clamped value, since a silently large derivative
-    would corrupt downstream Fisher matrices.
-    """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    A equals :func:`pattern_coefficient`; on the open cosine support the
+    partials are (kappa/2) A cot(theta) and -(kappa/2) A tan(phi), outside it
+    all three vanish. Theta is checked before broadcasting. Any point within
+    BOUNDARY_EPS of a support edge raises PatternBoundaryError rather than
+    returning a clamped value, since a silently large derivative would
+    corrupt downstream Fisher matrices."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     _check_theta(theta)
     if spec.kind is PatternKind.OMNI:
-        zeros = np.zeros(theta.shape)
-        if zeros.ndim == 0:
-            return 0.0, 0.0
-        return zeros, zeros.copy()
+        shape = np.broadcast_shapes(theta.shape, phi.shape)
+        return np.ones(shape), np.zeros(shape), np.zeros(shape)
 
     w = wrap_angle(phi)
-    half_pi = np.pi / 2
-    if np.any(np.abs(np.abs(w) - half_pi) < BOUNDARY_EPS):
+    if np.any(np.abs(np.abs(w) - np.pi / 2) < BOUNDARY_EPS):
         raise PatternBoundaryError("azimuth within 1e-6 of the cosine support edge")
-    interior = np.abs(w) < half_pi
-    if np.any(interior & ((theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS))):
+    theta_edge = (theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS)
+    if theta_edge.any() and np.any(theta_edge & (np.abs(w) < np.pi / 2)):
         raise PatternBoundaryError("elevation within 1e-6 of the cosine support edge")
 
     half_kappa = spec.kappa / 2.0
-    cos_safe = np.where(interior, np.cos(w), 1.0)  # cos > 0 on the open support
-    amp = np.where(interior,
-                   np.sqrt(spec.peak_gain) * np.sin(theta) ** half_kappa * cos_safe**half_kappa,
-                   0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_theta = np.where(interior, half_kappa * amp * np.cos(theta) / np.sin(theta), 0.0)
-        d_phi = np.where(interior, -half_kappa * amp * np.tan(w), 0.0)
-    if d_theta.ndim == 0:
+    sin_theta = np.sin(theta)
+    # cos(w) <= 0 exactly off the front half-space, where A and both partials are 0
+    amp = np.sqrt(spec.peak_gain) * sin_theta**half_kappa * np.maximum(np.cos(w), 0.0)**half_kappa
+    # an edge elevation only reaches here off the support, where A = 0
+    cot_theta = np.divide(np.cos(theta), sin_theta, out=np.zeros(theta.shape), where=~theta_edge)
+    return amp, half_kappa * amp * cot_theta, -half_kappa * amp * np.tan(w)
+
+
+def pattern_derivatives(spec: PatternSpec, theta, phi):
+    """Partial derivatives (dA/dtheta, dA/dphi) of the amplitude coefficient;
+    see :func:`pattern_and_derivatives`. Scalars in, floats out."""
+    _, d_theta, d_phi = pattern_and_derivatives(spec, theta, phi)
+    if np.ndim(d_theta) == 0:
         return float(d_theta), float(d_phi)
     return d_theta, d_phi
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from flexarray.channel import (MOUNTS, PathSet, array_manifold, channel_power,
-                               flexible_channel, manifold_derivatives, path_factors,
-                               sector_block)
+                               flexible_channel, path_factors, sector_block)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
 from flexarray.radiation import PatternKind, PatternSpec
@@ -59,34 +58,6 @@ class TestManifold:
         positions = rng.normal(size=(16, 3)) * 0.1
         g = array_manifold(positions, 1.1, -2.0, WAVELENGTH)
         np.testing.assert_allclose(np.abs(g), 1.0, atol=1e-12)
-
-
-class TestManifoldDerivatives:
-    def test_colocated_elements_zero(self):
-        d_theta, d_phi = manifold_derivatives(np.zeros((4, 3)), 1.0, 0.5, WAVELENGTH)
-        np.testing.assert_array_equal(d_theta, 0.0)
-        np.testing.assert_array_equal(d_phi, 0.0)
-
-    def test_matches_central_finite_difference(self):
-        rng = np.random.default_rng(5)
-        positions = rng.normal(size=(8, 3)) * 0.05
-        theta, phi, h = 1.1, -0.7, 1e-6
-        d_theta, d_phi = manifold_derivatives(positions, theta, phi, WAVELENGTH)
-        fd_theta = (array_manifold(positions, theta + h, phi, WAVELENGTH)
-                    - array_manifold(positions, theta - h, phi, WAVELENGTH)) / (2 * h)
-        fd_phi = (array_manifold(positions, theta, phi + h, WAVELENGTH)
-                  - array_manifold(positions, theta, phi - h, WAVELENGTH)) / (2 * h)
-        np.testing.assert_allclose(d_theta, fd_theta, rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(d_phi, fd_phi, rtol=1e-6, atol=1e-8)
-
-    def test_z_only_array_at_horizon(self):
-        z = np.linspace(-0.03, 0.03, 5)
-        positions = np.zeros((5, 3))
-        positions[:, 2] = z
-        g = array_manifold(positions, np.pi / 2, 0.4, WAVELENGTH)
-        d_theta, _ = manifold_derivatives(positions, np.pi / 2, 0.4, WAVELENGTH)
-        expected = 1j * (2 * np.pi / WAVELENGTH) * z * g
-        np.testing.assert_allclose(d_theta, expected, atol=1e-12)
 
 
 class TestFlexibleChannel:

@@ -155,6 +155,15 @@ def _out_of_range_cases():
                                    id=f"{command}-{setting.name}={value}")
 
 
+def test_power_sweep_without_fixed_array_power_is_a_numerical_failure(runner):
+    # kappa = 1e300 underflows the cosine gain to 0 off exact boresight
+    result = runner.invoke(main, ["power-sweep", "--model", "rotate", "--steps", "2",
+                                  "--pattern", "cosine", "--kappa", "1e300"])
+    assert result.exit_code == 3, result.output
+    assert "zero power" in result.output
+    assert "nan" not in result.stdout
+
+
 class TestBadSettingsExitTwo:
     """Settings no run can satisfy are usage errors: exit code 2, a message
     naming the setting, and no traceback."""
@@ -183,6 +192,21 @@ class TestBadSettingsExitTwo:
         result = runner.invoke(main, ["bo-trace", "--objective", "jfp", "--model", "rotate",
                                       "--k-users", "20"])
         self.assert_usage_error(result, "k_users")
+
+    @pytest.mark.parametrize("args", [
+        ["sumrate", "--strategy", "sfp", "--snr-db", "5, 301"],
+        ["bo-trace", "--objective", "sfp", "--snr-db", "1e300"]])
+    def test_snr_above_the_limit(self, runner, args):
+        result = runner.invoke(main, [*args, "--model", "rotate"])
+        self.assert_usage_error(result, "snr_db")
+
+    @pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+    def test_wavelength_too_small_for_a_spacing(self, runner, command):
+        required = {"sumrate": ["--strategy", "sfp"], "bo-trace": ["--objective", "sfp"]}
+        model = [] if command == "crb-sweep" else ["--model", "rotate"]
+        result = runner.invoke(main, [command, *model, *required.get(command, []),
+                                      "--wavelength", "5e-324"])
+        self.assert_usage_error(result, "wavelength")
 
     @pytest.mark.parametrize("command, args, setting", list(_out_of_range_cases()))
     def test_out_of_range_setting(self, runner, command, args, setting):
@@ -467,7 +491,50 @@ _FUZZED_COMMANDS = {
                        spacing=_ODD_REALS),
     "pattern": _flags({"kind": st.sampled_from(["omni", "cosine"]),
                        "grid": st.integers(-1, 5).map(str)}, kappa=_ODD_REALS),
+    # sizes stay tiny (one draw or trial, grids of at most 5, L <= 3, 4x2
+    # arrays) and valid, so that most runs get past the settings checks
+    "crb-sweep": _flags({"draws": st.just("1"), "grid_size": st.integers(2, 5).map(str),
+                         "l_max": st.integers(1, 3).map(str), "nh": st.integers(1, 4).map(str),
+                         "nv": st.integers(1, 2).map(str)},
+                        model=st.sampled_from(["rotate", "bend", "fold", "all"]),
+                        l_min=st.integers(0, 3).map(str), wavelength=_ODD_REALS,
+                        sigma2=_ODD_REALS, pattern=st.sampled_from(["omni", "cosine"]),
+                        kappa=_ODD_REALS, seed=_SMALL_COUNTS),
+    "sumrate": _flags({"strategy": st.sampled_from(["sfp", "jfp", "sjfp"]),
+                       "model": st.sampled_from(["rotate", "bend", "fold"]),
+                       "trials": st.just("1"), "budget_1d": st.integers(0, 2).map(str),
+                       "budget_3d": st.integers(0, 2).map(str),
+                       "n_init": st.integers(1, 2).map(str), "paths": st.integers(1, 3).map(str),
+                       "k_users": st.integers(1, 2).map(str), "nh": st.integers(1, 4).map(str),
+                       "nv": st.integers(1, 2).map(str)},
+                      snr_db=_ODD_REALS, wavelength=_ODD_REALS,
+                      pattern=st.sampled_from(["omni", "cosine"]), kappa=_ODD_REALS,
+                      seed=_SMALL_COUNTS),
+    "bo-trace": _flags({"objective": st.sampled_from(list(harness.STRATEGIES)),
+                        "model": st.sampled_from(["rotate", "bend", "fold"]),
+                        "budget": st.integers(1, 2).map(str), "n_init": st.integers(1, 2).map(str),
+                        "paths": st.integers(1, 3).map(str), "k_users": st.integers(1, 2).map(str),
+                        "nh": st.integers(1, 4).map(str), "nv": st.integers(1, 2).map(str)},
+                       sector=st.integers(-1, 3).map(str), snr_db=_ODD_REALS,
+                       wavelength=_ODD_REALS, pattern=st.sampled_from(["omni", "cosine"]),
+                       kappa=_ODD_REALS, seed=_SMALL_COUNTS),
 }
+
+
+def _non_finite_cells(csv_text: str) -> list:
+    """Numeric cells of a CSV body that read nan or +-inf (comment lines and
+    the column header skipped)."""
+    rows = [line for line in csv_text.splitlines() if line and not line.startswith("#")]
+    cells = []
+    for row in rows[1:]:
+        for cell in row.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not np.isfinite(value):
+                cells.append(row)
+    return cells
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZED_COMMANDS))
@@ -475,9 +542,12 @@ _FUZZED_COMMANDS = {
 @given(data=st.data())
 def test_fuzzed_flags_keep_the_exit_code_contract(command, data):
     """Drawn flag values, nan, inf, 0, negative and out-of-range ones
-    included, end in exit 0, 2 or 3 and never in an uncaught exception."""
+    included, end in exit 0, 2 or 3 and never in an uncaught exception; a
+    run that exits 0 writes only finite numbers."""
     args = data.draw(_FUZZED_COMMANDS[command])
     result = CliRunner().invoke(main, [command, *args])
     assert result.exit_code in (0, 2, 3), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert _non_finite_cells(result.stdout) == [], args

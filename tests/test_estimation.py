@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from flexarray.channel import PathSet, flexible_channel
-from flexarray.errors import SingularFisherError
-from flexarray.estimation import (FisherMatrix, channel_param_derivatives, crb,
+from flexarray.channel import PathSet, array_manifold, flexible_channel, path_factors
+from flexarray.errors import PatternBoundaryError, SingularFisherError
+from flexarray.estimation import (FISHER_COND_MAX, FisherMatrix, channel_param_derivatives, crb,
                                   fisher_matrix, mean_angle_crb, optimal_psi_for_crb)
-from flexarray.geometry import ArrayConfig, FlexModel
-from flexarray.radiation import PatternKind, PatternSpec
+from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
+from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
+                                 pattern_coefficient, wrap_angle)
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)
+COS2 = PatternSpec(PatternKind.COSINE, kappa=2.0)
+WAVELENGTH = 0.03
 
 PARAM_NAMES = ("theta", "phi", "beta_r", "beta_i")
 
@@ -50,6 +53,136 @@ def interior_paths(rng, n_paths, psi_scale=0.5):
 
 
 MODELS = [FlexModel.PLANAR, FlexModel.ROTATABLE, FlexModel.BENDABLE, FlexModel.FOLDABLE]
+
+
+def manifold_derivatives(positions, theta, phi, wavelength):
+    """Partials of the manifold with respect to elevation and azimuth, each
+    from its own trigonometric terms and a second manifold build."""
+    x, y, z = positions[..., 0], positions[..., 1], positions[..., 2]
+    g = array_manifold(positions, theta, phi, wavelength)
+    k = 2.0 * np.pi / wavelength
+    d_arg_theta = (x * np.cos(theta) * np.cos(phi)
+                   + y * np.cos(theta) * np.sin(phi)
+                   - z * np.sin(theta))
+    d_arg_phi = -x * np.sin(theta) * np.sin(phi) + y * np.sin(theta) * np.cos(phi)
+    return -1j * k * d_arg_theta * g, -1j * k * d_arg_phi * g
+
+
+def reference_pattern_derivatives(spec, theta, phi):
+    """Pattern partials on the broadcast (L, N) grid, masked to the open
+    support; refuses the same support-edge bands as the library."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    if spec.kind is PatternKind.OMNI:
+        return np.zeros(theta.shape), np.zeros(theta.shape)
+    w = wrap_angle(phi)
+    if np.any(np.abs(np.abs(w) - np.pi / 2) < BOUNDARY_EPS):
+        raise PatternBoundaryError("azimuth edge")
+    interior = np.abs(w) < np.pi / 2
+    if np.any(interior & ((theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS))):
+        raise PatternBoundaryError("elevation edge")
+    half_kappa = spec.kappa / 2.0
+    cos_safe = np.where(interior, np.cos(w), 1.0)
+    amp = np.where(interior,
+                   np.sqrt(spec.peak_gain) * np.sin(theta) ** half_kappa * cos_safe**half_kappa,
+                   0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_theta = np.where(interior, half_kappa * amp * np.cos(theta) / np.sin(theta), 0.0)
+        d_phi = np.where(interior, -half_kappa * amp * np.tan(w), 0.0)
+    return d_theta, d_phi
+
+
+def reference_fisher(model, cfg, spec, paths, psi, mount, sigma2):
+    """Fisher matrix from the three-call assembly: pattern and manifold from
+    ``path_factors``, then their partials from two more independent passes."""
+    geometry = flex_geometry(model, cfg, psi, mount)
+    theta, phi = paths.theta[:, None], paths.phi[:, None]
+    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
+    d_pat_theta, d_pat_phi = reference_pattern_derivatives(
+        spec, theta, phi - geometry.orientation_offsets[None, :])
+    d_man_theta, d_man_phi = manifold_derivatives(geometry.positions, theta, phi, cfg.wavelength)
+    scale = np.sqrt(1.0 / paths.n_paths)
+    beta = paths.beta[:, None]
+    d_theta = scale * beta * (d_pat_theta * manifold + d_man_theta * pattern)
+    d_phi = scale * beta * (d_pat_phi * manifold + d_man_phi * pattern)
+    d_beta_r = scale * pattern * manifold
+    stack = np.hstack([d_theta.T, d_phi.T, d_beta_r.T, 1j * d_beta_r.T])
+    j = (2.0 / sigma2) * np.real(stack.conj().T @ stack)
+    return 0.5 * (j + j.T)
+
+
+class TestManifoldDerivatives:
+    def test_colocated_elements_zero(self):
+        d_theta, d_phi = manifold_derivatives(np.zeros((4, 3)), 1.0, 0.5, WAVELENGTH)
+        np.testing.assert_array_equal(d_theta, 0.0)
+        np.testing.assert_array_equal(d_phi, 0.0)
+
+    def test_matches_central_finite_difference(self):
+        rng = np.random.default_rng(5)
+        positions = rng.normal(size=(8, 3)) * 0.05
+        theta, phi, h = 1.1, -0.7, 1e-6
+        d_theta, d_phi = manifold_derivatives(positions, theta, phi, WAVELENGTH)
+        fd_theta = (array_manifold(positions, theta + h, phi, WAVELENGTH)
+                    - array_manifold(positions, theta - h, phi, WAVELENGTH)) / (2 * h)
+        fd_phi = (array_manifold(positions, theta, phi + h, WAVELENGTH)
+                  - array_manifold(positions, theta, phi - h, WAVELENGTH)) / (2 * h)
+        np.testing.assert_allclose(d_theta, fd_theta, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(d_phi, fd_phi, rtol=1e-6, atol=1e-8)
+
+    def test_z_only_array_at_horizon(self):
+        z = np.linspace(-0.03, 0.03, 5)
+        positions = np.zeros((5, 3))
+        positions[:, 2] = z
+        g = array_manifold(positions, np.pi / 2, 0.4, WAVELENGTH)
+        d_theta, _ = manifold_derivatives(positions, np.pi / 2, 0.4, WAVELENGTH)
+        expected = 1j * (2 * np.pi / WAVELENGTH) * z * g
+        np.testing.assert_allclose(d_theta, expected, atol=1e-12)
+
+
+class TestSinglePassMatchesThreeCallAssembly:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2])
+    def test_fisher_matrices_agree(self, model, spec):
+        rng = np.random.default_rng(53)
+        cfg = ArrayConfig(8, 4)
+        for _ in range(20):
+            paths = interior_paths(rng, int(rng.integers(1, 7)))
+            psi = 0.0 if model is FlexModel.PLANAR else float(rng.uniform(-1.5, 1.5))
+            mount = float(rng.choice([0.0, 0.4]))
+            expected = reference_fisher(model, cfg, spec, paths, psi, mount, 0.7)
+            got = fisher_matrix(model, cfg, spec, paths, psi, mount, 0.7).matrix
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2, PatternSpec(PatternKind.COSINE, kappa=3.5)])
+    def test_pattern_terms_agree(self, spec):
+        rng = np.random.default_rng(59)
+        theta = rng.uniform(0.0, np.pi, (40, 1))
+        phi = rng.uniform(-2 * np.pi, 2 * np.pi, (40, 30))
+        keep = np.abs(np.abs(wrap_angle(phi)) - np.pi / 2) > 1e-3  # off the azimuth edge band
+        phi = np.where(keep, phi, 0.0)
+        amp, d_theta, d_phi = pattern_and_derivatives(spec, theta, phi)
+        ref_theta, ref_phi = reference_pattern_derivatives(spec, theta, phi)
+        np.testing.assert_allclose(amp, pattern_coefficient(spec, theta, phi), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(d_theta, ref_theta, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(d_phi, ref_phi, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("theta, phi", [
+        (1.0, np.pi / 2), (1.0, -np.pi / 2 + 5e-7), (1.0, 3 * np.pi / 2), (1.0, np.pi / 2 + 2e-6),
+        (1e-8, 0.0), (np.pi - 1e-8, 0.3), (0.0, 0.0), (np.pi, -0.2),
+        (1e-8, 2.5), (0.0, np.pi), (np.pi, -2.0), (2e-6, 0.0),
+        ([[1.0], [1e-8]], [[0.1, 2.5]]), ([[1.0], [1e-8]], [[2.5, 3.0]]),
+    ])
+    @pytest.mark.parametrize("spec", [COS1, COS2])
+    def test_same_support_edge_refusals(self, spec, theta, phi):
+        try:
+            reference_pattern_derivatives(spec, theta, phi)
+        except PatternBoundaryError:
+            with pytest.raises(PatternBoundaryError):
+                pattern_and_derivatives(spec, theta, phi)
+        else:
+            _, d_theta, d_phi = pattern_and_derivatives(spec, theta, phi)
+            ref_theta, ref_phi = reference_pattern_derivatives(spec, theta, phi)
+            np.testing.assert_allclose(d_theta, ref_theta, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(d_phi, ref_phi, rtol=1e-14, atol=0)
 
 
 class TestChannelParamDerivatives:
@@ -172,6 +305,25 @@ class TestCrb:
         with pytest.raises(SingularFisherError) as err:
             crb(fisher, 0)
         assert err.value.condition > 1e12 or not np.isfinite(err.value.condition)
+
+    @pytest.mark.parametrize("largest, accepted", [(0.99e12, True), (1.01e12, False)])
+    def test_condition_guard_threshold(self, largest, accepted):
+        fisher = FisherMatrix(matrix=np.diag([largest, 1.0, 2.0, 1.0]), sigma2=1.0, n_paths=1)
+        assert FISHER_COND_MAX == 1e12
+        if accepted:
+            assert crb(fisher, 0) == 1.0 / largest
+        else:
+            with pytest.raises(SingularFisherError) as err:
+                crb(fisher, 0)
+            assert err.value.condition == pytest.approx(largest, rel=1e-12)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), np.full((4, 4), np.nan),
+                                        np.diag([1.0, np.nan, 1.0, 1.0]),
+                                        np.diag([1.0, 1.0, np.inf, 1.0])],
+                             ids=["zero", "all-nan", "one-nan", "inf"])
+    def test_condition_guard_rejects_zero_and_non_finite(self, matrix):
+        with pytest.raises(SingularFisherError):
+            mean_angle_crb(FisherMatrix(matrix=matrix, sigma2=1.0, n_paths=1))
 
     def test_index_out_of_range(self):
         fisher = FisherMatrix(matrix=np.eye(4), sigma2=1.0, n_paths=1)

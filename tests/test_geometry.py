@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexarray.geometry import (ArrayConfig, FlexModel, bent_geometry, flex_geometry,
+from flexarray.geometry import (BEND_EPS, ArrayConfig, FlexModel, bent_geometry, flex_geometry,
                                 folded_geometry, mounted_geometry, planar_positions,
                                 rotated_geometry)
 
@@ -41,6 +41,12 @@ class TestPlanar:
             ArrayConfig(2, 2, wavelength=-1.0)
         with pytest.raises(ValueError):
             ArrayConfig(2, 2, spacing=0.0)
+
+    @pytest.mark.parametrize("field", ["wavelength", "spacing"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_length_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ArrayConfig(2, 2, **{field: value})
 
 
 class TestRotated:
@@ -176,6 +182,52 @@ class TestMounted:
 
 
 MODELS = [FlexModel.ROTATABLE, FlexModel.BENDABLE, FlexModel.FOLDABLE]
+
+
+def tiled_geometry(model, cfg, psi):
+    """(positions, offsets) built element-list first: the planar (N, 3)
+    array, then each model's row coordinates and offsets tiled over the
+    vertical index."""
+    y_row = (np.arange(cfg.n_h) - (cfg.n_h - 1) / 2.0) * cfg.spacing
+    z_col = (np.arange(cfg.n_v) - (cfg.n_v - 1) / 2.0) * cfg.spacing
+    positions = np.zeros((cfg.n_elements, 3))
+    positions[:, 1] = np.tile(y_row, cfg.n_v)
+    positions[:, 2] = np.repeat(z_col, cfg.n_h)
+    offsets = np.zeros(cfg.n_elements)
+    if model is FlexModel.ROTATABLE:
+        positions[:, 0] = np.tile(-y_row * np.sin(psi), cfg.n_v)
+        positions[:, 1] = np.tile(y_row * np.cos(psi), cfg.n_v)
+        offsets[:] = psi
+    elif model is FlexModel.BENDABLE and abs(psi) >= BEND_EPS:
+        radius = (cfg.n_h - 1) * cfg.spacing / (2.0 * psi)
+        psi_n = -psi + 2.0 * psi * np.arange(cfg.n_h) / (cfg.n_h - 1)
+        positions[:, 0] = np.tile(radius * (np.cos(psi_n) - 1.0), cfg.n_v)
+        positions[:, 1] = np.tile(radius * np.sin(psi_n), cfg.n_v)
+        offsets = np.tile(psi_n, cfg.n_v)
+    elif model is FlexModel.FOLDABLE:
+        positions[:, 0] = np.tile(-np.abs(y_row) * np.sin(psi), cfg.n_v)
+        positions[:, 1] = np.tile(y_row * np.cos(psi), cfg.n_v)
+        offsets = np.tile(np.sign(y_row) * psi, cfg.n_v)
+    return positions, offsets
+
+
+GRID_SIZES = [(1, 1), (1, 3), (2, 1), (5, 1), (8, 1), (7, 3), (8, 8)]
+
+
+class TestDirectGrid:
+    @pytest.mark.parametrize("model, n_h, n_v", [
+        (model, n_h, n_v) for model in [FlexModel.PLANAR, *MODELS] for n_h, n_v in GRID_SIZES
+        if not (model is FlexModel.BENDABLE and n_h == 1)])
+    def test_equals_the_tiled_construction(self, model, n_h, n_v):
+        cfg = ArrayConfig(n_h, n_v, wavelength=0.03)
+        angles = ([0.0] if model is FlexModel.PLANAR
+                  else [*np.linspace(-np.pi / 2, np.pi / 2, 19), 1e-7, -1e-7])
+        for psi in angles:
+            geom = flex_geometry(model, cfg, float(psi))
+            positions, offsets = tiled_geometry(model, cfg, float(psi))
+            # bytes, so that the sign of every zero matches too
+            assert geom.positions.tobytes() == positions.tobytes()
+            assert geom.orientation_offsets.tobytes() == offsets.tobytes()
 
 
 class TestSharedInvariants:
