@@ -172,17 +172,16 @@ class OptimizeResult:
 
 
 def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget: int,
-             n_init: int = 4, seed=0, include_zero: bool = True,
-             kernel: Kernel | None = None) -> OptimizeResult:
+             n_init: int = 4, seed=0) -> OptimizeResult:
     """Maximize a black-box objective over a box via GP regression plus EI.
 
-    Seeds the design with ``n_init`` uniform random points (plus the all-zero
-    point when ``include_zero``, which guarantees the result dominates the
-    zero baseline), then runs ``budget`` rounds of posterior fitting and EI
-    maximization over the round's candidate set. Observed values are
-    standardized before each fit and reported unscaled. Deterministic for a
-    fixed seed. A 1-D round after a duplicate proposal sees the same data and
-    grid as the round before, so it repeats that proposal without refitting.
+    Seeds the design with ``n_init`` uniform random points plus the all-zero
+    point, which guarantees the result dominates the zero baseline, then runs
+    ``budget`` rounds of posterior fitting and EI maximization over the
+    round's candidate set. Observed values are standardized before each fit
+    and reported unscaled. Deterministic for a fixed seed. A 1-D round after a
+    duplicate proposal sees the same data and grid as the round before, so it
+    repeats that proposal without refitting.
     """
     if budget < 0 or n_init < 1:
         raise ValueError("need budget >= 0 and n_init >= 1")
@@ -192,7 +191,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     if bounds.shape[1] != 2 or np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValueError("bounds must be (D, 2) intervals")
     dim = bounds.shape[0]
-    kernel = kernel or Kernel()
+    kernel = Kernel()
     rng = np.random.default_rng(seed)
 
     points: list[np.ndarray] = []
@@ -210,8 +209,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
 
     for row in rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_init, dim)):
         measure(row)
-    if include_zero:
-        measure(np.zeros(dim))
+    measure(np.zeros(dim))
 
     sobol = qmc.Sobol(d=dim, scramble=True, seed=rng) if dim > 1 else None
     grid = np.linspace(bounds[0, 0], bounds[0, 1], GRID_CANDIDATES_1D)[:, None]

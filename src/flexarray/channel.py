@@ -8,7 +8,7 @@ The channel of a deformed array is
 where e stacks the per-element pattern coefficients under the deformation's
 boresight offsets, g is the far-field planar-wave array manifold at the
 deformed element positions, and (.) is the elementwise product. Path angles
-are global; a mount rotates the array or, equivalently, the path azimuths.
+are global; an array mounted at azimuth m sees every path at azimuth phi - m.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import ArrayConfig, ArrayGeometry, FlexModel, flex_geometry
-from .radiation import PatternSpec, pattern_coefficient, wrap_angle
+from .radiation import PatternSpec, element_pattern_vector, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
@@ -32,8 +32,8 @@ class PathSet:
     """Plane-wave path parameters of a single link.
 
     Arrays share length L: elevations in [0, pi], azimuths in radians, and
-    unitless complex gains. Gains are stored unnormalized; the sqrt(1/L)
-    factor is applied once inside :func:`flexible_channel`.
+    unitless complex gains, all finite. Gains are stored unnormalized; the
+    sqrt(1/L) factor is applied once inside the channel synthesis.
     """
 
     theta: np.ndarray
@@ -48,6 +48,8 @@ class PathSet:
             raise ValueError("theta, phi and beta must be 1-D arrays of equal length")
         if self.theta.size == 0:
             raise ValueError("a path set needs at least one path")
+        if not all(np.isfinite(values).all() for values in (self.theta, self.phi, self.beta)):
+            raise ValueError("path angles and gains must be finite")
         if np.any(self.theta < 0.0) or np.any(self.theta > np.pi):
             raise ValueError("path elevations must lie in [0, pi]")
 
@@ -70,21 +72,23 @@ def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.n
     return np.exp(-2j * np.pi / wavelength * arg)
 
 
-def path_factors(geometry: ArrayGeometry, spec: PatternSpec, paths: PathSet, wavelength: float):
-    """Pattern and manifold factors of every path, both shaped (L, N)."""
-    offsets = geometry.orientation_offsets
-    pattern = pattern_coefficient(spec, paths.theta[:, None], paths.phi[:, None] - offsets[None, :])
-    manifold = array_manifold(geometry.positions, paths.theta[:, None], paths.phi[:, None], wavelength)
-    return pattern, manifold
+def _synthesize(geometry: ArrayGeometry, spec: PatternSpec, theta, phi, beta,
+                wavelength: float) -> np.ndarray:
+    """sqrt(1/L) sum_l beta_l e_l (.) g_l over the last axis of the (..., L)
+    elevations, array-local azimuths and gains; shape (..., N)."""
+    theta, phi, beta = theta[..., None], phi[..., None], beta[..., None]
+    pattern = element_pattern_vector(spec, geometry, theta, phi)
+    manifold = array_manifold(geometry.positions, theta, phi, wavelength)
+    return np.sqrt(1.0 / theta.shape[-2]) * (beta * pattern * manifold).sum(axis=-2)
 
 
 def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                      paths: PathSet, psi: float, mount: float = 0.0) -> np.ndarray:
-    """Channel vector of one link for an array deformed to ``psi``, shape (N,)."""
-    geometry = flex_geometry(model, cfg, psi, mount)
-    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
-    weighted = paths.beta[:, None] * pattern * manifold
-    return np.sqrt(1.0 / paths.n_paths) * weighted.sum(axis=0)
+    """Channel vector of one link for an array flexed to ``psi`` and mounted at ``mount``, (N,)."""
+    if not np.isfinite(mount):
+        raise ValueError("mount must be finite")
+    return _synthesize(flex_geometry(model, cfg, psi), spec, paths.theta, paths.phi - mount,
+                       paths.beta, cfg.wavelength)
 
 
 def channel_power(h: np.ndarray) -> float:
@@ -99,10 +103,7 @@ def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector
     slice of sectors (N, S*K) in sector order. Vectorized over users and
     paths; the array's local azimuths subtract its mount."""
     n_paths = scenario.n_paths
-    theta = scenario.theta[sectors].reshape(-1, n_paths, 1)
-    phi = wrap_angle(scenario.phi[sectors] - MOUNTS[faa]).reshape(-1, n_paths, 1)
-    beta = scenario.beta[sectors].reshape(-1, n_paths, 1)
-    pattern = pattern_coefficient(scenario.pattern, theta, phi - geometry.orientation_offsets)
-    manifold = array_manifold(geometry.positions, theta, phi, scenario.cfg.wavelength)
-    columns = np.sqrt(1.0 / n_paths) * (beta * pattern * manifold).sum(axis=1)
-    return columns.T
+    theta = scenario.theta[sectors].reshape(-1, n_paths)
+    phi = wrap_angle(scenario.phi[sectors] - MOUNTS[faa]).reshape(-1, n_paths)
+    beta = scenario.beta[sectors].reshape(-1, n_paths)
+    return _synthesize(geometry, scenario.pattern, theta, phi, beta, scenario.cfg.wavelength).T

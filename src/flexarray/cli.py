@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, harness
 from .errors import ConfigError, FlexArrayError
-from .geometry import ArrayConfig, FlexModel, flex_geometry
+from .geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from .radiation import pattern_gain
 
 MODEL_CHOICE = click.Choice(["planar", "rotate", "bend", "fold"])
@@ -119,7 +119,9 @@ def geometry(ctx, model, nh, nv, psi, mount, wavelength, spacing, out, config, d
     def build(path):
         try:
             cfg = ArrayConfig(n_h=nh, n_v=nv, wavelength=wavelength, spacing=spacing)
-            geom = flex_geometry(FlexModel(model), cfg, psi, mount)
+            geom = flex_geometry(FlexModel(model), cfg, psi)
+            if mount != 0.0:  # a rotation by 0 would print -0.0 as 0.0
+                geom = mounted_geometry(geom, mount)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         rows = [(n, *geom.positions[n], geom.orientation_offsets[n])

@@ -50,8 +50,8 @@ def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass: the manifold
     g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi),
     and its partials -jk (da/dxi) g share one set of path sines and cosines."""
-    geometry = flex_geometry(model, cfg, psi, mount)
-    theta, phi = paths.theta[:, None], paths.phi[:, None]
+    geometry = flex_geometry(model, cfg, psi)
+    theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
     pattern, d_pat_theta, d_pat_phi = pattern_and_derivatives(
         spec, theta, phi - geometry.orientation_offsets)
     sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)

@@ -176,20 +176,16 @@ def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeom
     return ArrayGeometry(geometry.positions @ rot.T, geometry.orientation_offsets + mount)
 
 
-def flex_geometry(model: FlexModel, cfg: ArrayConfig, psi: float, mount: float = 0.0) -> ArrayGeometry:
-    """Build the geometry of ``model`` at flex angle ``psi``, mounted at ``mount``."""
+def flex_geometry(model: FlexModel, cfg: ArrayConfig, psi: float) -> ArrayGeometry:
+    """Build the geometry of ``model`` at flex angle ``psi``, unmounted."""
     if model is FlexModel.PLANAR:
         if psi != 0.0:
             raise ValueError("planar arrays have no flexible degree of freedom; psi must be 0")
-        geom = planar_positions(cfg)
-    elif model is FlexModel.ROTATABLE:
-        geom = rotated_geometry(cfg, psi)
-    elif model is FlexModel.BENDABLE:
-        geom = bent_geometry(cfg, psi)
-    elif model is FlexModel.FOLDABLE:
-        geom = folded_geometry(cfg, psi)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown flex model {model!r}")
-    if mount != 0.0:
-        geom = mounted_geometry(geom, mount)
-    return geom
+        return planar_positions(cfg)
+    if model is FlexModel.ROTATABLE:
+        return rotated_geometry(cfg, psi)
+    if model is FlexModel.BENDABLE:
+        return bent_geometry(cfg, psi)
+    if model is FlexModel.FOLDABLE:
+        return folded_geometry(cfg, psi)
+    raise ValueError(f"unknown flex model {model!r}")  # pragma: no cover - enum is closed

@@ -39,6 +39,8 @@ PSI_BOUNDS = {
 
 STRATEGIES = ("single-sector", "sfp", "jfp", "sjfp")
 SNR_DB_MAX = 300.0  # a linear 1e30 keeps SINR products far from float overflow (at 3082 dB)
+CRB_PSI_RANGE = (-np.pi / 2, np.pi / 2)  # flex angles searched by experiment_crb_sweep
+CRB_MAX_RESAMPLES = 100  # redraws of one experiment_crb_sweep draw before it fails
 
 
 @dataclass
@@ -219,10 +221,11 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
     baseline = channel_power(flexible_channel(model, cfg, spec, paths, 0.0, mount))
     if baseline == 0.0:  # every path misses the fixed array's pattern
         raise FlexArrayError("the fixed array receives zero power; the dB ratio is undefined")
-    rows = []
-    for psi in np.linspace(psi_min, psi_max, steps):
-        power = channel_power(flexible_channel(model, cfg, spec, paths, float(psi), mount))
-        rows.append((float(psi), 10.0 * np.log10(power / baseline)))
+    grid = [float(psi) for psi in np.linspace(psi_min, psi_max, steps)]
+    powers = [channel_power(flexible_channel(model, cfg, spec, paths, psi, mount)) for psi in grid]
+    if not np.isfinite([baseline, *powers]).all():  # huge gains overflow |h|^2
+        raise FlexArrayError("the channel power overflows; the dB ratio is undefined")
+    rows = [(psi, 10.0 * np.log10(power / baseline)) for psi, power in zip(grid, powers)]
     return ["psi", "power_db_vs_fixed"], rows
 
 
@@ -235,8 +238,7 @@ def _crb_regime_paths(rng: np.random.Generator, n_paths: int) -> PathSet:
 
 def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: ArrayConfig,
                          l_values: Sequence[int], draws: int, seed: int, sigma2: float = 1.0,
-                         psi_range=(-np.pi / 2, np.pi / 2), grid_size: int = 181,
-                         mount: float = 0.0, max_resamples: int = 100):
+                         grid_size: int = 181):
     """Mean angle CRB of the flex-optimized models against the planar array.
 
     Draws are paired across path counts and models: each draw samples
@@ -244,7 +246,7 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     L-to-L and model-to-fixed comparisons see the same randomness (the
     per-path CRB mean is heavy tailed, and unpaired means would be dominated
     by draw noise). Draws whose angles land in a pattern support band or that
-    produce a singular Fisher matrix anywhere are redrawn whole.
+    produce a singular Fisher matrix anywhere are redrawn whole. Arrays are unmounted.
     """
     l_values = [int(v) for v in l_values]
     l_max = max(l_values)
@@ -252,7 +254,7 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     optimized_sums = {(model, n): 0.0 for model in models for n in l_values}
     for draw in range(draws):
         rng = np.random.default_rng([1, seed, draw])
-        for _ in range(max_resamples):
+        for _ in range(CRB_MAX_RESAMPLES):
             full = _crb_regime_paths(rng, l_max)
             try:
                 fixed = {}
@@ -261,15 +263,15 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
                     paths = PathSet(theta=full.theta[:n_paths], phi=full.phi[:n_paths],
                                     beta=full.beta[:n_paths])
                     fixed[n_paths] = mean_angle_crb(fisher_matrix(
-                        FlexModel.PLANAR, cfg, spec, paths, 0.0, mount, sigma2))
+                        FlexModel.PLANAR, cfg, spec, paths, 0.0, 0.0, sigma2))
                     for model in models:
                         optimized[(model, n_paths)] = optimal_psi_for_crb(
-                            model, cfg, spec, paths, mount, sigma2, psi_range, grid_size)[1]
+                            model, cfg, spec, paths, 0.0, sigma2, CRB_PSI_RANGE, grid_size)[1]
             except (PatternBoundaryError, SingularFisherError, OptimizationError):
                 continue
             break
         else:
-            raise OptimizationError(f"no valid draw after {max_resamples} resamples")
+            raise OptimizationError(f"no valid draw after {CRB_MAX_RESAMPLES} resamples")
         for key, value in fixed.items():
             fixed_sums[key] += value
         for key, value in optimized.items():

@@ -24,6 +24,7 @@ from .errors import PatternBoundaryError
 BOUNDARY_EPS = 1e-6
 """Half-width of the band around the cosine support edge where derivatives
 are refused; the amplitude slope is unbounded there for kappa = 1."""
+N_THETA, N_PHI = 720, 1440  # midpoint grid of normalization_integral
 
 
 class PatternKind(enum.Enum):
@@ -77,9 +78,8 @@ def pattern_gain(spec: PatternSpec, theta, phi):
     if spec.kind is PatternKind.OMNI:
         gain = np.ones(np.broadcast(theta, phi).shape)
     else:
-        w = wrap_angle(phi)
-        front = np.abs(w) <= np.pi / 2
-        cos_part = np.where(front, np.clip(np.cos(w), 0.0, None), 0.0)
+        # cos(w) <= 0 exactly off the front half-space |w| <= pi/2
+        cos_part = np.maximum(np.cos(wrap_angle(phi)), 0.0)
         gain = spec.peak_gain * np.sin(theta) ** spec.kappa * cos_part**spec.kappa
     return float(gain) if gain.ndim == 0 else gain
 
@@ -90,7 +90,7 @@ def pattern_coefficient(spec: PatternSpec, theta, phi):
 
 
 def element_pattern_vector(spec: PatternSpec, geometry, theta, phi) -> np.ndarray:
-    """Per-element amplitude coefficients for a deformed array, shape (N,).
+    """Per-element amplitude coefficients for a deformed array, shape (..., N).
 
     Entry n is the coefficient at (theta, phi - offset_n) where offset_n is the
     element's boresight azimuth; ordering matches the geometry vectorization.
@@ -139,16 +139,16 @@ def pattern_derivatives(spec: PatternSpec, theta, phi):
     return d_theta, d_phi
 
 
-def normalization_integral(spec: PatternSpec, n_theta: int = 720, n_phi: int = 1440) -> float:
+def normalization_integral(spec: PatternSpec) -> float:
     """Quadrature of the gain over the sphere; 4 pi for a normalized pattern.
 
     Midpoint rule on a tensor grid; the integrand is smooth except for the
-    corner at the cosine support edge, and the default resolution keeps the
-    error far below 1e-3 relative.
+    corner at the cosine support edge, and the N_THETA x N_PHI grid keeps
+    the error far below 1e-3 relative.
     """
-    d_theta = np.pi / n_theta
-    d_phi = 2.0 * np.pi / n_phi
-    theta = (np.arange(n_theta) + 0.5) * d_theta
-    phi = -np.pi + (np.arange(n_phi) + 0.5) * d_phi
+    d_theta = np.pi / N_THETA
+    d_phi = 2.0 * np.pi / N_PHI
+    theta = (np.arange(N_THETA) + 0.5) * d_theta
+    phi = -np.pi + (np.arange(N_PHI) + 0.5) * d_phi
     gain = pattern_gain(spec, theta[:, None], phi[None, :])
     return float(np.sum(gain * np.sin(theta)[:, None]) * d_theta * d_phi)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from flexarray.channel import (MOUNTS, PathSet, array_manifold, channel_power,
-                               flexible_channel, path_factors, sector_block)
-from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
+                               flexible_channel, sector_block)
+from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import generate_scenario
-from flexarray.radiation import PatternKind, PatternSpec
+from flexarray.radiation import PatternKind, PatternSpec, pattern_coefficient
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)
+COS2 = PatternSpec(PatternKind.COSINE, kappa=2.0)
 WAVELENGTH = 0.03
 
 
@@ -18,12 +19,31 @@ def random_paths(rng, n_paths, phi_span=0.5):
                    beta=rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
 
 
-def channel_power_expansion(model, cfg, spec, paths, psi, mount=0.0):
+def reference_path_factors(model, cfg, spec, paths, psi, mount):
+    """Pattern and manifold factors of every path, both (L, N), from the
+    array's geometry rotated to its mount and the global path azimuths."""
+    geometry = flex_geometry(model, cfg, psi)
+    if mount != 0.0:
+        geometry = mounted_geometry(geometry, mount)
+    theta, phi = paths.theta[:, None], paths.phi[:, None]
+    pattern = pattern_coefficient(spec, theta, phi - geometry.orientation_offsets[None, :])
+    manifold = array_manifold(geometry.positions, theta, phi, cfg.wavelength)
+    return pattern, manifold
+
+
+def reference_channel(model, cfg, spec, paths, psi, mount):
+    """``flexible_channel`` with the mount applied to the geometry instead
+    of the path azimuths."""
+    pattern, manifold = reference_path_factors(model, cfg, spec, paths, psi, mount)
+    weighted = paths.beta[:, None] * pattern * manifold
+    return np.sqrt(1.0 / paths.n_paths) * weighted.sum(axis=0)
+
+
+def channel_power_expansion(model, cfg, spec, paths, psi):
     """Channel power via its per-path expansion: the per-path norms plus the
     pairwise real cross terms, an independent route to
     ``channel_power(flexible_channel(...))``."""
-    geometry = flex_geometry(model, cfg, psi, mount)
-    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
+    pattern, manifold = reference_path_factors(model, cfg, spec, paths, psi, 0.0)
     vectors = pattern * manifold  # (L, N)
     beta = paths.beta
     n_paths = paths.n_paths
@@ -92,6 +112,9 @@ class TestFlexibleChannel:
             PathSet(theta=[0.1, 0.2], phi=[0.0], beta=[1.0, 1.0])
         with pytest.raises(ValueError):
             PathSet(theta=[4.0], phi=[0.0], beta=[1.0])
+        for bad in (dict(theta=[np.nan]), dict(phi=[np.inf]), dict(beta=[complex(1, np.nan)])):
+            with pytest.raises(ValueError, match="finite"):
+                PathSet(**{"theta": [1.0], "phi": [0.0], "beta": [1.0], **bad})
 
 
 class TestChannelPower:
@@ -147,6 +170,41 @@ class TestChannelPower:
         base = flexible_channel(FlexModel.FOLDABLE, cfg, spec, paths, 0.3, mount=0.0)
         moved = flexible_channel(FlexModel.FOLDABLE, cfg, spec, shifted, 0.3, mount=alpha)
         np.testing.assert_allclose(moved, base, rtol=1e-10, atol=1e-12)
+
+
+class TestMountConvention:
+    """A mount is an azimuth shift: the unmounted array seeing phi - mount
+    gives the channel of the array rotated to its mount."""
+
+    @pytest.mark.parametrize("model", list(FlexModel))
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2])
+    def test_shift_matches_rotated_geometry(self, model, spec):
+        rng = np.random.default_rng(17)
+        cfg = ArrayConfig(5, 3, wavelength=WAVELENGTH)
+        for mount in (0.4, 2 * np.pi / 3, 4 * np.pi / 3):
+            for n_paths in (1, 3, 6):
+                paths = random_paths(rng, n_paths, phi_span=np.pi)
+                psi = 0.0 if model is FlexModel.PLANAR else rng.uniform(-0.7, 0.7)
+                expected = reference_channel(model, cfg, spec, paths, psi, mount)
+                got = flexible_channel(model, cfg, spec, paths, psi, mount)
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("model", list(FlexModel))
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2])
+    def test_zero_mount_is_bit_identical(self, model, spec):
+        rng = np.random.default_rng(19)
+        cfg = ArrayConfig(4, 2, wavelength=WAVELENGTH)
+        for n_paths in (1, 5):
+            paths = random_paths(rng, n_paths, phi_span=np.pi)
+            psi = 0.0 if model is FlexModel.PLANAR else rng.uniform(-0.7, 0.7)
+            np.testing.assert_array_equal(flexible_channel(model, cfg, spec, paths, psi),
+                                          reference_channel(model, cfg, spec, paths, psi, 0.0))
+
+    @pytest.mark.parametrize("mount", [np.nan, np.inf])
+    def test_non_finite_mount_rejected(self, mount):
+        paths = PathSet(theta=[1.0], phi=[0.2], beta=[1.0])
+        with pytest.raises(ValueError, match="mount"):
+            flexible_channel(FlexModel.ROTATABLE, ArrayConfig(2, 1), OMNI, paths, 0.1, mount)
 
 
 class TestSectorAssembly:

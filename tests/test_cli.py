@@ -84,6 +84,21 @@ class TestPowerSweep:
         # single omni path: power is flat in psi
         assert all(abs(float(r[1])) < 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("paths, code", [
+        ('{"theta": [NaN], "phi": [0.2], "beta_real": [1.0]}', 2),
+        ('{"theta": [1.0], "phi": [Infinity], "beta_real": [1.0]}', 2),
+        ('{"theta": [1.0, 1.2], "phi": [0.2, 0.3], "beta_real": [1e308, 1e308]}', 3),
+    ], ids=["nan-theta", "inf-phi", "overflowing-gains"])
+    def test_non_finite_scenario_file(self, runner, tmp_path, paths, code):
+        scenario = tmp_path / "paths.json"
+        scenario.write_text(paths)
+        result = runner.invoke(main, ["power-sweep", "--model", "rotate",
+                                      "--steps", "5", "--scenario-file", str(scenario)])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "nan" not in result.stdout
+
     @pytest.mark.parametrize("model, limit", [("bend", np.pi), ("fold", np.pi / 2)])
     def test_sweep_reaching_the_shape_limits(self, runner, model, limit):
         result = runner.invoke(main, ["power-sweep", "--model", model, f"--psi-min={-limit!r}",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from flexarray.channel import PathSet, array_manifold, flexible_channel, path_factors
+from flexarray.channel import PathSet, array_manifold, flexible_channel
 from flexarray.errors import PatternBoundaryError, SingularFisherError
 from flexarray.estimation import (FISHER_COND_MAX, FisherMatrix, channel_param_derivatives, crb,
                                   fisher_matrix, mean_angle_crb, optimal_psi_for_crb)
-from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
+from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
                                  pattern_coefficient, wrap_angle)
 
@@ -92,11 +92,13 @@ def reference_pattern_derivatives(spec, theta, phi):
 
 
 def reference_fisher(model, cfg, spec, paths, psi, mount, sigma2):
-    """Fisher matrix from the three-call assembly: pattern and manifold from
-    ``path_factors``, then their partials from two more independent passes."""
-    geometry = flex_geometry(model, cfg, psi, mount)
+    """Fisher matrix from the three-call assembly on the array rotated to its
+    mount: pattern and manifold from one pass, then their partials from two
+    more independent passes."""
+    geometry = mounted_geometry(flex_geometry(model, cfg, psi), mount)
     theta, phi = paths.theta[:, None], paths.phi[:, None]
-    pattern, manifold = path_factors(geometry, spec, paths, cfg.wavelength)
+    pattern = pattern_coefficient(spec, theta, phi - geometry.orientation_offsets[None, :])
+    manifold = array_manifold(geometry.positions, theta, phi, cfg.wavelength)
     d_pat_theta, d_pat_phi = reference_pattern_derivatives(
         spec, theta, phi - geometry.orientation_offsets[None, :])
     d_man_theta, d_man_phi = manifold_derivatives(geometry.positions, theta, phi, cfg.wavelength)

@@ -69,6 +69,27 @@ class TestGain:
         np.testing.assert_allclose(pattern_gain(COS2, theta, 0.3),
                                    pattern_gain(COS2, np.pi - theta, 0.3), rtol=1e-12)
 
+    @pytest.mark.parametrize("spec", [COS1, COS2, PatternSpec(PatternKind.COSINE, kappa=3.5)])
+    def test_clamp_equals_the_front_mask(self, spec):
+        """max(cos w, 0) gives the bits of the explicit |w| <= pi/2 mask, on
+        random azimuths and on the float neighbours of 0, +-pi/2 and +-pi."""
+        rng = np.random.default_rng(11)
+        edges = []
+        for edge in (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi):
+            below = above = edge
+            for _ in range(30):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                edges += [below, above]
+        phi = np.concatenate([rng.uniform(-4 * np.pi, 4 * np.pi, 200_000), edges])
+        theta = rng.uniform(0.0, np.pi, phi.size)
+        w = wrap_angle(phi)
+        masked = np.where(np.abs(w) <= np.pi / 2, np.clip(np.cos(w), 0.0, None), 0.0)
+        expected = spec.peak_gain * np.sin(theta) ** spec.kappa * masked**spec.kappa
+        np.testing.assert_array_equal(pattern_gain(spec, theta, phi), expected)
+
+    def test_nan_azimuth_gives_nan(self):
+        assert np.isnan(pattern_gain(COS2, 1.0, np.nan))
+
     def test_peak_gain_increases_with_kappa(self):
         peaks = [PatternSpec(PatternKind.COSINE, kappa=k).peak_gain for k in (1, 2, 3, 5)]
         assert all(a < b for a, b in zip(peaks, peaks[1:]))
