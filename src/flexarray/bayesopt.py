@@ -17,10 +17,9 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from .errors import GramConditionError
+from .errors import COND_MAX, GramConditionError, condition_number
 
 DUPLICATE_TOL = 1e-12
-GRAM_COND_MAX = 1e12
 JITTER_MAX = 1e-6
 GRID_CANDIDATES_1D = 361
 SOBOL_CANDIDATES = 2048
@@ -99,14 +98,12 @@ def _gram_cholesky(kernel: Kernel, points: np.ndarray):
     jitter = kernel.jitter
     while True:
         gram = base + jitter * np.eye(points.shape[0])
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] > 0 and eigs[-1] / eigs[0] < GRAM_COND_MAX:
+        if condition_number(gram) < COND_MAX:
             return cho_factor(gram, lower=True)
         jitter = max(jitter, 1e-10) * 10.0
         if jitter > JITTER_MAX:
-            raise GramConditionError(
-                "gram matrix ill conditioned even at jitter 1e-6; "
-                "measurements may be (nearly) duplicated")
+            raise GramConditionError("gram matrix ill conditioned even at jitter 1e-6; "
+                                     "measurements may be (nearly) duplicated")
 
 
 def _cross_kernel(kernel: Kernel, points: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the condition rule they enforce."""
+
+import numpy as np
+
+COND_MAX = 1e12  # largest condition number of a ZF, Fisher or GP gram the package inverts
+
+
+def condition_number(hermitian) -> float:
+    """lambda_max / lambda_min of a Hermitian matrix from ``eigvalsh``; inf when
+    the matrix is not finite or not positive definite."""
+    if not np.isfinite(hermitian).all():
+        return np.inf
+    eigs = np.linalg.eigvalsh(hermitian)
+    return float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf  # lambda_min <= a_ii: never nan
 
 
 class FlexArrayError(Exception):

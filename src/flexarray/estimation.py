@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathSet
-from .errors import OptimizationError, PatternBoundaryError, SingularFisherError
+from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, SingularFisherError,
+                     condition_number)
 from .geometry import ArrayConfig, FlexModel, flex_geometry
 from .radiation import PatternSpec, pattern_and_derivatives
-
-FISHER_COND_MAX = 1e12
 
 
 @dataclass
@@ -31,15 +30,9 @@ class FisherMatrix:
     n_paths: int
 
     def inverse(self) -> np.ndarray:
-        """Inverse Fisher matrix; raises SingularFisherError when the condition
-        number |lambda|max / |lambda|min exceeds FISHER_COND_MAX. LU scales exactly
-        by powers of two, so doubling sigma2 doubles every CRB bit for bit."""
-        if not np.isfinite(self.matrix).all():
-            raise SingularFisherError(np.nan)
-        magnitudes = np.abs(np.linalg.eigvalsh(self.matrix))
-        smallest = magnitudes.min()
-        cond = magnitudes.max() / smallest if smallest > 0 else np.inf
-        if cond > FISHER_COND_MAX:
+        """Inverse Fisher matrix, SingularFisherError above the condition limit. LU scales
+        exactly by powers of two, so doubling sigma2 doubles every CRB bit for bit."""
+        if (cond := condition_number(self.matrix)) > COND_MAX:
             raise SingularFisherError(cond)
         return np.linalg.inv(self.matrix)
 

@@ -56,7 +56,6 @@ class Scenario:
     pattern: PatternSpec
     flex_model: FlexModel
     snr_db: float
-    sigma2: float
     theta: np.ndarray
     phi: np.ndarray
     beta: np.ndarray
@@ -75,13 +74,13 @@ class Scenario:
 
     @property
     def p_total(self) -> float:
-        """Total transmit power for the configured SNR (SNR = P / sigma2)."""
-        return self.sigma2 * 10.0 ** (self.snr_db / 10.0)
+        """Total transmit power for the configured SNR = P / NOISE_POWER."""
+        return precoding.NOISE_POWER * 10.0 ** (self.snr_db / 10.0)
 
 
 def generate_scenario(cfg: ArrayConfig, pattern: PatternSpec, flex_model: FlexModel,
                       k_users: int = 4, n_paths: int = 5, snr_db: float = 15.0,
-                      sigma2: float = 1.0, seed=0) -> Scenario:
+                      seed=0) -> Scenario:
     """Draw a scenario: per user and path, a global azimuth uniform in the
     sector wedge, an elevation uniform in [pi/3, 2pi/3], and a CN(0,1) gain.
 
@@ -101,7 +100,7 @@ def generate_scenario(cfg: ArrayConfig, pattern: PatternSpec, flex_model: FlexMo
             beta[sector, k] = (rng.standard_normal(n_paths)
                                + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
     return Scenario(cfg=cfg, pattern=pattern, flex_model=flex_model, snr_db=snr_db,
-                    sigma2=sigma2, theta=theta, phi=phi, beta=beta)
+                    theta=theta, phi=phi, beta=beta)
 
 
 def _rank_safe(func, scenario: Scenario):
@@ -135,7 +134,7 @@ def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None)
         def rate(scenario, psi):
             geometry = flex_geometry(scenario.flex_model, scenario.cfg, float(psi[0]))
             own = sector_block(scenario, geometry, sector, sector)
-            return precoding.single_sector_sumrate(own, scenario.p_total, scenario.sigma2)
+            return precoding.single_sector_sumrate(own, scenario.p_total, precoding.NOISE_POWER)
     elif strategy == "sfp":
         if leakage is None:
             leakage = precoding.sfp_leakage(scenario, np.zeros(3))
@@ -218,14 +217,13 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
     """Channel power of the flexed array relative to the planar one, in dB."""
     cfg = cfg or DEFAULT_SWEEP_CFG
     paths = paths or default_sweep_paths()
-    baseline = channel_power(flexible_channel(model, cfg, spec, paths, 0.0, mount))
-    if baseline == 0.0:  # every path misses the fixed array's pattern
-        raise FlexArrayError("the fixed array receives zero power; the dB ratio is undefined")
     grid = [float(psi) for psi in np.linspace(psi_min, psi_max, steps)]
-    powers = [channel_power(flexible_channel(model, cfg, spec, paths, psi, mount)) for psi in grid]
-    if not np.isfinite([baseline, *powers]).all():  # huge gains overflow |h|^2
-        raise FlexArrayError("the channel power overflows; the dB ratio is undefined")
-    rows = [(psi, 10.0 * np.log10(power / baseline)) for psi, power in zip(grid, powers)]
+    with np.errstate(all="ignore"):  # zero or overflowing power is caught below
+        baseline, *powers = [np.float64(channel_power(flexible_channel(
+            model, cfg, spec, paths, psi, mount))) for psi in [0.0, *grid]]
+        rows = [(psi, 10.0 * np.log10(power / baseline)) for psi, power in zip(grid, powers)]
+    if not np.isfinite([db for _, db in rows]).all():
+        raise FlexArrayError("zero power or an overflow at some shape; the dB ratio is undefined")
     return ["psi", "power_db_vs_fixed"], rows
 
 

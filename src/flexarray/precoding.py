@@ -15,36 +15,37 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import sector_block
-from .errors import RankDeficiencyError
+from .errors import COND_MAX, RankDeficiencyError, condition_number
 from .geometry import flex_geometry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
-ZF_COND_MAX = 1e12
+NOISE_POWER = 1.0  # every rate depends on P / sigma2 only, so sigma2 is the unit of power
 
 
-def _gram_inverse(channel: np.ndarray) -> np.ndarray:
-    """Inverse of H^H H with a condition guard."""
+def _zero_forcing(channel: np.ndarray, precoder: bool = False):
+    """Post-ZF gains 1 / [(H^H H)^{-1}]_{kk}, shape (K,), and, when asked, the
+    precoder F = H (H^H H)^{-1} (else None), from one guarded Gram inverse."""
     channel = np.asarray(channel)
     n, k = channel.shape
     if k > n:
         raise RankDeficiencyError(np.inf, f"cannot zero-force {k} users with {n} antennas")
     gram = channel.conj().T @ channel
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > ZF_COND_MAX:
+    if (cond := condition_number(gram)) > COND_MAX:
         raise RankDeficiencyError(cond)
-    return np.linalg.inv(gram)
+    inv = np.linalg.inv(gram)
+    return (channel @ inv if precoder else None), 1.0 / np.diag(inv).real
 
 
 def zf_precoder(channel: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder F = H (H^H H)^{-1}, satisfying H^H F = I."""
-    return channel @ _gram_inverse(channel)
+    return _zero_forcing(channel, precoder=True)[0]
 
 
 def effective_gain(channel: np.ndarray) -> np.ndarray:
     """Post-ZF channel gain of each user, 1 / [(H^H H)^{-1}]_{kk}, shape (K,)."""
-    return 1.0 / np.diag(_gram_inverse(channel)).real
+    return _zero_forcing(channel)[1]
 
 
 def single_sector_sumrate(channel: np.ndarray, p_total: float, sigma2: float) -> float:
@@ -75,12 +76,9 @@ def _sector_state(scenario: "Scenario", psi: Sequence[float]):
     users = [slice(m * k, (m + 1) * k) for m in range(3)]
     precoders, gains = [], []
     for m in range(3):
-        own = responses[m][:, users[m]]
-        inv = _gram_inverse(own)
-        f = own @ inv
-        f = f / np.linalg.norm(f, axis=0, keepdims=True)
-        precoders.append(np.sqrt(stream_power) * f)
-        gains.append(1.0 / np.diag(inv).real)
+        f, gain = _zero_forcing(responses[m][:, users[m]], precoder=True)
+        precoders.append(np.sqrt(stream_power) * (f / np.linalg.norm(f, axis=0, keepdims=True)))
+        gains.append(gain)
     leakage = np.zeros((3, k))
     for m, mp in permutations(range(3), 2):
         cross = responses[mp][:, users[m]]  # array mp -> sector m users
@@ -105,14 +103,14 @@ def sector_rate_given_leakage(scenario: "Scenario", sector: int, psi_m: float,
     geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
     gains = effective_gain(sector_block(scenario, geometry, sector, sector))
     stream_power = scenario.p_total / (3.0 * scenario.k_users)
-    sinr = stream_power * gains / (leakage + scenario.sigma2)
+    sinr = stream_power * gains / (leakage + NOISE_POWER)
     return float(np.sum(np.log2(1.0 + sinr)))
 
 
 def jfp_sumrate(scenario: "Scenario", psi: Sequence[float]) -> float:
     """Fully joint ZF over the stacked (3N, 3K) channel with equal power."""
     stacked = np.vstack(_array_responses(scenario, psi))
-    return single_sector_sumrate(stacked, scenario.p_total, scenario.sigma2)
+    return single_sector_sumrate(stacked, scenario.p_total, NOISE_POWER)
 
 
 def sjfp_sumrate(scenario: "Scenario", psi: Sequence[float]) -> float:
@@ -120,6 +118,6 @@ def sjfp_sumrate(scenario: "Scenario", psi: Sequence[float]) -> float:
     angles: the sum of the three sector rates, each under the cross-sector
     leakage its users receive at ``psi``, so an optimizer can shape it."""
     gains, leakage, stream_power = _sector_state(scenario, psi)
-    sinr = stream_power * gains / (leakage + scenario.sigma2)
+    sinr = stream_power * gains / (leakage + NOISE_POWER)
     per_sector = np.sum(np.log2(1.0 + sinr), axis=1)
     return float(per_sector.sum())

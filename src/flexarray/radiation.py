@@ -40,8 +40,8 @@ class PatternSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kind is PatternKind.COSINE and self.kappa < 1.0:
-            raise ValueError(f"cosine sharpness kappa must be >= 1, got {self.kappa}")
+        if (self.kind is PatternKind.COSINE and self.kappa < 1.0) or not np.isfinite(self.peak_gain):
+            raise ValueError(f"cosine kappa must be >= 1 with 2(1+kappa) finite, got {self.kappa}")
 
     @property
     def peak_gain(self) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -84,17 +86,23 @@ class TestPowerSweep:
         # single omni path: power is flat in psi
         assert all(abs(float(r[1])) < 1e-9 for r in rows)
 
-    @pytest.mark.parametrize("paths, code", [
-        ('{"theta": [NaN], "phi": [0.2], "beta_real": [1.0]}', 2),
-        ('{"theta": [1.0], "phi": [Infinity], "beta_real": [1.0]}', 2),
-        ('{"theta": [1.0, 1.2], "phi": [0.2, 0.3], "beta_real": [1e308, 1e308]}', 3),
-    ], ids=["nan-theta", "inf-phi", "overflowing-gains"])
-    def test_non_finite_scenario_file(self, runner, tmp_path, paths, code):
+    @pytest.mark.parametrize("paths, pattern, code", [
+        ('{"theta": [NaN], "phi": [0.2], "beta_real": [1.0]}', [], 2),
+        ('{"theta": [1.0], "phi": [Infinity], "beta_real": [1.0]}', [], 2),
+        ('{"theta": [1.0, 1.2], "phi": [0.2, 0.3], "beta_real": [1e308, 1e308]}', [], 3),
+        # the cosine array turned to psi = -pi/2 or -pi/4 radiates nothing toward the path
+        ('{"theta": [1.5], "phi": [1.2], "beta_real": [1.0]}',
+         ["--pattern", "cosine", "--kappa", "1"], 3),
+    ], ids=["nan-theta", "inf-phi", "overflowing-gains", "zero-power-in-a-swept-shape"])
+    def test_non_finite_scenario_file(self, runner, tmp_path, paths, pattern, code):
         scenario = tmp_path / "paths.json"
         scenario.write_text(paths)
-        result = runner.invoke(main, ["power-sweep", "--model", "rotate",
-                                      "--steps", "5", "--scenario-file", str(scenario)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["power-sweep", "--model", "rotate", "--steps", "5",
+                                          "--scenario-file", str(scenario), *pattern])
         assert result.exit_code == code, result.output
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert "nan" not in result.stdout
@@ -482,7 +490,8 @@ class TestHelpAndVersion:
         assert "--config" in result.output
 
 
-_ODD_REALS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-9", "9", "1e300"]),
+_ODD_REALS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-9", "9", "1e300",
+                                        "1e308"]),
                        st.floats(-4.0, 4.0).map(repr))
 _SMALL_COUNTS = st.integers(-1, 4).map(str)
 

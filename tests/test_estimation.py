@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from flexarray.channel import PathSet, array_manifold, flexible_channel
-from flexarray.errors import PatternBoundaryError, SingularFisherError
-from flexarray.estimation import (FISHER_COND_MAX, FisherMatrix, channel_param_derivatives, crb,
-                                  fisher_matrix, mean_angle_crb, optimal_psi_for_crb)
+from flexarray.errors import COND_MAX, PatternBoundaryError, SingularFisherError
+from flexarray.estimation import (FisherMatrix, channel_param_derivatives, crb, fisher_matrix,
+                                  mean_angle_crb, optimal_psi_for_crb)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
                                  pattern_coefficient, wrap_angle)
@@ -311,7 +311,7 @@ class TestCrb:
     @pytest.mark.parametrize("largest, accepted", [(0.99e12, True), (1.01e12, False)])
     def test_condition_guard_threshold(self, largest, accepted):
         fisher = FisherMatrix(matrix=np.diag([largest, 1.0, 2.0, 1.0]), sigma2=1.0, n_paths=1)
-        assert FISHER_COND_MAX == 1e12
+        assert COND_MAX == 1e12
         if accepted:
             assert crb(fisher, 0) == 1.0 / largest
         else:

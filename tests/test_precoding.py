@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
-from flexarray.errors import RankDeficiencyError
+from flexarray.errors import COND_MAX, RankDeficiencyError
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
 from flexarray.precoding import (effective_gain, jfp_sumrate, sector_rate_given_leakage,
@@ -76,11 +76,29 @@ class TestZfPrecoder:
         with pytest.raises(RankDeficiencyError):
             zf_precoder(random_channel(np.random.default_rng(4), 3, 5))
 
-    def test_rank_deficiency_reports_condition(self):
-        h = np.ones((6, 2), dtype=complex)  # duplicated columns
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("h", [np.ones((6, 2), dtype=complex),  # duplicated columns
+                                   np.full((6, 2), np.nan + 0j),
+                                   np.vstack([np.eye(2), [[np.inf, 0.0]], np.zeros((3, 2))])],
+                             ids=["duplicated", "all-nan", "one-inf"])
+    def test_rank_deficiency_reports_condition(self, h):
         with pytest.raises(RankDeficiencyError) as err:
             zf_precoder(h)
         assert err.value.condition > 1e12 or not np.isfinite(err.value.condition)
+
+    @pytest.mark.parametrize("largest, accepted", [(0.99e12, True), (1.01e12, False)])
+    def test_condition_guard_threshold(self, largest, accepted):
+        # H^H H = diag(largest, 1, 2, 1) up to rounding of the square roots, with
+        # zero off-diagonal entries
+        h = np.vstack([np.diag(np.sqrt([largest, 1.0, 2.0, 1.0])), np.zeros((2, 4))])
+        assert COND_MAX == 1e12
+        if accepted:
+            np.testing.assert_allclose(effective_gain(h), [largest, 1.0, 2.0, 1.0], rtol=1e-12)
+            np.testing.assert_allclose(h.conj().T @ zf_precoder(h), np.eye(4), atol=1e-12)
+        else:
+            with pytest.raises(RankDeficiencyError) as err:
+                zf_precoder(h)
+            assert err.value.condition == pytest.approx(largest, rel=1e-12)
 
 
 class TestEffectiveGain:
@@ -134,7 +152,7 @@ class TestSfp:
         for m in range(3):
             rate = sector_rate_given_leakage(scenario, m, psi[m], leakage[m])
             expected = single_sector_sumrate(own_block(scenario, m, psi[m]),
-                                             scenario.p_total / 3.0, scenario.sigma2)
+                                             scenario.p_total / 3.0, 1.0)
             assert rate == pytest.approx(expected, rel=1e-12)
 
     def test_leakage_invariant_to_user_permutation_in_interferer(self):
@@ -193,7 +211,7 @@ class TestJfp:
         joint = jfp_sumrate(scenario, psi)
         separate = sum(
             single_sector_sumrate(own_block(scenario, m, psi[m]),
-                                  scenario.p_total / 3.0, scenario.sigma2)
+                                  scenario.p_total / 3.0, 1.0)
             for m in range(3))
         assert joint == pytest.approx(separate, rel=1e-9)
 
@@ -223,7 +241,7 @@ class TestSjfp:
         psi = np.array([0.1, 0.2, 0.3])
         separate = sum(
             single_sector_sumrate(own_block(scenario, m, psi[m]),
-                                  scenario.p_total / 3.0, scenario.sigma2)
+                                  scenario.p_total / 3.0, 1.0)
             for m in range(3))
         assert sjfp_sumrate(scenario, psi) == pytest.approx(separate, rel=1e-12)
 

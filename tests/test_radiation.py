@@ -98,6 +98,15 @@ class TestGain:
         with pytest.raises(ValueError):
             PatternSpec(PatternKind.COSINE, kappa=0.5)
 
+    @pytest.mark.parametrize("kappa", [1e308, np.nan])
+    def test_non_finite_peak_gain_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            PatternSpec(PatternKind.COSINE, kappa=kappa)
+
+    def test_largest_finite_peak_gain_accepted(self):
+        assert PatternSpec(PatternKind.COSINE, kappa=8e307).peak_gain == 2.0 * (1.0 + 8e307)
+        assert PatternSpec(PatternKind.OMNI, kappa=1e308).peak_gain == 1.0
+
 
 class TestCoefficient:
     def test_omni(self):
