@@ -4,10 +4,10 @@ One executable with a subcommand per task; every flag can also be supplied
 from an INI config file (section named after the subcommand, keys matching
 the flag names) via ``--config``, with explicit flags taking precedence and
 keys that name no flag rejected. ``--dump-config`` writes the effective
-settings back out so a run can be reproduced from the file alone. The four
-experiment subcommands are generated from ``harness.EXPERIMENTS`` and run,
-like ``run``, through ``harness.run_experiment``. Exit codes: 0 success, 2
-configuration or usage error, 3 numerical failure.
+settings back out, with the ``[run]`` section that lets ``run`` replay
+them. Every subcommand but ``run`` is generated from ``harness.EXPERIMENTS``
+and runs, like ``run``, through ``harness.run_experiment``. Exit codes: 0
+success, 2 configuration or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,19 +20,18 @@ import numpy as np
 
 from . import __version__, harness
 from .errors import ConfigError, FlexArrayError
-from .geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
-from .radiation import pattern_gain
 
-MODEL_CHOICE = click.Choice(["planar", "rotate", "bend", "fold"])
-PATTERN_CHOICE = click.Choice(["omni", "cosine"])
 NOT_SETTINGS = ("out", "config", "dump_config")
 SUMMARIES = {
+    "geometry": "Dump element positions and boresight offsets as CSV.",
+    "pattern": "Dump the element gain on a (theta, phi) grid as CSV.",
     "power-sweep": "Channel power versus flex angle relative to the planar array.",
     "crb-sweep": "Mean angle CRB versus number of paths, optimized flex vs planar.",
     "sumrate": "Monte Carlo multi-sector sum-rate, fixed baseline vs optimized flex.",
     "bo-trace": "Dump one optimization run measurement by measurement.",
 }
 ALIASES = {"l_min": ("--L-min",), "l_max": ("--L-max",)}
+NUMBER_TYPES = {int: int, harness._real: float, harness._positive: float}
 
 
 def _load_config_defaults(ctx: click.Context, param: click.Parameter, value):
@@ -54,37 +53,26 @@ def _load_config_defaults(ctx: click.Context, param: click.Parameter, value):
 
 
 def _dump_config(ctx: click.Context) -> None:
-    """Write the settings to ``--dump-config``; an experiment also gets the
-    ``[run]`` section that lets ``flexarray run`` replay it."""
+    """Write the settings to ``--dump-config`` with the ``[run]`` section
+    that lets ``flexarray run`` replay them."""
     path = ctx.params.get("dump_config")
     if not path:
         return
     parser = configparser.ConfigParser()
-    if ctx.command.name in harness.EXPERIMENTS:
-        parser["run"] = {"experiment": ctx.command.name}
+    parser["run"] = {"experiment": ctx.command.name}
     parser[ctx.command.name] = {key: str(value) for key, value in ctx.params.items()
                                 if key not in NOT_SETTINGS and value is not None}
     with open(path, "w") as handle:
         parser.write(handle)
 
 
-def common_options(func):
-    func = click.option("--out", default="-", show_default=True,
-                        help="Output CSV path, '-' for stdout.")(func)
-    func = click.option("--config", is_eager=True, callback=_load_config_defaults,
-                        expose_value=True, default=None,
-                        help="INI file whose [subcommand] section supplies flag defaults.")(func)
-    func = click.option("--dump-config", default=None,
-                        help="Write the effective settings to this INI file.")(func)
-    return func
-
-
-def _run_guarded(ctx: click.Context, out: str | None, build) -> None:
-    """Print the CSV text ``build(path)`` returns, or let it write ``path``
-    (None for stdout); configuration errors exit 2, numerical failures 3."""
+def _run_guarded(ctx: click.Context, out: str | None, config: dict) -> None:
+    """Run the experiment ``config`` and print its CSV text, or write it to
+    ``out`` ('-' or None for stdout); configuration errors exit 2, numerical
+    failures 3."""
     path = None if out in (None, "-") else out
     try:
-        text = build(path)
+        text = harness.run_experiment({**config, "out": path}).csv_text
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
     except FlexArrayError as exc:
@@ -103,65 +91,12 @@ def main():
     """Flexible antenna array simulator."""
 
 
-@main.command()
-@click.option("--model", type=MODEL_CHOICE, required=True, help="Array deformation model.")
-@click.option("--nh", type=int, required=True, help="Horizontal element count.")
-@click.option("--nv", type=int, required=True, help="Vertical element count.")
-@click.option("--psi", type=float, default=0.0, show_default=True, help="Flex angle in radians.")
-@click.option("--mount", type=float, default=0.0, show_default=True, help="Mount azimuth in radians.")
-@click.option("--wavelength", type=float, default=0.03, show_default=True)
-@click.option("--spacing", type=float, default=None, help="Element spacing, default wavelength/2.")
-@common_options
-@click.pass_context
-def geometry(ctx, model, nh, nv, psi, mount, wavelength, spacing, out, config, dump_config):
-    """Dump element positions and boresight offsets as CSV."""
-
-    def build(path):
-        try:
-            cfg = ArrayConfig(n_h=nh, n_v=nv, wavelength=wavelength, spacing=spacing)
-            geom = flex_geometry(FlexModel(model), cfg, psi)
-            if mount != 0.0:  # a rotation by 0 would print -0.0 as 0.0
-                geom = mounted_geometry(geom, mount)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        rows = [(n, *geom.positions[n], geom.orientation_offsets[n])
-                for n in range(geom.n_elements)]
-        return harness.write_csv(path, ["n", "x", "y", "z", "orient"], rows,
-                                 {"psi": psi, "mount": mount})
-
-    _run_guarded(ctx, out, build)
-
-
-@main.command()
-@click.option("--kind", type=PATTERN_CHOICE, required=True, help="Element pattern kind.")
-@click.option("--kappa", type=float, default=1.0, show_default=True, help="Cosine sharpness.")
-@click.option("--grid", type=int, default=73, show_default=True,
-              help="Grid points per angle axis.")
-@common_options
-@click.pass_context
-def pattern(ctx, kind, kappa, grid, out, config, dump_config):
-    """Dump the element gain on a (theta, phi) grid as CSV."""
-
-    def build(path):
-        spec = harness.parse_pattern(kind, kappa)
-        if grid < 1:
-            raise ConfigError(f"grid: must be >= 1, got {grid}")
-        thetas = np.linspace(0.0, np.pi, grid)
-        phis = -np.pi + 2.0 * np.pi * (np.arange(grid) + 1) / grid
-        rows = [(float(theta), float(phi), pattern_gain(spec, theta, phi))
-                for theta in thetas for phi in phis]
-        return harness.write_csv(path, ["theta", "phi", "gain"], rows,
-                                 {"kind": kind, "kappa": kappa})
-
-    _run_guarded(ctx, out, build)
-
-
 def _option(setting: harness.Setting):
-    """The flag of one experiment setting; click parses it as the type of
-    its default."""
+    """The flag of one experiment setting; click parses it as an integer or
+    a float when the setting casts to one, else as the type of its default."""
     flags = ("--" + setting.name.replace("_", "-"), *ALIASES.get(setting.name, ()))
-    kwargs = {"type": click.Choice(setting.choices) if setting.choices else None,
-              "help": setting.help}
+    kwargs = {"type": click.Choice(setting.choices) if setting.choices
+              else NUMBER_TYPES.get(setting.cast), "help": setting.help}
     if setting.default is harness.REQUIRED:
         kwargs["required"] = True
     else:
@@ -171,12 +106,16 @@ def _option(setting: harness.Setting):
 
 
 def _experiment_command(name: str) -> None:
+    @click.option("--dump-config", default=None,
+                  help="Write the effective settings to this INI file.")
+    @click.option("--config", is_eager=True, callback=_load_config_defaults, default=None,
+                  help="INI file whose [subcommand] section supplies flag defaults.")
+    @click.option("--out", default="-", show_default=True,
+                  help="Output CSV path, '-' for stdout.")
     @click.pass_context
     def command(ctx, out, config, dump_config, **settings):
-        _run_guarded(ctx, out, lambda path: harness.run_experiment(
-            {"experiment": name, **settings, "out": path}).csv_text)
+        _run_guarded(ctx, out, {"experiment": name, **settings})
 
-    command = common_options(command)
     for setting in reversed(harness.EXPERIMENTS[name]):
         command = _option(setting)(command)
     main.command(name, help=SUMMARIES[name])(command)
@@ -212,8 +151,7 @@ def run(ctx, config_path, out):
     for section in ("run", experiment):
         if parser.has_section(section):
             config.update((key.replace("-", "_"), value) for key, value in parser.items(section))
-    _run_guarded(ctx, out or config.get("out"),
-                 lambda path: harness.run_experiment({**config, "out": path}).csv_text)
+    _run_guarded(ctx, out or config.get("out"), config)
 
 
 if __name__ == "__main__":  # pragma: no cover

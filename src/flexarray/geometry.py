@@ -29,9 +29,10 @@ class FlexModel(enum.Enum):
     FOLDABLE = "fold"
 
 
-PSI_LIMITS = {FlexModel.BENDABLE: np.pi, FlexModel.FOLDABLE: np.pi / 2}
-"""Largest |psi| a shape takes: a bend beyond pi overlaps itself, a fold
-beyond pi/2 passes through itself. Rotation takes any angle."""
+PSI_LIMITS = {FlexModel.PLANAR: 0.0, FlexModel.BENDABLE: np.pi, FlexModel.FOLDABLE: np.pi / 2}
+"""Largest |psi| a shape takes: the planar array has no flex angle, a bend
+beyond pi overlaps itself, a fold beyond pi/2 passes through itself.
+Rotation takes any angle."""
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from .channel import PathSet, channel_power, flexible_channel, sector_block
 from .errors import (ConfigError, FlexArrayError, OptimizationError, PatternBoundaryError,
                      RankDeficiencyError, SingularFisherError)
 from .estimation import fisher_matrix, mean_angle_crb, optimal_psi_for_crb
-from .geometry import PSI_LIMITS, ArrayConfig, FlexModel, flex_geometry
-from .radiation import PatternKind, PatternSpec
+from .geometry import PSI_LIMITS, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
+from .radiation import PatternKind, PatternSpec, pattern_gain
 
 SECTOR_RANGES = ((-np.pi / 3, np.pi / 3), (np.pi / 3, np.pi), (np.pi, 5 * np.pi / 3))
 ELEVATION_RANGE = (np.pi / 3, 2 * np.pi / 3)
@@ -39,6 +39,7 @@ PSI_BOUNDS = {
 
 STRATEGIES = ("single-sector", "sfp", "jfp", "sjfp")
 SNR_DB_MAX = 300.0  # a linear 1e30 keeps SINR products far from float overflow (at 3082 dB)
+SIGMA2_MAX = 1e30  # a path SNR of at least -300 dB; near 1e307 the CRB's inverse overflows
 CRB_PSI_RANGE = (-np.pi / 2, np.pi / 2)  # flex angles searched by experiment_crb_sweep
 CRB_MAX_RESAMPLES = 100  # redraws of one experiment_crb_sweep draw before it fails
 
@@ -336,8 +337,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def write_csv(target, header: Sequence[str], rows: Sequence, comments: dict | None = None) -> str:
-    """Write rows as CSV with `# key: value` comment lines; returns the text."""
+def write_csv(path, header: Sequence[str], rows: Sequence, comments: dict | None = None) -> str:
+    """Write rows as CSV with `# key: value` comment lines to ``path`` (None
+    writes no file); returns the text."""
     buffer = io.StringIO()
     for key, value in (comments or {}).items():
         buffer.write(f"# {key}: {value}\n")
@@ -345,12 +347,9 @@ def write_csv(target, header: Sequence[str], rows: Sequence, comments: dict | No
     writer.writerow(header)
     writer.writerows(rows)
     text = buffer.getvalue()
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", newline="") as handle:
-                handle.write(text)
+    if path is not None:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
     return text
 
 
@@ -421,8 +420,8 @@ class Setting:
 
     ``cast`` reads a flag, INI or library value and raises ValueError on one
     it cannot take; values below ``low`` are rejected too. A setting without
-    a default is required and has ``choices``; the CLI parses a flag as the
-    type of its default.
+    a default is required. The CLI parses a flag as an integer or a float
+    when ``cast`` reads one, else as the type of its default.
     """
 
     name: str
@@ -435,8 +434,11 @@ class Setting:
 
 _FLEX_MODELS = ("rotate", "bend", "fold")
 _MODEL = Setting("model", choices=_FLEX_MODELS, help="Array deformation model.")
+_KAPPA = Setting("kappa", _real, 1.0, help="Cosine sharpness (>= 1).")
 _PATTERN = (Setting("pattern", str, "omni", ("omni", "cosine"), help="Element pattern kind."),
-            Setting("kappa", _real, 1.0, help="Cosine sharpness (>= 1)."))
+            _KAPPA)
+_MOUNT = Setting("mount", _real, 0.0, help="Mount azimuth in radians.")
+_WAVELENGTH = Setting("wavelength", _positive, 0.03, help="Carrier wavelength in metres.")
 _SEED = Setting("seed", int, 0, low=0)
 _N_INIT = Setting("n_init", int, 4, low=1, help="Random points before the GP rounds.")
 _USERS = (Setting("k_users", int, 4, low=1, help="Users per sector."),
@@ -445,19 +447,26 @@ _USERS = (Setting("k_users", int, 4, low=1, help="Users per sector."),
 
 def _array(n_v: int) -> tuple:
     return (Setting("nh", int, 8, low=1, help="Horizontal element count."),
-            Setting("nv", int, n_v, low=1, help="Vertical element count."),
-            Setting("wavelength", _positive, 0.03, help="Carrier wavelength in metres."))
+            Setting("nv", int, n_v, low=1, help="Vertical element count."), _WAVELENGTH)
 
 
 EXPERIMENTS = {
+    "geometry": (
+        Setting("model", choices=("planar",) + _FLEX_MODELS, help="Array deformation model."),
+        Setting("nh", int, low=1, help="Horizontal element count."),
+        Setting("nv", int, low=1, help="Vertical element count."),
+        Setting("psi", _real, 0.0, help="Flex angle in radians."), _MOUNT, _WAVELENGTH,
+        Setting("spacing", _positive, None, help="Element spacing, default wavelength/2.")),
+    "pattern": (
+        Setting("kind", choices=("omni", "cosine"), help="Element pattern kind."), _KAPPA,
+        Setting("grid", int, 73, low=1, help="Grid points per angle axis.")),
     "power-sweep": (
         _MODEL, *_PATTERN,
         Setting("psi_min", _real, -np.pi / 2), Setting("psi_max", _real, np.pi / 2),
         Setting("steps", int, 181, low=1, help="Flex angles in the sweep."),
         Setting("scenario_file", str, None,
                 help="JSON file with theta/phi/beta_real[/beta_imag] path arrays."),
-        *_array(2),
-        Setting("mount", _real, 0.0, help="Mount azimuth in radians.")),
+        *_array(2), _MOUNT),
     "crb-sweep": (
         Setting("model", str, "all", _FLEX_MODELS + ("all",), help="Array deformation model."),
         *_PATTERN,
@@ -528,6 +537,38 @@ class ExperimentResult:
     csv_text: str
 
 
+def _array_config(s: dict) -> ArrayConfig:
+    """The array of resolved settings ``s``; the bend model needs two columns."""
+    try:  # a subnormal wavelength halves to a zero spacing
+        cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"],
+                          spacing=s.get("spacing"))
+    except ValueError as exc:
+        raise ConfigError(f"wavelength: {exc}") from None
+    if s["model"] in ("bend", "all") and cfg.n_h < 2:
+        raise ConfigError(f"nh: the bend model needs nh >= 2, got {cfg.n_h}")
+    return cfg
+
+
+def _users(s: dict, cfg: ArrayConfig) -> int:
+    """Users per sector: ``k_users``, or one per element at full load; zero
+    forcing serves at most one user per element, at an SNR up to SNR_DB_MAX."""
+    k_users = cfg.n_elements if s.get("full_load") else s["k_users"]
+    if k_users > cfg.n_elements:
+        raise ConfigError(f"k_users: need k_users <= nh*nv = {cfg.n_elements}, got {k_users}")
+    if np.max(s["snr_db"]) > SNR_DB_MAX:
+        raise ConfigError(f"snr_db: need <= {SNR_DB_MAX:g} dB, got {s['snr_db']}")
+    return k_users
+
+
+def _check_shape_range(s: dict, *keys: str) -> None:
+    """The flex angles ``s[key]`` must lie in the shape range of ``s['model']``."""
+    limit = PSI_LIMITS.get(FlexModel(s["model"]), np.inf)
+    for key in keys:
+        if abs(s[key]) > limit:
+            raise ConfigError(f"{key}: the {s['model']} model takes |psi| <= {limit:.6g} "
+                              f"(pi for bend, pi/2 for fold), got {s[key]!r}")
+
+
 def run_experiment(config: dict) -> ExperimentResult:
     """Run one named experiment from a flat mapping of its settings (see
     ``EXPERIMENTS`` and :func:`_resolve`).
@@ -536,46 +577,51 @@ def run_experiment(config: dict) -> ExperimentResult:
     The config hash covers the experiment and its resolved settings only.
     """
     s = _resolve(config)
-    try:  # a subnormal wavelength halves to a zero spacing
-        cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"])
-    except ValueError as exc:
-        raise ConfigError(f"wavelength: {exc}") from None
-    spec = parse_pattern(s["pattern"], s["kappa"])
-    k_users = cfg.n_elements if s.get("full_load") else s.get("k_users", 1)
-    if k_users > cfg.n_elements:  # zero-forcing serves at most one user per element
-        raise ConfigError(f"k_users: need k_users <= nh*nv = {cfg.n_elements}, got {k_users}")
-    if s["model"] in ("bend", "all") and cfg.n_h < 2:
-        raise ConfigError(f"nh: the bend model needs nh >= 2, got {cfg.n_h}")
-    if np.max(s.get("snr_db", 0.0)) > SNR_DB_MAX:
-        raise ConfigError(f"snr_db: need <= {SNR_DB_MAX:g} dB, got {s['snr_db']}")
     experiment = s["experiment"]
-    if experiment == "power-sweep":
-        limit = PSI_LIMITS.get(FlexModel(s["model"]), np.inf)
-        for key in ("psi_min", "psi_max"):
-            if abs(s[key]) > limit:
-                raise ConfigError(f"{key}: the {s['model']} model takes |psi| <= {limit:.6g} "
-                                  f"(pi for bend, pi/2 for fold), got {s[key]!r}")
+    if experiment == "geometry":
+        cfg = _array_config(s)
+        _check_shape_range(s, "psi")
+        geom = flex_geometry(FlexModel(s["model"]), cfg, s["psi"])
+        if s["mount"] != 0.0:  # a rotation by 0 would print -0.0 as 0.0
+            geom = mounted_geometry(geom, s["mount"])
+        header = ["n", "x", "y", "z", "orient"]
+        rows = [(n, *geom.positions[n], geom.orientation_offsets[n])
+                for n in range(geom.n_elements)]
+    elif experiment == "pattern":
+        spec, grid = parse_pattern(s["kind"], s["kappa"]), s["grid"]
+        phis = -np.pi + 2.0 * np.pi * (np.arange(grid) + 1) / grid
+        header = ["theta", "phi", "gain"]
+        rows = [(float(theta), float(phi), pattern_gain(spec, theta, phi))
+                for theta in np.linspace(0.0, np.pi, grid) for phi in phis]
+    elif experiment == "power-sweep":
+        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
+        _check_shape_range(s, "psi_min", "psi_max")
         paths = _scenario_paths(s["scenario_file"]) if s["scenario_file"] else None
         header, rows = experiment_power_sweep(
             FlexModel(s["model"]), spec, cfg=cfg, paths=paths, psi_min=s["psi_min"],
             psi_max=s["psi_max"], steps=s["steps"], mount=s["mount"])
     elif experiment == "crb-sweep":
+        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         names = _FLEX_MODELS if s["model"] == "all" else [s["model"]]
         if s["l_max"] < s["l_min"]:
             raise ConfigError(f"l_max: need l_min <= l_max, got {s['l_min']}..{s['l_max']}")
+        if s["sigma2"] > SIGMA2_MAX:
+            raise ConfigError(f"sigma2: need <= {SIGMA2_MAX:g}, got {s['sigma2']}")
         header, rows = experiment_crb_sweep(
             [FlexModel(name) for name in names], spec, cfg,
             list(range(s["l_min"], s["l_max"] + 1)), draws=s["draws"], seed=s["seed"],
             sigma2=s["sigma2"], grid_size=s["grid_size"])
     elif experiment == "sumrate":
+        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         header, rows = experiment_sumrate(
             s["strategy"], FlexModel(s["model"]), spec, cfg,
-            k_users=k_users, n_paths=s["paths"], snr_values=s["snr_db"],
+            k_users=_users(s, cfg), n_paths=s["paths"], snr_values=s["snr_db"],
             trials=s["trials"], seed=s["seed"], budget_1d=s["budget_1d"],
             budget_3d=s["budget_3d"], n_init=s["n_init"])
     else:  # bo-trace
+        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         scenario = generate_scenario(
-            cfg, spec, FlexModel(s["model"]), k_users=k_users,
+            cfg, spec, FlexModel(s["model"]), k_users=_users(s, cfg),
             n_paths=s["paths"], snr_db=s["snr_db"], seed=[5, s["seed"], 0])
         header, rows = experiment_bo_trace(
             s["objective"], scenario, seed=s["seed"], budget=s["budget"] or None,

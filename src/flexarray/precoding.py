@@ -31,7 +31,8 @@ def _zero_forcing(channel: np.ndarray, precoder: bool = False):
     n, k = channel.shape
     if k > n:
         raise RankDeficiencyError(np.inf, f"cannot zero-force {k} users with {n} antennas")
-    gram = channel.conj().T @ channel
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite Gram fails the guard
+        gram = channel.conj().T @ channel
     if (cond := condition_number(gram)) > COND_MAX:
         raise RankDeficiencyError(cond)
     inv = np.linalg.inv(gram)

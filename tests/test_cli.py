@@ -164,11 +164,13 @@ def _flag(setting):
 
 def _out_of_range_cases():
     """One out-of-range value per bound of every experiment setting in the
-    spec: below ``low``, and non-finite (or, for positive ones, zero) floats."""
+    spec: below ``low``, and non-finite (or, for positive ones, zero) floats.
+    Required settings get a valid value: their first choice, or 2."""
     finite = (harness._real, harness._positive, harness._real_list)
     for command, settings in EXPERIMENTS.items():
         required = [arg for setting in settings if setting.default is REQUIRED
-                    for arg in (_flag(setting), setting.choices[0])]
+                    for arg in (_flag(setting),
+                                setting.choices[0] if setting.choices else "2")]
         for setting in settings:
             values = [str(setting.low - 1)] if setting.low is not None else []
             values += ["nan", "inf"] if setting.cast in finite else []
@@ -223,9 +225,15 @@ class TestBadSettingsExitTwo:
         result = runner.invoke(main, [*args, "--model", "rotate"])
         self.assert_usage_error(result, "snr_db")
 
-    @pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+    def test_crb_sweep_noise_above_the_limit(self, runner):
+        # at sigma2 near 1e308 the inverse of the Fisher matrix overflows
+        result = runner.invoke(main, ["crb-sweep", "--draws", "1", "--sigma2", "1e31"])
+        self.assert_usage_error(result, "sigma2")
+
+    @pytest.mark.parametrize("command", sorted(set(EXPERIMENTS) - {"pattern"}))
     def test_wavelength_too_small_for_a_spacing(self, runner, command):
-        required = {"sumrate": ["--strategy", "sfp"], "bo-trace": ["--objective", "sfp"]}
+        required = {"sumrate": ["--strategy", "sfp"], "bo-trace": ["--objective", "sfp"],
+                    "geometry": ["--nh", "2", "--nv", "1"]}
         model = [] if command == "crb-sweep" else ["--model", "rotate"]
         result = runner.invoke(main, [command, *model, *required.get(command, []),
                                       "--wavelength", "5e-324"])
@@ -244,9 +252,18 @@ class TestBadSettingsExitTwo:
         self.assert_usage_error(result, flag[2:].replace("-", "_"))
         assert "pi for bend, pi/2 for fold" in result.output
 
-    @pytest.mark.parametrize("command", ["power-sweep", "sumrate", "crb-sweep"])
+    @pytest.mark.parametrize("model, value", [("planar", "0.1"), ("bend", "-3.2"),
+                                              ("fold", "1.6")])
+    def test_geometry_outside_the_shape_range(self, runner, model, value):
+        result = runner.invoke(main, ["geometry", "--model", model, "--nh", "4", "--nv", "1",
+                                      f"--psi={value}"])
+        self.assert_usage_error(result, "psi")
+        assert "pi for bend, pi/2 for fold" in result.output
+
+    @pytest.mark.parametrize("command", ["power-sweep", "sumrate", "crb-sweep", "geometry"])
     def test_bend_needs_two_columns(self, runner, command):
-        required = {"sumrate": ["--strategy", "sfp", "--k-users", "1"]}.get(command, [])
+        required = {"sumrate": ["--strategy", "sfp", "--k-users", "1"],
+                    "geometry": ["--nv", "1"]}.get(command, [])
         result = runner.invoke(main, [command, "--model", "bend", "--nh", "1", *required])
         self.assert_usage_error(result, "nh")
 
@@ -367,6 +384,14 @@ class TestOneExperimentOneHash:
         other = run_experiment({"experiment": "power-sweep", **settings, "steps": 6})
         assert _hash(other.csv_text) != _hash(texts[0])
 
+    @pytest.mark.parametrize("experiment, settings", [
+        ("geometry", {"model": "fold", "nh": "3", "nv": "2", "psi": "0.5", "mount": "1.0"}),
+        ("pattern", {"kind": "cosine", "kappa": "2", "grid": "4"})], ids=["geometry", "pattern"])
+    def test_geometry_and_pattern(self, runner, tmp_path, experiment, settings):
+        texts = self.routes(runner, tmp_path, experiment, settings)
+        assert len({_hash(text) for text in texts}) == 1
+        assert len(set(texts)) == 1
+
 
 class TestDumpedConfigRuns:
     def test_sumrate_dump_replays_under_run(self, runner, tmp_path):
@@ -387,6 +412,27 @@ class TestDumpedConfigRuns:
             assert again.stdout_bytes == first.stdout_bytes
 
 
+    @pytest.mark.parametrize("args", [
+        ["geometry", "--model", "bend", "--nh", "4", "--nv", "2", "--psi", "0.4",
+         "--mount", "2.0943951023931953", "--spacing", "0.01"],
+        ["pattern", "--kind", "cosine", "--kappa", "2", "--grid", "5"]],
+        ids=["geometry", "pattern"])
+    def test_geometry_and_pattern_dumps_replay(self, runner, tmp_path, args):
+        conf = tmp_path / "d.ini"
+        first = runner.invoke(main, [*args, "--dump-config", str(conf)])
+        assert first.exit_code == 0, first.output
+        assert conf.read_text().startswith(f"[run]\nexperiment = {args[0]}\n")
+        assert first.stdout.startswith("# config-hash: ")
+        for replay in (["run", "--config", str(conf)], [args[0], "--config", str(conf)]):
+            again = runner.invoke(main, replay)
+            assert again.exit_code == 0, again.output
+            assert again.stdout_bytes == first.stdout_bytes
+
+
+def test_every_subcommand_but_run_comes_from_the_settings_table():
+    assert set(main.commands) == set(EXPERIMENTS) | {"run"}
+
+
 class TestUnknownKeysRejected:
     @pytest.mark.parametrize("command, settings, key", [
         ("sumrate", {"strategy": "jfp", "model": "rotate"}, "trails"),
@@ -398,10 +444,7 @@ class TestUnknownKeysRejected:
     def test_in_ini_files(self, runner, tmp_path, command, settings, key):
         conf = tmp_path / "exp.ini"
         conf.write_text(_ini(command, {**settings, key: 1}))
-        routes = [[command, "--config", str(conf)]]
-        if command in EXPERIMENTS:
-            routes.append(["run", "--config", str(conf)])
-        for args in routes:
+        for args in ([command, "--config", str(conf)], ["run", "--config", str(conf)]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
             assert key in result.output
@@ -418,6 +461,15 @@ class TestUnknownKeysRejected:
 # written by hand before the commands were generated from the spec.
 REQUIRED_FLAG = "required"
 FLAG_SURFACE = {
+    "geometry": {
+        "--model": (REQUIRED_FLAG, "choice"), "--nh": (REQUIRED_FLAG, "integer"),
+        "--nv": (REQUIRED_FLAG, "integer"), "--psi": (0.0, "float"), "--mount": (0.0, "float"),
+        "--wavelength": (0.03, "float"), "--spacing": (None, "float"),
+    },
+    "pattern": {
+        "--kind": (REQUIRED_FLAG, "choice"), "--kappa": (1.0, "float"),
+        "--grid": (73, "integer"),
+    },
     "power-sweep": {
         "--model": (REQUIRED_FLAG, "choice"), "--pattern": ("omni", "choice"),
         "--kappa": (1.0, "float"), "--psi-min": (-1.5707963267948966, "float"),
@@ -456,7 +508,9 @@ COMMON_FLAGS = {"--dump-config": (None, "text"), "--config": (None, "text"),
 CHOICES = {("power-sweep", "--model"): ["rotate", "bend", "fold"],
            ("crb-sweep", "--model"): ["rotate", "bend", "fold", "all"],
            ("sumrate", "--strategy"): ["sfp", "jfp", "sjfp"],
-           ("bo-trace", "--objective"): ["single-sector", "sfp", "jfp", "sjfp"]}
+           ("bo-trace", "--objective"): ["single-sector", "sfp", "jfp", "sjfp"],
+           ("geometry", "--model"): ["planar", "rotate", "bend", "fold"],
+           ("pattern", "--kind"): ["omni", "cosine"]}
 
 
 @pytest.mark.parametrize("command", sorted(FLAG_SURFACE))

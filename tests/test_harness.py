@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -230,14 +228,12 @@ class TestRunExperiment:
 
 
 class TestCsvWriter:
-    def test_round_trip_text(self):
-        buffer = io.StringIO()
-        text = write_csv(buffer, ["a", "b"], [(1, 2), (3, 4)], {"seed": 7})
-        assert buffer.getvalue() == text
-        lines = text.splitlines()
-        assert lines[0] == "# seed: 7"
-        assert lines[1] == "a,b"
-        assert lines[3] == "3,4"
+    def test_round_trip_text(self, tmp_path):
+        text = write_csv(None, ["a", "b"], [(1, 2), (3, 4)], {"seed": 7})
+        assert text.splitlines() == ["# seed: 7", "a,b", "1,2", "3,4"]
+        path = tmp_path / "rows.csv"
+        assert write_csv(path, ["a", "b"], [(1, 2), (3, 4)], {"seed": 7}) == text
+        assert path.read_bytes().decode() == text
 
     def test_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})

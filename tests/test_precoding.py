@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,14 +78,15 @@ class TestZfPrecoder:
         with pytest.raises(RankDeficiencyError):
             zf_precoder(random_channel(np.random.default_rng(4), 3, 5))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("h", [np.ones((6, 2), dtype=complex),  # duplicated columns
                                    np.full((6, 2), np.nan + 0j),
                                    np.vstack([np.eye(2), [[np.inf, 0.0]], np.zeros((3, 2))])],
                              ids=["duplicated", "all-nan", "one-inf"])
     def test_rank_deficiency_reports_condition(self, h):
-        with pytest.raises(RankDeficiencyError) as err:
-            zf_precoder(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficiencyError) as err:
+                zf_precoder(h)
         assert err.value.condition > 1e12 or not np.isfinite(err.value.condition)
 
     @pytest.mark.parametrize("largest, accepted", [(0.99e12, True), (1.01e12, False)])
