@@ -29,11 +29,13 @@ MOUNTS = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)  # array m faces sector m's
 
 @dataclass
 class PathSet:
-    """Plane-wave path parameters of a single link.
+    """Plane-wave path parameters of shape (..., L): one link as (L,), a
+    scenario's users as (3, K, L). The single-link functions take a 1-D set.
 
-    Arrays share length L: elevations in [0, pi], azimuths in radians, and
+    Arrays share one shape: elevations in [0, pi], azimuths in radians, and
     unitless complex gains, all finite. Gains are stored unnormalized; the
-    sqrt(1/L) factor is applied once inside the channel synthesis.
+    sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
+    gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths.
     """
 
     theta: np.ndarray
@@ -44,8 +46,8 @@ class PathSet:
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=complex))
-        if not (self.theta.shape == self.phi.shape == self.beta.shape) or self.theta.ndim != 1:
-            raise ValueError("theta, phi and beta must be 1-D arrays of equal length")
+        if not self.theta.shape == self.phi.shape == self.beta.shape:
+            raise ValueError("theta, phi and beta must have equal shapes")
         if self.theta.size == 0:
             raise ValueError("a path set needs at least one path")
         if not all(np.isfinite(values).all() for values in (self.theta, self.phi, self.beta)):
@@ -55,7 +57,10 @@ class PathSet:
 
     @property
     def n_paths(self) -> int:
-        return self.theta.size
+        return self.theta.shape[-1]
+
+    def __getitem__(self, index) -> PathSet:
+        return PathSet(self.theta[index], self.phi[index], self.beta[index])
 
 
 def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.ndarray:
@@ -102,8 +107,8 @@ def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector
     mount, to the users of ``sectors``: one sector index gives (N, K), a
     slice of sectors (N, S*K) in sector order. Vectorized over users and
     paths; the array's local azimuths subtract its mount."""
-    n_paths = scenario.n_paths
-    theta = scenario.theta[sectors].reshape(-1, n_paths)
-    phi = wrap_angle(scenario.phi[sectors] - MOUNTS[faa]).reshape(-1, n_paths)
-    beta = scenario.beta[sectors].reshape(-1, n_paths)
-    return _synthesize(geometry, scenario.pattern, theta, phi, beta, scenario.cfg.wavelength).T
+    paths = scenario.paths
+    block = _synthesize(geometry, scenario.pattern, paths.theta[sectors],
+                        wrap_angle(paths.phi[sectors] - MOUNTS[faa]), paths.beta[sectors],
+                        scenario.cfg.wavelength)
+    return block.reshape(-1, block.shape[-1]).T

@@ -62,14 +62,17 @@ def _dump_config(ctx: click.Context) -> None:
     parser["run"] = {"experiment": ctx.command.name}
     parser[ctx.command.name] = {key: str(value) for key, value in ctx.params.items()
                                 if key not in NOT_SETTINGS and value is not None}
-    with open(path, "w") as handle:
-        parser.write(handle)
+    try:
+        with open(path, "w") as handle:
+            parser.write(handle)
+    except OSError as exc:
+        raise click.UsageError(f"dump_config: {exc}") from exc
 
 
 def _run_guarded(ctx: click.Context, out: str | None, config: dict) -> None:
     """Run the experiment ``config`` and print its CSV text, or write it to
-    ``out`` ('-' or None for stdout); configuration errors exit 2, numerical
-    failures 3."""
+    ``out`` ('-' or None for stdout); configuration errors and unwritable
+    files exit 2, numerical failures 3."""
     path = None if out in (None, "-") else out
     try:
         text = harness.run_experiment({**config, "out": path}).csv_text
@@ -78,6 +81,8 @@ def _run_guarded(ctx: click.Context, out: str | None, config: dict) -> None:
     except FlexArrayError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         ctx.exit(3)
+    except OSError as exc:  # from writing ``out``; an unreadable scenario file is a ConfigError
+        raise click.UsageError(f"out: {exc}") from exc
     if path is None:
         click.echo(text, nl=False)
     _dump_config(ctx)
@@ -125,11 +130,6 @@ for _name in harness.EXPERIMENTS:
     _experiment_command(_name)
 
 
-def _section_key(name: str) -> str:
-    """A section name with case and '_' versus '-' folded away."""
-    return name.lower().replace("_", "-")
-
-
 @main.command()
 @click.option("--config", "config_path", required=True,
               help="INI file with a [run] section naming the experiment.")
@@ -143,8 +143,9 @@ def run(ctx, config_path, out):
     if not parser.has_option("run", "experiment"):
         raise click.UsageError("config must provide [run] experiment = <name>")
     experiment = parser.get("run", "experiment")
+    folded = experiment.lower().replace("_", "-")  # case and '_' versus '-' folded away
     for section in parser.sections():
-        if section != experiment and _section_key(section) == _section_key(experiment):
+        if section != experiment and section.lower().replace("_", "-") == folded:
             raise click.UsageError(f"section [{section}]: the {experiment} settings go "
                                    f"under [{experiment}]")
     config: dict = {}

@@ -48,26 +48,25 @@ CRB_MAX_RESAMPLES = 100  # redraws of one experiment_crb_sweep draw before it fa
 class Scenario:
     """One realization of the three-sector system.
 
-    ``theta``, ``phi`` and ``beta`` hold the paths of every user, shape
-    (3 sectors, K, L); ``phi`` is the global azimuth. Every array sees the
-    same paths: :func:`~flexarray.channel.sector_block` subtracts its mount.
+    ``paths`` holds the paths of every user, shape (3 sectors, K, L), with
+    global azimuths. Every array sees the same paths:
+    :func:`~flexarray.channel.sector_block` subtracts its mount.
     """
 
     cfg: ArrayConfig
     pattern: PatternSpec
     flex_model: FlexModel
     snr_db: float
-    theta: np.ndarray
-    phi: np.ndarray
-    beta: np.ndarray
+    paths: PathSet
+
+    def __post_init__(self):
+        shape = self.paths.theta.shape if isinstance(self.paths, PathSet) else None
+        if shape is None or len(shape) != 3 or shape[0] != 3:
+            raise ValueError(f"paths must be a PathSet of shape (3, K, L), got {shape}")
 
     @property
     def k_users(self) -> int:
-        return self.theta.shape[1]
-
-    @property
-    def n_paths(self) -> int:
-        return self.theta.shape[2]
+        return self.paths.theta.shape[1]
 
     @property
     def psi_bounds(self) -> tuple:
@@ -101,7 +100,7 @@ def generate_scenario(cfg: ArrayConfig, pattern: PatternSpec, flex_model: FlexMo
             beta[sector, k] = (rng.standard_normal(n_paths)
                                + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
     return Scenario(cfg=cfg, pattern=pattern, flex_model=flex_model, snr_db=snr_db,
-                    theta=theta, phi=phi, beta=beta)
+                    paths=PathSet(theta=theta, phi=phi, beta=beta))
 
 
 def _rank_safe(func, scenario: Scenario):
@@ -229,8 +228,8 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
 
 
 def _crb_regime_paths(rng: np.random.Generator, n_paths: int) -> PathSet:
-    theta = rng.uniform(np.pi / 3, 2 * np.pi / 3, size=n_paths)
-    phi = rng.uniform(-np.pi / 3, np.pi / 3, size=n_paths)
+    theta = rng.uniform(*ELEVATION_RANGE, size=n_paths)
+    phi = rng.uniform(*SECTOR_RANGES[0], size=n_paths)
     beta = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
     return PathSet(theta=theta, phi=phi, beta=beta)
 
@@ -256,11 +255,9 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
         for _ in range(CRB_MAX_RESAMPLES):
             full = _crb_regime_paths(rng, l_max)
             try:
-                fixed = {}
-                optimized = {}
+                fixed, optimized = {}, {}
                 for n_paths in l_values:
-                    paths = PathSet(theta=full.theta[:n_paths], phi=full.phi[:n_paths],
-                                    beta=full.beta[:n_paths])
+                    paths = full[:n_paths]
                     fixed[n_paths] = mean_angle_crb(fisher_matrix(
                         FlexModel.PLANAR, cfg, spec, paths, 0.0, 0.0, sigma2))
                     for model in models:
@@ -275,12 +272,8 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
             fixed_sums[key] += value
         for key, value in optimized.items():
             optimized_sums[key] += value
-    rows = []
-    for n_paths in l_values:
-        for model in models:
-            rows.append((n_paths, model.value,
-                         optimized_sums[(model, n_paths)] / draws,
-                         fixed_sums[n_paths] / draws))
+    rows = [(n_paths, model.value, optimized_sums[(model, n_paths)] / draws,
+             fixed_sums[n_paths] / draws) for n_paths in l_values for model in models]
     return ["L", "model", "mean_crb_optimized", "mean_crb_fixed"], rows
 
 
@@ -404,8 +397,10 @@ def _scenario_paths(path: str) -> PathSet:
             data = json.load(handle)
         beta = np.asarray(data["beta_real"], dtype=float) + 1j * np.asarray(
             data.get("beta_imag", np.zeros(len(data["beta_real"]))), dtype=float)
-        return PathSet(theta=np.asarray(data["theta"], dtype=float),
-                       phi=np.asarray(data["phi"], dtype=float), beta=beta)
+        paths = PathSet(theta=data["theta"], phi=data["phi"], beta=beta)
+        if paths.theta.ndim != 1:
+            raise ValueError("theta, phi and beta must be 1-D arrays of equal length")
+        return paths
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"scenario_file: {exc}") from None
 
@@ -578,6 +573,8 @@ def run_experiment(config: dict) -> ExperimentResult:
     """
     s = _resolve(config)
     experiment = s["experiment"]
+    if "pattern" in s:  # power-sweep, crb-sweep, sumrate and bo-trace
+        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
     if experiment == "geometry":
         cfg = _array_config(s)
         _check_shape_range(s, "psi")
@@ -594,14 +591,12 @@ def run_experiment(config: dict) -> ExperimentResult:
         rows = [(float(theta), float(phi), pattern_gain(spec, theta, phi))
                 for theta in np.linspace(0.0, np.pi, grid) for phi in phis]
     elif experiment == "power-sweep":
-        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         _check_shape_range(s, "psi_min", "psi_max")
         paths = _scenario_paths(s["scenario_file"]) if s["scenario_file"] else None
         header, rows = experiment_power_sweep(
             FlexModel(s["model"]), spec, cfg=cfg, paths=paths, psi_min=s["psi_min"],
             psi_max=s["psi_max"], steps=s["steps"], mount=s["mount"])
     elif experiment == "crb-sweep":
-        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         names = _FLEX_MODELS if s["model"] == "all" else [s["model"]]
         if s["l_max"] < s["l_min"]:
             raise ConfigError(f"l_max: need l_min <= l_max, got {s['l_min']}..{s['l_max']}")
@@ -612,14 +607,12 @@ def run_experiment(config: dict) -> ExperimentResult:
             list(range(s["l_min"], s["l_max"] + 1)), draws=s["draws"], seed=s["seed"],
             sigma2=s["sigma2"], grid_size=s["grid_size"])
     elif experiment == "sumrate":
-        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         header, rows = experiment_sumrate(
             s["strategy"], FlexModel(s["model"]), spec, cfg,
             k_users=_users(s, cfg), n_paths=s["paths"], snr_values=s["snr_db"],
             trials=s["trials"], seed=s["seed"], budget_1d=s["budget_1d"],
             budget_3d=s["budget_3d"], n_init=s["n_init"])
     else:  # bo-trace
-        cfg, spec = _array_config(s), parse_pattern(s["pattern"], s["kappa"])
         scenario = generate_scenario(
             cfg, spec, FlexModel(s["model"]), k_users=_users(s, cfg),
             n_paths=s["paths"], snr_db=s["snr_db"], seed=[5, s["seed"], 0])

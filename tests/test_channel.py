@@ -103,7 +103,7 @@ class TestFlexibleChannel:
         h2 = flexible_channel(FlexModel.ROTATABLE, cfg, COS1, paths, 0.4)
         parts = [flexible_channel(
             FlexModel.ROTATABLE, cfg, COS1,
-            PathSet(theta=[paths.theta[l]], phi=[paths.phi[l]], beta=[paths.beta[l]]),
+            paths[l:l + 1],
             0.4) for l in range(2)]
         np.testing.assert_allclose(h2, (parts[0] + parts[1]) / np.sqrt(2), rtol=1e-12)
 
@@ -115,6 +115,25 @@ class TestFlexibleChannel:
         for bad in (dict(theta=[np.nan]), dict(phi=[np.inf]), dict(beta=[complex(1, np.nan)])):
             with pytest.raises(ValueError, match="finite"):
                 PathSet(**{"theta": [1.0], "phi": [0.0], "beta": [1.0], **bad})
+
+    def test_path_set_of_any_leading_shape(self):
+        rng = np.random.default_rng(21)
+        shape = (3, 2, 4)
+        full = PathSet(theta=rng.uniform(1.0, 2.0, shape), phi=rng.uniform(-1.0, 1.0, shape),
+                       beta=rng.standard_normal(shape) + 0j)
+        assert full.n_paths == 4
+        link = full[1, 0]
+        assert isinstance(link, PathSet) and link.theta.shape == (4,) and link.n_paths == 4
+        for name in ("theta", "phi", "beta"):
+            np.testing.assert_array_equal(getattr(link, name), getattr(full, name)[1, 0])
+        assert full[:, 1].theta.shape == (3, 4)
+        assert link[:2].n_paths == 2
+        with pytest.raises(ValueError, match="at least one path"):
+            link[4:]
+        with pytest.raises(ValueError, match="equal shapes"):
+            PathSet(theta=full.theta, phi=full.phi[..., :3], beta=full.beta)
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            PathSet(theta=full.theta + 2.0, phi=full.phi, beta=full.beta)
 
 
 class TestChannelPower:
@@ -234,8 +253,8 @@ class TestSectorAssembly:
         scenario = self.make_scenario(pattern=COS1)
         rng = np.random.default_rng(7)
         for sector in range(3):
-            scenario.phi[sector] = MOUNTS[sector] + rng.uniform(
-                -np.radians(10), np.radians(10), scenario.phi[sector].shape)
+            scenario.paths.phi[sector] = MOUNTS[sector] + rng.uniform(
+                -np.radians(10), np.radians(10), scenario.paths.phi[sector].shape)
         blocks = self.blocks(scenario, np.array([0.1, -0.2, 0.05]))
         for m in range(3):
             for mp in range(3):
@@ -251,8 +270,7 @@ class TestSectorAssembly:
         for m in range(3):
             for mp in range(3):
                 for k in range(scenario.k_users):
-                    paths = PathSet(theta=scenario.theta[mp, k], phi=scenario.phi[mp, k],
-                                    beta=scenario.beta[mp, k])
+                    paths = scenario.paths[mp, k]
                     expected = flexible_channel(scenario.flex_model, scenario.cfg,
                                                 scenario.pattern, paths, psi[m],
                                                 mount=MOUNTS[m])

@@ -267,6 +267,35 @@ class TestBadSettingsExitTwo:
         result = runner.invoke(main, [command, "--model", "bend", "--nh", "1", *required])
         self.assert_usage_error(result, "nh")
 
+    def test_power_sweep_scenario_file_of_2d_arrays(self, runner, tmp_path):
+        scenario = tmp_path / "paths.json"
+        scenario.write_text('{"theta": [[1.0, 1.2]], "phi": [[0.2, 0.1]], '
+                            '"beta_real": [[1.0, 1.0]]}')
+        result = runner.invoke(main, ["power-sweep", "--model", "rotate", "--steps", "3",
+                                      "--scenario-file", str(scenario)])
+        self.assert_usage_error(result, "scenario_file")
+        assert "1-D" in result.output
+
+    def test_unwritable_out(self, runner, tmp_path):
+        result = runner.invoke(main, ["pattern", "--kind", "omni", "--grid", "2",
+                                      "--out", str(tmp_path / "missing" / "x.csv")])
+        self.assert_usage_error(result, "Error: out: ")
+
+    @pytest.mark.parametrize("args", [["pattern", "--kind", "omni", "--grid", "2"],
+                                      ["geometry", "--model", "rotate", "--nh", "2",
+                                       "--nv", "1"]], ids=["pattern", "geometry"])
+    def test_unwritable_dump_config(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--dump-config",
+                                      str(tmp_path / "missing" / "x.ini")])
+        self.assert_usage_error(result, "Error: dump_config: ")
+
+    def test_unwritable_out_under_run(self, runner, tmp_path):
+        conf = tmp_path / "exp.ini"
+        conf.write_text(f"[run]\nexperiment = pattern\nout = {tmp_path / 'missing' / 'y.csv'}\n"
+                        "[pattern]\nkind = omni\ngrid = 2\n")
+        result = runner.invoke(main, ["run", "--config", str(conf)])
+        self.assert_usage_error(result, "Error: out: ")
+
 
 class TestConfigHandling:
     def test_dumped_config_reruns_identically(self, runner, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,24 +28,24 @@ class TestGenerateScenario:
         a = small_scenario(seed=123)
         b = small_scenario(seed=123)
         for name in ("theta", "phi", "beta"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            np.testing.assert_array_equal(getattr(a.paths, name), getattr(b.paths, name))
 
     def test_shapes_set_the_sizes(self):
         scenario = small_scenario(k_users=5, n_paths=7)
-        for paths in (scenario.theta, scenario.phi, scenario.beta):
+        for paths in (scenario.paths.theta, scenario.paths.phi, scenario.paths.beta):
             assert paths.shape == (3, 5, 7)
-        assert (scenario.k_users, scenario.n_paths) == (5, 7)
+        assert (scenario.k_users, scenario.paths.n_paths) == (5, 7)
         assert scenario.psi_bounds == PSI_BOUNDS[FlexModel.ROTATABLE]
 
     def test_different_seeds_differ(self):
         a = small_scenario(seed=1)
         b = small_scenario(seed=2)
-        assert not np.allclose(a.phi[0, 0], b.phi[0, 0])
+        assert not np.allclose(a.paths.phi[0, 0], b.paths.phi[0, 0])
 
     def test_sector_one_azimuths_inside_wedge(self):
         scenario = small_scenario(k_users=8, n_paths=6, seed=5)
         for sector, (lo, hi) in enumerate(SECTOR_RANGES):
-            phi = scenario.phi[sector]
+            phi = scenario.paths.phi[sector]
             assert np.all(phi >= lo) and np.all(phi <= hi)
 
     def test_local_angles_subtract_mount(self):
@@ -54,25 +56,61 @@ class TestGenerateScenario:
             for sector in range(3):
                 block = sector_block(scenario, geometry, m, sector)
                 for k in range(scenario.k_users):
-                    local = PathSet(theta=scenario.theta[sector, k],
-                                    phi=wrap_angle(scenario.phi[sector, k] - MOUNTS[m]),
-                                    beta=scenario.beta[sector, k])
+                    link = scenario.paths[sector, k]
+                    local = replace(link, phi=wrap_angle(link.phi - MOUNTS[m]))
                     expected = flexible_channel(scenario.flex_model, scenario.cfg,
                                                 scenario.pattern, local, psi)
                     np.testing.assert_allclose(block[:, k], expected, rtol=1e-12)
 
     def test_elevations_inside_band(self):
         scenario = small_scenario(k_users=5, n_paths=8, seed=6)
-        assert np.all(scenario.theta >= np.pi / 3) and np.all(scenario.theta <= 2 * np.pi / 3)
+        assert (np.all(scenario.paths.theta >= np.pi / 3)
+                and np.all(scenario.paths.theta <= 2 * np.pi / 3))
 
     def test_gain_second_moment_near_unit(self):
         scenario = generate_scenario(CFG, OMNI, FlexModel.ROTATABLE, k_users=30,
                                      n_paths=40, snr_db=0.0, seed=7)
-        assert abs(np.mean(np.abs(scenario.beta) ** 2) - 1.0) < 0.05
+        assert abs(np.mean(np.abs(scenario.paths.beta) ** 2) - 1.0) < 0.05
 
     def test_snr_to_power(self):
         scenario = small_scenario(snr_db=15.0)
         assert scenario.p_total == pytest.approx(10 ** 1.5)
+
+
+class TestScenarioPaths:
+    """A scenario holds one validated (3, K, L) path set."""
+
+    def test_nan_path_value_rejected(self):
+        # a NaN azimuth once made every JFP evaluation rank deficient and
+        # scored 0, so optimize_strategy returned 0.0 / 0.0 without an error
+        scenario = small_scenario()
+        phi = scenario.paths.phi.copy()
+        phi[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            replace(scenario, paths=PathSet(theta=scenario.paths.theta, phi=phi,
+                                            beta=scenario.paths.beta))
+
+    def test_mismatched_shapes_rejected(self):
+        paths = small_scenario().paths
+        with pytest.raises(ValueError, match="equal shapes"):
+            PathSet(theta=paths.theta, phi=paths.phi[:, :1], beta=paths.beta)
+
+    @pytest.mark.parametrize("index", [np.s_[:2], np.s_[0], np.s_[0, 0], np.s_[None]],
+                             ids=["two-sectors", "one-sector", "one-link", "4-d"])
+    def test_paths_not_three_sectors_rejected(self, index):
+        scenario = small_scenario()
+        with pytest.raises(ValueError, match=r"\(3, K, L\)"):
+            replace(scenario, paths=scenario.paths[index])
+
+    def test_bare_arrays_rejected(self):
+        scenario = small_scenario()
+        with pytest.raises(ValueError, match=r"\(3, K, L\)"):
+            replace(scenario, paths=scenario.paths.theta)
+
+    def test_users_and_paths_read_from_the_path_set(self):
+        scenario = small_scenario(k_users=3, n_paths=5)
+        assert (scenario.k_users, scenario.paths.n_paths) == (3, 5)
+        assert not hasattr(scenario, "n_paths") and not hasattr(scenario, "theta")
 
 
 class TestOptimizeStrategy:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
+from flexarray.channel import MOUNTS, flexible_channel, sector_block
 from flexarray.errors import COND_MAX, RankDeficiencyError
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
@@ -41,8 +41,8 @@ def uncoupled_scenario(seed):
     scenario = make_scenario(pattern=COS1, seed=seed)
     rng = np.random.default_rng(seed)
     for sector in range(3):
-        scenario.phi[sector] = MOUNTS[sector] + rng.uniform(
-            -np.radians(10), np.radians(10), scenario.phi[sector].shape)
+        scenario.paths.phi[sector] = MOUNTS[sector] + rng.uniform(
+            -np.radians(10), np.radians(10), scenario.paths.phi[sector].shape)
     return scenario
 
 
@@ -164,7 +164,7 @@ class TestSfp:
         # relabel the users of sector 2; leakage received by sector 0 sums
         # over the interfering streams, so it cannot change
         permuted = make_scenario(seed=13)
-        for paths in (permuted.theta, permuted.phi, permuted.beta):
+        for paths in (permuted.paths.theta, permuted.paths.phi, permuted.paths.beta):
             paths[2] = np.roll(paths[2], -1, axis=0)
         swapped = sfp_leakage(permuted, np.zeros(3))
         np.testing.assert_allclose(swapped[0], base[0], rtol=1e-10)
@@ -174,9 +174,9 @@ class TestSfp:
         # radiates nothing toward the other sectors, the omni pattern does
         def centered_scenario(pattern):
             scenario = make_scenario(pattern=pattern, k_users=1, n_paths=1, seed=14)
-            scenario.theta[...] = np.pi / 2
-            scenario.phi[:, 0, 0] = MOUNTS
-            scenario.beta[...] = 1.0
+            scenario.paths.theta[...] = np.pi / 2
+            scenario.paths.phi[:, 0, 0] = MOUNTS
+            scenario.paths.beta[...] = 1.0
             return scenario
 
         omni_leak = sfp_leakage(centered_scenario(OMNI), np.zeros(3)).sum()
@@ -191,8 +191,7 @@ class TestSfp:
         stream_power = scenario.p_total / (3 * scenario.k_users)
         for m in range(3):
             for k in range(scenario.k_users):
-                paths = PathSet(theta=scenario.theta[m, k], phi=scenario.phi[m, k],
-                                beta=scenario.beta[m, k])
+                paths = scenario.paths[m, k]
                 brute = 0.0
                 for mp in range(3):
                     if mp == m:
