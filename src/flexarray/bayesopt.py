@@ -5,6 +5,12 @@ k(a, b) = eta0 * exp(-eta1/2 * ||a - b||^2); hyperparameters stay fixed at
 their defaults. Candidates for the acquisition argmax come from a dense grid
 in one dimension and from a scrambled Sobol stream (refreshed every round) in
 three dimensions, so a run is deterministic given its seed.
+
+scipy is imported inside the functions that use it, not with this module:
+``import flexarray`` and the experiments that never fit a GP load numpy
+only. The first posterior fit loads ``scipy.linalg`` and ``scipy.special``;
+``scipy.stats`` (about two thirds of the scipy import time) loads only when a
+3-D run builds its Sobol stream.
 """
 
 from __future__ import annotations
@@ -13,9 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .errors import COND_MAX, GramConditionError, condition_number
 
@@ -93,6 +96,8 @@ def kernel_eval(kernel: Kernel, a, b) -> float:
 def _gram_cholesky(kernel: Kernel, points: np.ndarray):
     """Cholesky factor of the gram matrix, escalating jitter tenfold up to
     JITTER_MAX while the matrix stays ill conditioned."""
+    from scipy.linalg import cho_factor
+
     diff = points[:, None, :] - points[None, :, :]
     base = kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.sum(diff**2, axis=-1))
     jitter = kernel.jitter
@@ -116,6 +121,8 @@ def _cross_kernel(kernel: Kernel, points: np.ndarray, queries: np.ndarray) -> np
 
 def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
     """Predictive means and variances at (C, D) query points at once."""
+    from scipy.linalg import cho_solve, solve_triangular
+
     if queries.shape[1] != data.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != data dimension {data.dim}")
     factor = _gram_cholesky(kernel, data.points)
@@ -139,6 +146,8 @@ def expected_improvement(mean: float, sigma: float, f_best: float) -> float:
 
 def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:
     """EI (Jones, Schonlau & Welch 1998); 0 where sigma is not positive."""
+    from scipy.special import ndtr
+
     out = np.zeros_like(mean)
     positive = sigma > 0.0
     gap = mean[positive] - f_best
@@ -208,7 +217,10 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
         measure(row)
     measure(np.zeros(dim))
 
-    sobol = qmc.Sobol(d=dim, scramble=True, seed=rng) if dim > 1 else None
+    if dim > 1:
+        from scipy.stats import qmc
+
+        sobol = qmc.Sobol(d=dim, scramble=True, seed=rng)
     grid = np.linspace(bounds[0, 0], bounds[0, 1], GRID_CANDIDATES_1D)[:, None]
     added = True
     for _ in range(budget):

@@ -62,6 +62,12 @@ class PathSet:
     def __getitem__(self, index) -> PathSet:
         return PathSet(self.theta[index], self.phi[index], self.beta[index])
 
+    def link(self) -> PathSet:
+        """This set if it is one link (1-D); ValueError otherwise."""
+        if self.theta.ndim != 1:
+            raise ValueError(f"paths: need a 1-D path set (one link), got shape {self.theta.shape}")
+        return self
+
 
 def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.ndarray:
     """Far-field array manifold; unit-modulus phase response of each element.
@@ -92,6 +98,7 @@ def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     """Channel vector of one link for an array flexed to ``psi`` and mounted at ``mount``, (N,)."""
     if not np.isfinite(mount):
         raise ValueError("mount must be finite")
+    paths = paths.link()
     return _synthesize(flex_geometry(model, cfg, psi), spec, paths.theta, paths.phi - mount,
                        paths.beta, cfg.wavelength)
 

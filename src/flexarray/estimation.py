@@ -43,6 +43,7 @@ def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass: the manifold
     g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi),
     and its partials -jk (da/dxi) g share one set of path sines and cosines."""
+    paths = paths.link()
     geometry = flex_geometry(model, cfg, psi)
     theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
     pattern, d_pat_theta, d_pat_phi = pattern_and_derivatives(
@@ -116,6 +117,7 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    paths = paths.link()
     lo, hi = float(psi_range[0]), float(psi_range[1])
     evaluated = []
     for psi in np.linspace(lo, hi, grid_size):

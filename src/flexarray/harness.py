@@ -397,10 +397,7 @@ def _scenario_paths(path: str) -> PathSet:
             data = json.load(handle)
         beta = np.asarray(data["beta_real"], dtype=float) + 1j * np.asarray(
             data.get("beta_imag", np.zeros(len(data["beta_real"]))), dtype=float)
-        paths = PathSet(theta=data["theta"], phi=data["phi"], beta=beta)
-        if paths.theta.ndim != 1:
-            raise ValueError("theta, phi and beta must be 1-D arrays of equal length")
-        return paths
+        return PathSet(theta=data["theta"], phi=data["phi"], beta=beta).link()
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"scenario_file: {exc}") from None
 

@@ -135,6 +135,22 @@ class TestFlexibleChannel:
         with pytest.raises(ValueError, match=r"\[0, pi\]"):
             PathSet(theta=full.theta + 2.0, phi=full.phi, beta=full.beta)
 
+    def test_link_returns_a_one_dimensional_set_and_rejects_others(self):
+        scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), OMNI,
+                                     FlexModel.ROTATABLE, k_users=2, n_paths=3, seed=5)
+        link = scenario.paths[0, 1]
+        assert link.link() is link
+        for paths in (scenario.paths, scenario.paths[0]):
+            with pytest.raises(ValueError, match="paths: .*1-D"):
+                paths.link()
+
+    def test_multi_link_path_set_is_rejected(self):
+        cfg = ArrayConfig(4, 2, wavelength=WAVELENGTH)
+        scenario = generate_scenario(cfg, OMNI, FlexModel.ROTATABLE, k_users=2, n_paths=3,
+                                     seed=5)
+        with pytest.raises(ValueError, match="paths"):
+            flexible_channel(FlexModel.ROTATABLE, cfg, OMNI, scenario.paths[0], 0.2)
+
 
 class TestChannelPower:
     def test_all_ones_vector(self):

@@ -6,6 +6,7 @@ from flexarray.errors import COND_MAX, PatternBoundaryError, SingularFisherError
 from flexarray.estimation import (FisherMatrix, channel_param_derivatives, crb, fisher_matrix,
                                   mean_angle_crb, optimal_psi_for_crb)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
+from flexarray.harness import generate_scenario
 from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
                                  pattern_coefficient, wrap_angle)
 
@@ -378,3 +379,25 @@ class TestOptimalPsi:
         with pytest.raises(ValueError):
             optimal_psi_for_crb(FlexModel.ROTATABLE, cfg, OMNI, paths, 0.0, 1.0,
                                 (-0.5, 0.5), grid_size=1)
+
+
+class TestOneLinkArguments:
+    """The single-link functions name ``paths`` when handed a (K, L) set
+    instead of failing inside numpy broadcasting."""
+
+    CFG = ArrayConfig(4, 2, wavelength=WAVELENGTH)
+    CALLS = {
+        "fisher_matrix": lambda cfg, paths: fisher_matrix(
+            FlexModel.ROTATABLE, cfg, OMNI, paths, 0.2, 0.0, 1.0),
+        "channel_param_derivatives": lambda cfg, paths: channel_param_derivatives(
+            FlexModel.ROTATABLE, cfg, OMNI, paths, 0.2, 0.0, 0),
+        "optimal_psi_for_crb": lambda cfg, paths: optimal_psi_for_crb(
+            FlexModel.ROTATABLE, cfg, OMNI, paths, 0.0, 1.0, (-0.5, 0.5), grid_size=5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_user_block_is_rejected(self, name):
+        scenario = generate_scenario(self.CFG, OMNI, FlexModel.ROTATABLE, k_users=2,
+                                     n_paths=3, seed=5)
+        with pytest.raises(ValueError, match="paths"):
+            self.CALLS[name](self.CFG, scenario.paths[0])

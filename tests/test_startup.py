@@ -1,0 +1,65 @@
+"""scipy loads only when a Gaussian-process fit needs it.
+
+Each case runs in a fresh interpreter: this test process has imported scipy
+already (the bayesopt tests use it), so ``sys.modules`` here says nothing.
+The child prints the names of the loaded modules that start with ``scipy`` as JSON.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+TINY_RUNS = """
+from flexarray.harness import run_experiment
+for config in (dict(experiment="crb-sweep", model="all", draws=1, nh=2, nv=2, grid_size=5,
+                    l_max=2),
+               dict(experiment="power-sweep", model="bend", steps=3),
+               dict(experiment="geometry", model="fold", nh=2, nv=1, psi=0.3),
+               dict(experiment="pattern", kind="cosine", grid=3)):
+    run_experiment(config)
+"""
+CLI_HELP = """
+from flexarray.cli import main
+for args in (["--help"], ["sumrate", "--help"]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+"""
+GP_RUN = """
+import numpy as np
+from flexarray.bayesopt import optimize
+optimize(lambda p: -float(np.sum(p**2)), [(-1.0, 1.0)] * {dim}, budget=2, seed=0)
+"""
+
+
+def scipy_modules_after(code: str) -> set:
+    script = "import sys, json\n" + code + (
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("code", ["import flexarray", TINY_RUNS, CLI_HELP],
+                         ids=["import", "gp-free-experiments", "cli-help"])
+def test_no_scipy_without_a_gp_fit(code):
+    assert scipy_modules_after(code) == set()
+
+
+def test_one_dimensional_gp_loads_linalg_but_not_stats():
+    loaded = scipy_modules_after(GP_RUN.format(dim=1))
+    assert "scipy.linalg" in loaded
+    assert "scipy.stats" not in loaded
+
+
+def test_three_dimensional_gp_loads_stats():
+    assert "scipy.stats" in scipy_modules_after(GP_RUN.format(dim=3))
