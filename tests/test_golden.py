@@ -1,22 +1,39 @@
-"""Fixed-seed experiment outputs pinned by the SHA-256 of their CSV text.
+"""Fixed-seed experiment outputs pinned three ways.
 
 Each case runs :func:`flexarray.harness.run_experiment` in-process on a small
-configuration and compares the digest of ``csv_text`` (config-hash line
-included) with the one stored in ``tests/data/golden_csv.json``. A refactor
-that is meant to leave results alone must keep every digest; a change that
-moves results on purpose re-records them with ``python tests/test_golden.py``
-and explains the difference.
+configuration and splits its ``csv_text`` into the ``# key: value`` header
+and the body (every line after it). ``tests/data/golden_csv.json`` holds, per
+case, the SHA-256 of the body, the header's key set and its config hash;
+``tests/data/golden_values.json`` holds every cell of the body.
+
+- The body digest is compared with ``==``: a refactor that is meant to leave
+  results alone keeps every digest.
+- The header keys and the config hash are compared with ``==``, so a header
+  line can be added without touching a body digest.
+- The value record agrees within ``VALUE_RTOL`` relative for numeric cells and
+  exactly for integer and text cells. A change that moves results by
+  rounding re-records the digests and shows here that it stayed within the
+  bound.
+
+``python tests/test_golden.py --check`` prints the largest relative deviation
+of each case from the value record; ``python tests/test_golden.py``
+re-records both files after an intended change of results.
 """
 
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from flexarray.harness import run_experiment
 
-GOLDEN = Path(__file__).parent / "data" / "golden_csv.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_csv.json"
+VALUES = DATA / "golden_values.json"
+VALUE_RTOL = 1e-9  # the ZF guard admits cond(H) up to 1e6, which amplifies rounding
 
 _SUMRATE_BUDGETS = dict(trials=1, budget_1d=6, budget_3d=8)
 _SUMRATE_SETUPS = {
@@ -42,18 +59,101 @@ CASES = {
 }
 
 
-def digest(case: str) -> str:
-    return hashlib.sha256(run_experiment(CASES[case]).csv_text.encode()).hexdigest()
+def split_csv(case: str) -> tuple:
+    """(header as {key: value}, body text) of the case's CSV output."""
+    lines = run_experiment(CASES[case]).csv_text.splitlines(keepends=True)
+    n_header = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    header = dict(line[2:].rstrip("\n").split(": ", 1) for line in lines[:n_header])
+    return header, "".join(lines[n_header:])
+
+
+def pin(header: dict, body: str) -> dict:
+    return {"body_sha256": hashlib.sha256(body.encode()).hexdigest(),
+            "header_keys": sorted(header), "config_hash": header["config-hash"]}
+
+
+def cell(text: str):
+    """An integer or text cell as it is; a numeric cell as a float."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def body_cells(body: str) -> list:
+    return [[cell(text) for text in line.split(",")] for line in body.splitlines()]
+
+
+def deviation(recorded, got) -> float:
+    """Largest relative deviation of the float cells; inf when the shape,
+    an integer cell, a text cell or the kind of a cell differs."""
+    if len(recorded) != len(got) or any(len(a) != len(b) for a, b in zip(recorded, got)):
+        return math.inf
+    worst = 0.0
+    for a, b in zip((x for row in recorded for x in row), (x for row in got for x in row)):
+        if type(a) is not type(b):
+            return math.inf
+        if isinstance(a, float) and a != b:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+        elif not isinstance(a, float) and a != b:
+            return math.inf
+    return worst
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    return {}
+
+
+def output(outputs: dict, case: str) -> tuple:
+    if case not in outputs:
+        outputs[case] = split_csv(case)
+    return outputs[case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fixed_seed_csv_is_unchanged(case):
-    assert digest(case) == json.loads(GOLDEN.read_text())[case]
+def test_fixed_seed_csv_is_unchanged(case, outputs):
+    header, body = output(outputs, case)
+    recorded = json.loads(GOLDEN.read_text())[case]
+    assert pin(header, body)["body_sha256"] == recorded["body_sha256"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_header_keys_and_config_hash_are_unchanged(case, outputs):
+    header, body = output(outputs, case)
+    got, recorded = pin(header, body), json.loads(GOLDEN.read_text())[case]
+    assert (got["header_keys"], got["config_hash"]) == (recorded["header_keys"],
+                                                        recorded["config_hash"])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_values_agree_with_the_record(case, outputs):
+    _, body = output(outputs, case)
+    recorded = json.loads(VALUES.read_text())[case]
+    assert deviation(recorded, body_cells(body)) <= VALUE_RTOL
 
 
 def test_every_case_has_a_recorded_digest():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+    assert sorted(json.loads(VALUES.read_text())) == sorted(CASES)
 
 
-if __name__ == "__main__":  # re-record the digests after an intended change of results
-    GOLDEN.write_text(json.dumps({case: digest(case) for case in sorted(CASES)}, indent=1) + "\n")
+def test_deviation_is_exact_for_integer_and_text_cells():
+    assert deviation([[1, 0.5, "a"]], [[1, 0.5 * (1 + 1e-12), "a"]]) == pytest.approx(1e-12)
+    for got in ([[2, 0.5, "a"]], [[1, 0.5, "b"]], [[1.0, 0.5, "a"]], [[1, 0.5]], []):
+        assert deviation([[1, 0.5, "a"]], got) == math.inf
+
+
+if __name__ == "__main__":
+    outputs = {case: split_csv(case) for case in sorted(CASES)}
+    if sys.argv[1:] == ["--check"]:  # largest deviation of each case from the value record
+        recorded = json.loads(VALUES.read_text())
+        for case, (_, body) in outputs.items():
+            print(f"{case}: {deviation(recorded[case], body_cells(body)):.3g}")
+    else:  # re-record both files after an intended change of results
+        GOLDEN.write_text(json.dumps({case: pin(*out) for case, out in outputs.items()},
+                                     indent=1) + "\n")
+        VALUES.write_text(json.dumps({case: body_cells(body) for case, (_, body)
+                                      in outputs.items()}) + "\n")
