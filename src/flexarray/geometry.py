@@ -29,10 +29,23 @@ class FlexModel(enum.Enum):
     FOLDABLE = "fold"
 
 
-PSI_LIMITS = {FlexModel.PLANAR: 0.0, FlexModel.BENDABLE: np.pi, FlexModel.FOLDABLE: np.pi / 2}
-"""Largest |psi| a shape takes: the planar array has no flex angle, a bend
-beyond pi overlaps itself, a fold beyond pi/2 passes through itself.
-Rotation takes any angle."""
+@dataclass(frozen=True)
+class PsiRange:
+    """Flex angles of one model: ``limit`` is the largest |psi| a shape takes,
+    ``search`` the (low, high) box the sum-rate optimizers search."""
+
+    limit: float
+    search: tuple
+
+
+PSI_RANGES = {
+    FlexModel.PLANAR: PsiRange(0.0, (0.0, 0.0)),
+    FlexModel.ROTATABLE: PsiRange(np.inf, (-np.pi / 4, np.pi / 4)),
+    FlexModel.BENDABLE: PsiRange(np.pi, (-np.pi / 2, np.pi / 2)),
+    FlexModel.FOLDABLE: PsiRange(np.pi / 2, (-np.pi / 4, np.pi / 4)),
+}
+"""The planar array has no flex angle, rotation takes any angle, a bend
+beyond pi overlaps itself and a fold beyond pi/2 passes through itself."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ def bent_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     BEND_EPS returns the planar limit.
     """
     psi = _check_psi(psi)
-    if abs(psi) > PSI_LIMITS[FlexModel.BENDABLE]:
+    if abs(psi) > PSI_RANGES[FlexModel.BENDABLE].limit:
         raise ValueError(f"bend angle |psi| must not exceed pi, got {psi!r}")
     if abs(psi) < BEND_EPS:
         return planar_positions(cfg)
@@ -159,7 +172,7 @@ def folded_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     the values {+psi, 0, -psi} with zero reserved for a center column.
     """
     psi = _check_psi(psi)
-    if abs(psi) > PSI_LIMITS[FlexModel.FOLDABLE]:
+    if abs(psi) > PSI_RANGES[FlexModel.FOLDABLE].limit:
         raise ValueError(f"fold angle |psi| must not exceed pi/2, got {psi!r}")
     half = _centered_axis(cfg.n_h, cfg.spacing)  # signed y of each column
     return _grid(cfg, -np.abs(half) * np.sin(psi), half * np.cos(psi), np.sign(half) * psi)

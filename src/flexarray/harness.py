@@ -24,18 +24,11 @@ from .channel import PathSet, channel_power, flexible_channel, sector_block
 from .errors import (ConfigError, FlexArrayError, OptimizationError, PatternBoundaryError,
                      RankDeficiencyError, SingularFisherError)
 from .estimation import fisher_matrix, mean_angle_crb, optimal_psi_for_crb
-from .geometry import PSI_LIMITS, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
+from .geometry import PSI_RANGES, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from .radiation import PatternKind, PatternSpec, pattern_gain
 
 SECTOR_RANGES = ((-np.pi / 3, np.pi / 3), (np.pi / 3, np.pi), (np.pi, 5 * np.pi / 3))
 ELEVATION_RANGE = (np.pi / 3, 2 * np.pi / 3)
-
-PSI_BOUNDS = {
-    FlexModel.PLANAR: (0.0, 0.0),
-    FlexModel.ROTATABLE: (-np.pi / 4, np.pi / 4),
-    FlexModel.BENDABLE: (-np.pi / 2, np.pi / 2),
-    FlexModel.FOLDABLE: (-np.pi / 4, np.pi / 4),
-}
 
 STRATEGIES = ("single-sector", "sfp", "jfp", "sjfp")
 SNR_DB_MAX = 300.0  # a linear 1e30 keeps SINR products far from float overflow (at 3082 dB)
@@ -70,7 +63,7 @@ class Scenario:
 
     @property
     def psi_bounds(self) -> tuple:
-        return PSI_BOUNDS[self.flex_model]
+        return PSI_RANGES[self.flex_model].search
 
     @property
     def p_total(self) -> float:
@@ -554,7 +547,7 @@ def _users(s: dict, cfg: ArrayConfig) -> int:
 
 def _check_shape_range(s: dict, *keys: str) -> None:
     """The flex angles ``s[key]`` must lie in the shape range of ``s['model']``."""
-    limit = PSI_LIMITS.get(FlexModel(s["model"]), np.inf)
+    limit = PSI_RANGES[FlexModel(s["model"])].limit
     for key in keys:
         if abs(s[key]) > limit:
             raise ConfigError(f"{key}: the {s['model']} model takes |psi| <= {limit:.6g} "

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexarray.geometry import (BEND_EPS, ArrayConfig, FlexModel, bent_geometry, flex_geometry,
+from flexarray.geometry import (BEND_EPS, PSI_RANGES, ArrayConfig, FlexModel, bent_geometry, flex_geometry,
                                 folded_geometry, mounted_geometry, planar_positions,
                                 rotated_geometry)
 
@@ -276,3 +276,20 @@ class TestSharedInvariants:
     def test_non_finite_psi_rejected(self):
         with pytest.raises(ValueError):
             rotated_geometry(ArrayConfig(2, 2), np.nan)
+
+
+class TestPsiRanges:
+    def test_one_record_per_model(self):
+        quarter, half = np.pi / 4, np.pi / 2
+        assert {model: (r.limit, r.search) for model, r in PSI_RANGES.items()} == {
+            FlexModel.PLANAR: (0.0, (0.0, 0.0)),
+            FlexModel.ROTATABLE: (np.inf, (-quarter, quarter)),
+            FlexModel.BENDABLE: (np.pi, (-half, half)),
+            FlexModel.FOLDABLE: (half, (-quarter, quarter)),
+        }
+
+    @pytest.mark.parametrize("model", [FlexModel.ROTATABLE, FlexModel.BENDABLE,
+                                       FlexModel.FOLDABLE])
+    def test_search_box_lies_within_the_limit(self, model):
+        low, high = PSI_RANGES[model].search
+        assert -PSI_RANGES[model].limit <= low < 0.0 < high <= PSI_RANGES[model].limit

@@ -5,8 +5,8 @@ import pytest
 
 from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
 from flexarray.errors import ConfigError
-from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
-from flexarray.harness import (PSI_BOUNDS, SECTOR_RANGES, config_hash, default_sweep_paths,
+from flexarray.geometry import PSI_RANGES, ArrayConfig, FlexModel, flex_geometry
+from flexarray.harness import (SECTOR_RANGES, config_hash, default_sweep_paths,
                                experiment_bo_trace, experiment_power_sweep,
                                experiment_sumrate, generate_scenario, optimize_strategy,
                                run_experiment, write_csv)
@@ -35,7 +35,7 @@ class TestGenerateScenario:
         for paths in (scenario.paths.theta, scenario.paths.phi, scenario.paths.beta):
             assert paths.shape == (3, 5, 7)
         assert (scenario.k_users, scenario.paths.n_paths) == (5, 7)
-        assert scenario.psi_bounds == PSI_BOUNDS[FlexModel.ROTATABLE]
+        assert scenario.psi_bounds == PSI_RANGES[FlexModel.ROTATABLE].search
 
     def test_different_seeds_differ(self):
         a = small_scenario(seed=1)
@@ -126,7 +126,7 @@ class TestOptimizeStrategy:
         for model in (FlexModel.ROTATABLE, FlexModel.BENDABLE, FlexModel.FOLDABLE):
             scenario = generate_scenario(CFG, OMNI, model, k_users=2, n_paths=3,
                                          snr_db=10.0, seed=3)
-            lo, hi = PSI_BOUNDS[model]
+            lo, hi = PSI_RANGES[model].search
             result = optimize_strategy(scenario, "sjfp", seed=1,
                                        budget_3d=5, n_init=2)
             assert np.all(result.psi_star >= lo) and np.all(result.psi_star <= hi)
