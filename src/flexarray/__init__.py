@@ -21,8 +21,8 @@ from .harness import (Scenario, StrategyResult, generate_scenario, optimize_stra
                       run_experiment)
 from .precoding import (effective_gain, jfp_sumrate, single_sector_sumrate, sjfp_sumrate,
                         zf_precoder)
-from .radiation import (PatternKind, PatternSpec, element_pattern_vector,
-                        normalization_integral, pattern_and_derivatives, pattern_coefficient,
-                        pattern_derivatives, pattern_gain, wrap_angle)
+from .radiation import (PatternKind, PatternSpec, column_amplitudes, normalization_integral,
+                        pattern_and_derivatives, pattern_coefficient, pattern_derivatives,
+                        pattern_gain, wrap_angle)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,12 @@ where e stacks the per-element pattern coefficients under the deformation's
 boresight offsets, g is the far-field planar-wave array manifold at the
 deformed element positions, and (.) is the elementwise product. Path angles
 are global; an array mounted at azimuth m sees every path at azimuth phi - m.
+
+Every shape moves the N_h grid columns in the horizontal plane and keeps the
+N_v heights, so at element (v, h) e_l (.) g_l is the column factor
+A(theta_l, phi_l - o_h) exp(-jk sin(theta_l) (x_h cos(phi_l) + y_h sin(phi_l)))
+times the row factor exp(-jk z_v cos(theta_l)), and the path sum is one
+(N_v x L) @ (L x N_h) product per link: N_h + N_v exponentials per path, not N_h N_v.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import ArrayConfig, ArrayGeometry, FlexModel, flex_geometry
-from .radiation import PatternSpec, element_pattern_vector, wrap_angle
+from .radiation import PatternSpec, column_amplitudes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
@@ -87,10 +93,15 @@ def _synthesize(geometry: ArrayGeometry, spec: PatternSpec, theta, phi, beta,
                 wavelength: float) -> np.ndarray:
     """sqrt(1/L) sum_l beta_l e_l (.) g_l over the last axis of the (..., L)
     elevations, array-local azimuths and gains; shape (..., N)."""
-    theta, phi, beta = theta[..., None], phi[..., None], beta[..., None]
-    pattern = element_pattern_vector(spec, geometry, theta, phi)
-    manifold = array_manifold(geometry.positions, theta, phi, wavelength)
-    return np.sqrt(1.0 / theta.shape[-2]) * (beta * pattern * manifold).sum(axis=-2)
+    sin_theta, cos_theta = np.sin(theta)[..., None], np.cos(theta)[..., None]
+    cos_phi, sin_phi = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    jk = 2j * np.pi / wavelength
+    columns = np.exp(-jk * sin_theta * (geometry.column_x * cos_phi + geometry.column_y * sin_phi))
+    columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, geometry.column_offsets)
+    gains = np.sqrt(1.0 / theta.shape[-1]) * beta[..., None]
+    rows = gains * np.exp(-jk * cos_theta * geometry.heights)
+    grid = np.swapaxes(rows, -1, -2) @ columns  # (..., N_v, N_h)
+    return grid.reshape(*grid.shape[:-2], -1)
 
 
 def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
@@ -116,6 +127,6 @@ def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector
     paths; the array's local azimuths subtract its mount."""
     paths = scenario.paths
     block = _synthesize(geometry, scenario.pattern, paths.theta[sectors],
-                        wrap_angle(paths.phi[sectors] - MOUNTS[faa]), paths.beta[sectors],
+                        paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
                         scenario.cfg.wavelength)
     return block.reshape(-1, block.shape[-1]).T

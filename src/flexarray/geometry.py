@@ -3,9 +3,9 @@
 A planar N_h x N_v grid sits on the y-z plane and deforms through a single
 scalar degree of freedom ``psi``: a rigid rotation about z, a circular bend in
 the horizontal plane, or a single vertical fold line through the array center.
-Every deformation leaves the z coordinates untouched. Elements are ordered
-column-major over the grid (horizontal index fastest), and the same ordering
-is used by the pattern and channel builders.
+Every deformation moves the N_h columns in the horizontal plane and keeps the
+N_v heights. Elements are ordered column-major over the grid (horizontal index
+fastest), and the same ordering is used by the pattern and channel builders.
 """
 
 from __future__ import annotations
@@ -81,22 +81,23 @@ class ArrayConfig:
 
 @dataclass
 class ArrayGeometry:
-    """Element positions, shape (N, 3), and boresight azimuth offsets, shape (N,).
+    """An N_h x N_v grid: column h stands at (``column_x[h]``, ``column_y[h]``)
+    with boresight azimuth offset ``column_offsets[h]`` from the +x axis and
+    holds one element at each height ``heights[v]``. ``positions`` (N, 3) and
+    ``orientation_offsets`` (N,) list the elements, horizontal index fastest."""
 
-    The offset of an element is the azimuth of its pattern boresight measured
-    from the +x axis; a planar array has all offsets at zero.
-    """
-
+    column_x: np.ndarray
+    column_y: np.ndarray
+    column_offsets: np.ndarray
+    heights: np.ndarray
     positions: np.ndarray
     orientation_offsets: np.ndarray
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.orientation_offsets = np.asarray(self.orientation_offsets, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must have shape (N, 3)")
-        if self.orientation_offsets.shape != (self.positions.shape[0],):
-            raise ValueError("one orientation offset per element required")
+        n_h, n = self.column_x.shape[0], self.column_x.shape[0] * self.heights.shape[0]
+        if not (self.column_y.shape == self.column_offsets.shape == (n_h,)
+                and self.positions.shape == (n, 3) and self.orientation_offsets.shape == (n,)):
+            raise ValueError("need N_h columns, N_v heights and N = N_h * N_v elements")
 
     @property
     def n_elements(self) -> int:
@@ -125,7 +126,8 @@ def _grid(cfg: ArrayConfig, x_row, y_row, offset_row) -> ArrayGeometry:
     positions[..., 2] = _centered_axis(cfg.n_v, cfg.spacing)[:, None]
     offsets = np.empty((cfg.n_v, cfg.n_h))
     offsets[...] = offset_row
-    return ArrayGeometry(positions.reshape(-1, 3), offsets.reshape(-1))
+    return ArrayGeometry(positions[0, :, 0], positions[0, :, 1], offsets[0], positions[:, 0, 2],
+                         positions.reshape(-1, 3), offsets.reshape(-1))
 
 
 def planar_positions(cfg: ArrayConfig) -> ArrayGeometry:
@@ -187,7 +189,10 @@ def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeom
     mount = _check_psi(mount_azimuth)
     c, s = np.cos(mount), np.sin(mount)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return ArrayGeometry(geometry.positions @ rot.T, geometry.orientation_offsets + mount)
+    positions = geometry.positions @ rot.T
+    columns = positions[:geometry.column_x.shape[0]]  # the first row
+    return ArrayGeometry(columns[:, 0], columns[:, 1], geometry.column_offsets + mount,
+                         geometry.heights, positions, geometry.orientation_offsets + mount)
 
 
 def flex_geometry(model: FlexModel, cfg: ArrayConfig, psi: float) -> ArrayGeometry:

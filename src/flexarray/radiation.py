@@ -8,8 +8,9 @@ everywhere, and a directional cosine pattern
 on the front half-space phi in [-pi/2, pi/2] (zero behind), whose
 normalization constant makes the gain integrate to 4 pi over the sphere for
 any sharpness kappa >= 1. Amplitude coefficients are the square roots of the
-gains. Azimuth arguments are always wrapped to (-pi, pi] first, since
-per-element boresight offsets can push them outside the principal range.
+gains. Azimuth arguments are wrapped to (-pi, pi] first, since per-element
+boresight offsets can push them outside the principal range;
+``column_amplitudes`` takes the azimuth's cosine and sine, which need no wrap.
 """
 
 from __future__ import annotations
@@ -89,13 +90,17 @@ def pattern_coefficient(spec: PatternSpec, theta, phi):
     return np.sqrt(pattern_gain(spec, theta, phi))
 
 
-def element_pattern_vector(spec: PatternSpec, geometry, theta, phi) -> np.ndarray:
-    """Per-element amplitude coefficients for a deformed array, shape (..., N).
-
-    Entry n is the coefficient at (theta, phi - offset_n) where offset_n is the
-    element's boresight azimuth; ordering matches the geometry vectorization.
-    """
-    return pattern_coefficient(spec, theta, phi - geometry.orientation_offsets)
+def column_amplitudes(spec: PatternSpec, sin_theta, cos_phi, sin_phi, offsets):
+    """:func:`pattern_coefficient` toward paths given by the sine of their
+    elevation and the cosine and sine of their azimuth, (..., L, 1) each, for
+    elements with boresight azimuth offsets ``offsets`` (N_h,); (..., L, N_h),
+    or 1.0 for omni. cos(phi - o) = cos(phi) cos(o) + sin(phi) sin(o) needs
+    no wrapping, and its sign marks the front half-space."""
+    if spec.kind is PatternKind.OMNI:
+        return 1.0
+    half_kappa = spec.kappa / 2.0
+    cos_off = cos_phi * np.cos(offsets) + sin_phi * np.sin(offsets)
+    return np.sqrt(spec.peak_gain) * sin_theta**half_kappa * np.maximum(cos_off, 0.0)**half_kappa
 
 
 def pattern_and_derivatives(spec: PatternSpec, theta, phi):

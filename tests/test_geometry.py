@@ -228,6 +228,28 @@ class TestDirectGrid:
             # bytes, so that the sign of every zero matches too
             assert geom.positions.tobytes() == positions.tobytes()
             assert geom.orientation_offsets.tobytes() == offsets.tobytes()
+            for mount in (0.7, 2 * np.pi / 3, 4 * np.pi / 3):
+                mounted = mounted_geometry(geom, mount)
+                c, s = np.cos(mount), np.sin(mount)
+                rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+                assert mounted.positions.tobytes() == (positions @ rot.T).tobytes()
+                assert mounted.orientation_offsets.tobytes() == (offsets + mount).tobytes()
+
+    @pytest.mark.parametrize("model, n_h, n_v", [
+        (model, n_h, n_v) for model in [FlexModel.PLANAR, *MODELS] for n_h, n_v in GRID_SIZES
+        if not (model is FlexModel.BENDABLE and n_h == 1)])
+    def test_columns_and_heights_list_the_elements(self, model, n_h, n_v):
+        """Element (v, h) is column h at height v, bit for bit, mounted or not."""
+        cfg = ArrayConfig(n_h, n_v, wavelength=0.03)
+        for psi in ([0.0] if model is FlexModel.PLANAR else [-1.2, 0.4, np.pi / 2]):
+            for mount in (None, 0.7, 4 * np.pi / 3):
+                geom = flex_geometry(model, cfg, psi)
+                geom = geom if mount is None else mounted_geometry(geom, mount)
+                grid = np.stack([*np.broadcast_arrays(geom.column_x, geom.column_y,
+                                                      geom.heights[:, None])], axis=-1)
+                assert grid.tobytes() == geom.positions.tobytes()
+                offsets = np.broadcast_to(geom.column_offsets, (n_v, n_h))
+                assert offsets.tobytes() == geom.orientation_offsets.tobytes()
 
 
 class TestSharedInvariants:

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from flexarray.errors import PatternBoundaryError
 from flexarray.geometry import ArrayConfig, folded_geometry, rotated_geometry
-from flexarray.radiation import (PatternKind, PatternSpec, element_pattern_vector,
+from flexarray.radiation import (PatternKind, PatternSpec, column_amplitudes,
                                  normalization_integral, pattern_coefficient,
                                  pattern_derivatives, pattern_gain, wrap_angle)
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)
+COS15 = PatternSpec(PatternKind.COSINE, kappa=1.5)
 COS2 = PatternSpec(PatternKind.COSINE, kappa=2.0)
 
 
@@ -119,24 +120,44 @@ class TestCoefficient:
         assert pattern_coefficient(COS1, np.pi / 2, np.pi / 2) == pytest.approx(0.0, abs=1e-7)
 
 
-class TestElementPatternVector:
+class TestColumnAmplitudes:
+    @staticmethod
+    def amplitudes(spec, geom, theta, phi):
+        return column_amplitudes(spec, np.sin(theta), np.cos(phi), np.sin(phi),
+                                 geom.column_offsets)
+
     def test_omni_all_ones(self):
-        geom = rotated_geometry(ArrayConfig(4, 2), 0.7)
-        np.testing.assert_array_equal(element_pattern_vector(OMNI, geom, 1.0, 0.2),
-                                      np.ones(8))
+        assert self.amplitudes(OMNI, rotated_geometry(ArrayConfig(4, 2), 0.7), 1.0, 0.2) == 1.0
 
     def test_rotated_array_uniform_entries(self):
         psi = 0.5
         geom = rotated_geometry(ArrayConfig(3, 2), psi)
-        vec = element_pattern_vector(COS1, geom, np.pi / 2, 0.1)
-        np.testing.assert_allclose(vec, pattern_coefficient(COS1, np.pi / 2, 0.1 - psi))
+        vec = self.amplitudes(COS1, geom, np.pi / 2, 0.1)
+        np.testing.assert_allclose(vec, np.full(3, pattern_coefficient(COS1, np.pi / 2, 0.1 - psi)))
 
     def test_folded_two_element_values(self):
         geom = folded_geometry(ArrayConfig(2, 1), np.pi / 4)
-        vec = element_pattern_vector(COS1, geom, np.pi / 2, 0.0)
+        vec = self.amplitudes(COS1, geom, np.pi / 2, 0.0)
         expected = np.sqrt(4.0 * np.cos(np.pi / 4))
         np.testing.assert_allclose(vec, [expected, expected])
         assert vec[0] == pytest.approx(1.6818, abs=1e-4)
+
+    @pytest.mark.parametrize("spec", [COS1, COS15, COS2])
+    def test_on_any_support_edge(self, spec):
+        """Where the offset is not 0, "on the edge" holds only to rounding:
+        both routes compute cos(phi - o) to within 1e-15, and x^(kappa/2)
+        moves by at most |dx|^(kappa/2) for kappa <= 2, so the amplitudes
+        agree to sqrt(peak gain) * (1e-15)^(kappa/2) there and to 1e-12
+        relative off the edge."""
+        rng = np.random.default_rng(37)
+        offsets = rng.uniform(-np.pi, np.pi, 9)
+        phi = np.concatenate([rng.uniform(-np.pi, np.pi, 40), offsets + np.pi / 2,
+                              offsets - np.pi / 2])[:, None]
+        theta = rng.uniform(0.0, np.pi, phi.shape)
+        got = column_amplitudes(spec, np.sin(theta), np.cos(phi), np.sin(phi), offsets)
+        expected = pattern_coefficient(spec, theta, phi - offsets)
+        bound = np.sqrt(spec.peak_gain) * 1e-15 ** (spec.kappa / 2) + 1e-12 * expected
+        assert np.all(np.abs(got - expected) <= bound)
 
 
 class TestDerivatives:
