@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexarray.geometry import (BEND_EPS, PSI_RANGES, ArrayConfig, FlexModel, bent_geometry, flex_geometry,
-                                folded_geometry, mounted_geometry, planar_positions,
-                                rotated_geometry)
+from flexarray.geometry import (BEND_EPS, PSI_RANGES, ArrayConfig, FlexModel, bent_geometry,
+                                flex_geometry, folded_geometry, mounted_geometry,
+                                planar_positions, rotated_geometry)
 
 
 def rot_xy(angle):
@@ -245,8 +245,8 @@ class TestDirectGrid:
             for mount in (None, 0.7, 4 * np.pi / 3):
                 geom = flex_geometry(model, cfg, psi)
                 geom = geom if mount is None else mounted_geometry(geom, mount)
-                grid = np.stack([*np.broadcast_arrays(geom.column_x, geom.column_y,
-                                                      geom.heights[:, None])], axis=-1)
+                grid = np.stack(np.broadcast_arrays(geom.column_x, geom.column_y,
+                                                    geom.heights[:, None]), axis=-1)
                 assert grid.tobytes() == geom.positions.tobytes()
                 offsets = np.broadcast_to(geom.column_offsets, (n_v, n_h))
                 assert offsets.tobytes() == geom.orientation_offsets.tobytes()

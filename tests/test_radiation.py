@@ -143,21 +143,21 @@ class TestColumnAmplitudes:
         assert vec[0] == pytest.approx(1.6818, abs=1e-4)
 
     @pytest.mark.parametrize("spec", [COS1, COS15, COS2])
-    def test_on_any_support_edge(self, spec):
-        """Where the offset is not 0, "on the edge" holds only to rounding:
-        both routes compute cos(phi - o) to within 1e-15, and x^(kappa/2)
-        moves by at most |dx|^(kappa/2) for kappa <= 2, so the amplitudes
-        agree to sqrt(peak gain) * (1e-15)^(kappa/2) there and to 1e-12
-        relative off the edge."""
+    def test_matches_the_coefficient_up_to_the_support_edge(self, spec):
+        """Equal to ``pattern_coefficient`` at phi - o to 1e-12 relative. On
+        the support edge of a nonzero offset the two agree only to rounding:
+        both get cos(phi - o) to within 1e-15, and x^(kappa/2) moves by at
+        most |dx|^(kappa/2) for kappa <= 2, so there the amplitudes agree to
+        sqrt(peak gain) * (1e-15)^(kappa/2)."""
         rng = np.random.default_rng(37)
         offsets = rng.uniform(-np.pi, np.pi, 9)
-        phi = np.concatenate([rng.uniform(-np.pi, np.pi, 40), offsets + np.pi / 2,
-                              offsets - np.pi / 2])[:, None]
-        theta = rng.uniform(0.0, np.pi, phi.shape)
-        got = column_amplitudes(spec, np.sin(theta), np.cos(phi), np.sin(phi), offsets)
-        expected = pattern_coefficient(spec, theta, phi - offsets)
-        bound = np.sqrt(spec.peak_gain) * 1e-15 ** (spec.kappa / 2) + 1e-12 * expected
-        assert np.all(np.abs(got - expected) <= bound)
+        for phi, slack in ((rng.uniform(-np.pi, np.pi, (40, 1)), 0.0),
+                           (np.concatenate([offsets + np.pi / 2, offsets - np.pi / 2])[:, None],
+                            np.sqrt(spec.peak_gain) * 1e-15 ** (spec.kappa / 2))):
+            theta = rng.uniform(0.0, np.pi, phi.shape)
+            got = column_amplitudes(spec, np.sin(theta), np.cos(phi), np.sin(phi), offsets)
+            expected = pattern_coefficient(spec, theta, phi - offsets)
+            assert np.all(np.abs(got - expected) <= 1e-12 * expected + slack)
 
 
 class TestDerivatives:
