@@ -52,6 +52,8 @@ CASES = {
        for objective in ("single-sector", "sfp", "jfp", "sjfp")},
     "crb-sweep": dict(experiment="crb-sweep", model="all", draws=2, nh=4, nv=4,
                       grid_size=31, l_max=3),
+    "crb-sweep-cosine2": dict(experiment="crb-sweep", model="all", pattern="cosine", kappa=2.0,
+                              draws=2, nh=4, nv=4, grid_size=31, l_max=3),
     "power-sweep-rotate": dict(experiment="power-sweep", model="rotate"),
     "power-sweep-bend-mounted": dict(experiment="power-sweep", model="bend",
                                      pattern="cosine", kappa=2.0, mount=0.7),
