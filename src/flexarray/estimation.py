@@ -40,26 +40,26 @@ class FisherMatrix:
 def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                       paths: PathSet, psi: float, mount: float) -> np.ndarray:
     """Channel derivatives for all parameters, columns (N, 4L) ordered
-    [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass: the manifold
-    g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi),
-    and its partials -jk (da/dxi) g share one set of path sines and cosines."""
+    [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass on (L, N_v, N_h):
+    the manifold g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi)
+    per column, and its partials -jk (da/dxi) g share one set of path sines and cosines."""
     paths = paths.link()
     geometry = flex_geometry(model, cfg, psi)
-    theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
+    theta, phi = paths.theta[:, None, None], (paths.phi - mount)[:, None, None]
     pattern, d_pat_theta, d_pat_phi = pattern_and_derivatives(
-        spec, theta, phi - geometry.orientation_offsets)
+        spec, theta, phi - geometry.column_offsets)
     sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    x, y, z = geometry.positions.T
+    x, y, z = geometry.column_x, geometry.column_y, geometry.heights[:, None]
     u = x * cos_phi + y * sin_phi
     jk = 2j * np.pi / cfg.wavelength
     manifold = np.exp(-jk * (sin_theta * u + z * cos_theta))
 
     scale = np.sqrt(1.0 / paths.n_paths)
-    weighted = scale * paths.beta[:, None] * manifold
+    weighted = scale * paths.beta[:, None, None] * manifold
     d_theta = weighted * (d_pat_theta - jk * (cos_theta * u - z * sin_theta) * pattern)
     d_phi = weighted * (d_pat_phi - jk * sin_theta * (y * cos_phi - x * sin_phi) * pattern)
     d_beta_r = scale * pattern * manifold
-    return np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).T
+    return np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).reshape(-1, cfg.n_elements).T
 
 
 def stack_parameters(paths: PathSet) -> np.ndarray:

@@ -4,14 +4,15 @@ A planar N_h x N_v grid sits on the y-z plane and deforms through a single
 scalar degree of freedom ``psi``: a rigid rotation about z, a circular bend in
 the horizontal plane, or a single vertical fold line through the array center.
 Every deformation moves the N_h columns in the horizontal plane and keeps the
-N_v heights. Elements are ordered column-major over the grid (horizontal index
-fastest), and the same ordering is used by the pattern and channel builders.
+N_v heights, so an array is stored as its columns and its heights; the
+element list (horizontal index fastest) is derived from them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class ArrayConfig:
     spacing: float | None = None
 
     def __post_init__(self):
-        if self.n_h < 1 or self.n_v < 1:
-            raise ValueError(f"element counts must be >= 1, got {self.n_h}x{self.n_v}")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n_h, self.n_v)):
+            raise ValueError(f"element counts must be integers >= 1, got {self.n_h}x{self.n_v}")
         if not math.isfinite(self.wavelength) or self.wavelength <= 0:
             raise ValueError(f"wavelength must be finite and positive, got {self.wavelength!r}")
         if self.spacing is None:
@@ -83,25 +84,28 @@ class ArrayConfig:
 class ArrayGeometry:
     """An N_h x N_v grid: column h stands at (``column_x[h]``, ``column_y[h]``)
     with boresight azimuth offset ``column_offsets[h]`` from the +x axis and
-    holds one element at each height ``heights[v]``. ``positions`` (N, 3) and
-    ``orientation_offsets`` (N,) list the elements, horizontal index fastest."""
+    holds one element at each height ``heights[v]``. The element list,
+    ``positions`` (N, 3) and ``orientation_offsets`` (N,), is derived from
+    the grid on each access, horizontal index fastest."""
 
     column_x: np.ndarray
     column_y: np.ndarray
     column_offsets: np.ndarray
     heights: np.ndarray
-    positions: np.ndarray
-    orientation_offsets: np.ndarray
 
     def __post_init__(self):
-        n_h, n = self.column_x.shape[0], self.column_x.shape[0] * self.heights.shape[0]
-        if not (self.column_y.shape == self.column_offsets.shape == (n_h,)
-                and self.positions.shape == (n, 3) and self.orientation_offsets.shape == (n,)):
-            raise ValueError("need N_h columns, N_v heights and N = N_h * N_v elements")
+        if not (self.column_x.ndim == self.heights.ndim == 1
+                and self.column_x.shape == self.column_y.shape == self.column_offsets.shape):
+            raise ValueError("need N_h column x, y and offsets and N_v heights, each 1-D")
 
     @property
-    def n_elements(self) -> int:
-        return self.positions.shape[0]
+    def positions(self) -> np.ndarray:
+        grid = np.broadcast_arrays(self.column_x, self.column_y, self.heights[:, None])
+        return np.stack(grid, axis=-1).reshape(-1, 3)
+
+    @property
+    def orientation_offsets(self) -> np.ndarray:
+        return np.tile(self.column_offsets, self.heights.shape[0])
 
 
 def _centered_axis(count: int, spacing: float) -> np.ndarray:
@@ -117,17 +121,12 @@ def _check_psi(psi: float) -> float:
 
 
 def _grid(cfg: ArrayConfig, x_row, y_row, offset_row) -> ArrayGeometry:
-    """Geometry whose every row (one vertical index) has horizontal
-    coordinates ``x_row``, ``y_row`` and boresight offsets ``offset_row``,
-    each N_h values or one shared value; z is the centred vertical axis."""
-    positions = np.empty((cfg.n_v, cfg.n_h, 3))
-    positions[..., 0] = x_row
-    positions[..., 1] = y_row
-    positions[..., 2] = _centered_axis(cfg.n_v, cfg.spacing)[:, None]
-    offsets = np.empty((cfg.n_v, cfg.n_h))
-    offsets[...] = offset_row
-    return ArrayGeometry(positions[0, :, 0], positions[0, :, 1], offsets[0], positions[:, 0, 2],
-                         positions.reshape(-1, 3), offsets.reshape(-1))
+    """Geometry whose columns have horizontal coordinates ``x_row``, ``y_row``
+    and boresight offsets ``offset_row``, each N_h values or one shared
+    value; the heights are the centred vertical axis."""
+    columns = np.empty((3, cfg.n_h))
+    columns[0], columns[1], columns[2] = x_row, y_row, offset_row
+    return ArrayGeometry(*columns, _centered_axis(cfg.n_v, cfg.spacing))
 
 
 def planar_positions(cfg: ArrayConfig) -> ArrayGeometry:
@@ -189,10 +188,11 @@ def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeom
     mount = _check_psi(mount_azimuth)
     c, s = np.cos(mount), np.sin(mount)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    positions = geometry.positions @ rot.T
-    columns = positions[:geometry.column_x.shape[0]]  # the first row
+    # first row of the element list: its 0 * z term sets the sign of a zero x or y
+    first_row = np.broadcast_arrays(geometry.column_x, geometry.column_y, geometry.heights[0])
+    columns = np.stack(first_row, axis=-1) @ rot.T
     return ArrayGeometry(columns[:, 0], columns[:, 1], geometry.column_offsets + mount,
-                         geometry.heights, positions, geometry.orientation_offsets + mount)
+                         geometry.heights)
 
 
 def flex_geometry(model: FlexModel, cfg: ArrayConfig, psi: float) -> ArrayGeometry:

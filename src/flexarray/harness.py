@@ -572,8 +572,8 @@ def run_experiment(config: dict) -> ExperimentResult:
         if s["mount"] != 0.0:  # a rotation by 0 would print -0.0 as 0.0
             geom = mounted_geometry(geom, s["mount"])
         header = ["n", "x", "y", "z", "orient"]
-        rows = [(n, *geom.positions[n], geom.orientation_offsets[n])
-                for n in range(geom.n_elements)]
+        rows = [(n, *position, offset) for n, (position, offset)
+                in enumerate(zip(geom.positions, geom.orientation_offsets))]
     elif experiment == "pattern":
         spec, grid = parse_pattern(s["kind"], s["kappa"]), s["grid"]
         phis = -np.pi + 2.0 * np.pi * (np.arange(grid) + 1) / grid

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexarray.geometry import (BEND_EPS, PSI_RANGES, ArrayConfig, FlexModel, bent_geometry,
-                                flex_geometry, folded_geometry, mounted_geometry,
+from flexarray.geometry import (BEND_EPS, PSI_RANGES, ArrayConfig, ArrayGeometry, FlexModel,
+                                bent_geometry, flex_geometry, folded_geometry, mounted_geometry,
                                 planar_positions, rotated_geometry)
 
 
@@ -35,12 +35,11 @@ class TestPlanar:
         np.testing.assert_allclose(geom.positions, expected)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            ArrayConfig(0, 1)
-        with pytest.raises(ValueError):
-            ArrayConfig(2, 2, wavelength=-1.0)
-        with pytest.raises(ValueError):
-            ArrayConfig(2, 2, spacing=0.0)
+        for args, kwargs in [((0, 1), {}), ((2, 2), dict(wavelength=-1.0)),
+                             ((2, 2), dict(spacing=0.0)), ((2.5, 2), {}), ((2, 2.0), {}),
+                             ((np.nan, 2), {}), ((2, np.nan), {})]:
+            with pytest.raises(ValueError):
+                ArrayConfig(*args, **kwargs)
 
     @pytest.mark.parametrize("field", ["wavelength", "spacing"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -212,6 +211,22 @@ def tiled_geometry(model, cfg, psi):
 
 
 GRID_SIZES = [(1, 1), (1, 3), (2, 1), (5, 1), (8, 1), (7, 3), (8, 8)]
+
+
+class TestArrayGeometry:
+    def test_accepts_a_grid(self):
+        geom = ArrayGeometry(np.zeros(3), np.ones(3), np.zeros(3), np.array([-1.0, 1.0]))
+        assert geom.positions.shape == (6, 3) and geom.orientation_offsets.shape == (6,)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            ArrayGeometry(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError):
+            ArrayGeometry(np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(2))
+
+    def test_two_dimensional_heights_rejected(self):
+        with pytest.raises(ValueError):
+            ArrayGeometry(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((2, 1)))
 
 
 class TestDirectGrid:
