@@ -214,10 +214,6 @@ GRID_SIZES = [(1, 1), (1, 3), (2, 1), (5, 1), (8, 1), (7, 3), (8, 8)]
 
 
 class TestArrayGeometry:
-    def test_accepts_a_grid(self):
-        geom = ArrayGeometry(np.zeros(3), np.ones(3), np.zeros(3), np.array([-1.0, 1.0]))
-        assert geom.positions.shape == (6, 3) and geom.orientation_offsets.shape == (6,)
-
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError):
             ArrayGeometry(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(2))
