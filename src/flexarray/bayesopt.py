@@ -8,9 +8,9 @@ three dimensions, so a run is deterministic given its seed.
 
 scipy is imported inside the functions that use it, not with this module:
 ``import flexarray`` and the experiments that never fit a GP load numpy
-only. The first posterior fit loads ``scipy.linalg`` and ``scipy.special``;
-``scipy.stats`` (about two thirds of the scipy import time) loads only when a
-3-D run builds its Sobol stream.
+only. The first posterior fit loads ``scipy.linalg`` and ``scipy.special``. The Sobol
+stream is numpy code (:class:`SobolStream`) with the bits of ``scipy.stats.qmc.Sobol``,
+so no run loads ``scipy.stats`` (about two thirds of the scipy import time).
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ DUPLICATE_TOL = 1e-12
 JITTER_MAX = 1e-6
 GRID_CANDIDATES_1D = 361
 SOBOL_CANDIDATES = 2048
+SOBOL_BITS = 30
+# Joe & Kuo (2008) direction numbers for Sobol dimensions 2 to 8, as scipy ships them: the
+# primitive polynomial with its leading and trailing 1 bits, and m_1..m_s. Dimension 1 has m_j = 1.
+_SOBOL_TABLE = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+                (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)))
+SOBOL_MAX_DIM = 1 + len(_SOBOL_TABLE)
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,50 @@ def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
     return candidates[int(np.argmax(ei))].copy()
 
 
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Direction numbers m_j 2^(SOBOL_BITS - j), shape (dim, SOBOL_BITS), from the recurrence
+    m_j = 2 a_1 m_{j-1} ^ ... ^ 2^(s-1) a_{s-1} m_{j-s+1} ^ 2^s m_{j-s} ^ m_{j-s}."""
+    rows = [[1] * SOBOL_BITS]
+    for poly, m in _SOBOL_TABLE[:dim - 1]:
+        s, m = poly.bit_length() - 1, list(m)
+        for j in range(s, SOBOL_BITS):
+            m.append(m[j - s] ^ m[j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    m[j] ^= m[j - k] << k
+        rows.append(m)
+    return np.array(rows, dtype=np.uint32) << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+class SobolStream:
+    """Sobol points in [0, 1)^dim with linear matrix scrambling and a digital shift
+    (Matousek 1998), bit for bit those of ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=rng)``. The scramble comes from ``rng.spawn(1)[0]``; ``rng``'s own draws are left alone."""
+
+    def __init__(self, dim: int, rng: np.random.Generator):
+        if not 1 <= dim <= SOBOL_MAX_DIM:
+            raise ValueError(f"Sobol stream takes 1 to {SOBOL_MAX_DIM} dimensions, got {dim}")
+        rng = rng.spawn(1)[0]
+        msb = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # shift of bit i, MSB first
+        self._point = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ (1 << msb[::-1])
+        ltm = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        bits = (_sobol_directions(dim)[:, :, None] >> msb) & 1  # (dim, j, bit i)
+        scrambled = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)  # parity of ltm @ bits
+        self._directions = np.ascontiguousarray(scrambled.T)  # (SOBOL_BITS, dim), rows for np.take
+        self._count = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` > 0 points, shape (n, dim), in Gray-code order: point 0 is the shift,
+        point k the point before it XOR the direction number at the lowest zero bit of k - 1."""
+        prev = np.arange(self._count - 1, self._count + n - 1)
+        steps = np.take(self._directions, np.frexp((prev + 1) & ~prev)[1] - 1, axis=0)
+        steps[0] = self._point if self._count == 0 else self._point ^ steps[0]
+        points = np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+        self._point, self._count = points[-1].copy(), self._count + n
+        return points * 2.0**-SOBOL_BITS
+
+
 @dataclass
 class OptimizeResult:
     """Outcome of a surrogate optimization run."""
@@ -199,6 +249,11 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     dim = bounds.shape[0]
     kernel = Kernel()
     rng = np.random.default_rng(seed)
+    if dim > 1:  # the stream checks dim before any objective call; spawning leaves rng alone
+        sobol = SobolStream(dim, rng)
+        # tiled to full size: scaling through a 3-wide broadcast takes several times longer
+        span = np.tile(bounds[:, 1] - bounds[:, 0], (SOBOL_CANDIDATES, 1))
+        low = np.tile(bounds[:, 0], (SOBOL_CANDIDATES, 1))
 
     points: list[np.ndarray] = []
     values: list[float] = []
@@ -217,10 +272,6 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
         measure(row)
     measure(np.zeros(dim))
 
-    if dim > 1:
-        from scipy.stats import qmc
-
-        sobol = qmc.Sobol(d=dim, scramble=True, seed=rng)
     grid = np.linspace(bounds[0, 0], bounds[0, 1], GRID_CANDIDATES_1D)[:, None]
     added = True
     for _ in range(budget):
@@ -229,8 +280,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
             spread = raw.std()
             scaled = (raw - raw.mean()) / (spread if spread > 0 else 1.0)
             data = GpDataset(np.array(points), scaled)
-            candidates = grid if dim == 1 else qmc.scale(
-                sobol.random(SOBOL_CANDIDATES), bounds[:, 0], bounds[:, 1])
+            candidates = grid if dim == 1 else sobol.random(SOBOL_CANDIDATES) * span + low
             proposal = propose_next(kernel, data, candidates)
         added = measure(proposal)
 

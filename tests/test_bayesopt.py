@@ -9,9 +9,10 @@ from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 from flexarray import bayesopt, harness
-from flexarray.bayesopt import (GpDataset, Kernel, _cross_kernel, _expected_improvement_batch,
-                                _gram_cholesky, _posterior_batch, expected_improvement,
-                                gp_posterior, kernel_eval, optimize, propose_next)
+from flexarray.bayesopt import (SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kernel, SobolStream,
+                                _cross_kernel, _expected_improvement_batch, _gram_cholesky,
+                                _posterior_batch, expected_improvement, gp_posterior, kernel_eval,
+                                optimize, propose_next)
 from flexarray.errors import GramConditionError
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
@@ -205,6 +206,30 @@ class TestProposeNext:
             propose_next(UNIT, data, np.empty((0, 1)))
 
 
+class TestSobolStream:
+    @pytest.mark.parametrize("dim", range(1, SOBOL_MAX_DIM + 1))
+    def test_matches_scipy_bit_for_bit(self, dim):
+        from scipy.stats import qmc
+
+        for seed in (0, 1, 12345, [3, 0, 0]):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            stream, sobol = SobolStream(dim, ours), qmc.Sobol(d=dim, scramble=True, seed=theirs)
+            for n in (SOBOL_CANDIDATES,) * 4 + (37,):
+                np.testing.assert_array_equal(stream.random(n), sobol.random(n))
+            assert ours.random() == theirs.random()  # the parent stream is left alone
+
+    def test_first_point_is_the_shift_and_points_are_distinct(self):
+        points = SobolStream(3, np.random.default_rng(0)).random(SOBOL_CANDIDATES)
+        assert points.shape == (SOBOL_CANDIDATES, 3)
+        assert np.all((points >= 0.0) & (points < 1.0))
+        assert len(np.unique(points, axis=0)) == SOBOL_CANDIDATES
+
+    @pytest.mark.parametrize("dim", [0, SOBOL_MAX_DIM + 1])
+    def test_dimension_outside_the_table_rejected(self, dim):
+        with pytest.raises(ValueError, match="dimensions"):
+            SobolStream(dim, np.random.default_rng(0))
+
+
 class TestOptimize:
     def test_finds_quadratic_maximum(self):
         result = optimize(lambda p: -(p[0] - 0.3) ** 2, [(-np.pi / 2, np.pi / 2)],
@@ -266,6 +291,19 @@ class TestOptimize:
             optimize(lambda p: 0.0, [(-1, 1)], budget=1, n_init=0)
         with pytest.raises(ValueError):
             optimize(lambda p: 0.0, [(1, -1)], budget=1)
+
+    def test_dimension_beyond_the_sobol_table_fails_before_any_call(self):
+        calls = []
+        with pytest.raises(ValueError, match="dimensions"):
+            optimize(lambda p: calls.append(p) or 0.0, [(-1, 1)] * (SOBOL_MAX_DIM + 1), budget=1)
+        assert calls == []
+
+    def test_degenerate_axis_in_three_dimensions(self):
+        result = optimize(lambda p: -float(np.sum(p**2)), [(-1, 1), (0.25, 0.25), (-1, 1)],
+                          budget=5, n_init=3, seed=0)
+        assert len(result.trace) == 3 + 1 + 5
+        for i, (point, _) in enumerate(result.trace):
+            assert point[1] == (0.0 if i == 3 else 0.25)  # measurement 3 is the zero point
 
 
 TRACES = json.loads((Path(__file__).parent / "data" / "optimize_traces.json").read_text())

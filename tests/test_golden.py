@@ -19,13 +19,15 @@ case, the SHA-256 of the body, the header's key set and its config hash;
 of each case from the value record. ``python tests/test_golden.py`` re-records
 both files after an intended change of results; with ``--digests`` it
 re-records only ``golden_csv.json``, for a change that moves results by
-rounding and keeps the value record it is measured against.
+rounding and keeps the value record it is measured against. ``--case NAME
+[NAME ...]`` limits any of these to the named cases (for instance a new one);
+every other entry of both files stays byte for byte as it was.
 """
 
+import argparse
 import hashlib
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -144,21 +146,84 @@ def test_every_case_has_a_recorded_digest():
     assert sorted(json.loads(VALUES.read_text())) == sorted(CASES)
 
 
+@pytest.fixture
+def recorded_copies(tmp_path):
+    """Copies of both record files in ``tmp_path`` and their original bytes."""
+    copies = {path: tmp_path / path.name for path in (GOLDEN, VALUES)}
+    for path, copy in copies.items():
+        copy.write_bytes(path.read_bytes())
+    return copies[GOLDEN], copies[VALUES], GOLDEN.read_bytes(), VALUES.read_bytes()
+
+
+def test_recording_nothing_rewrites_both_files_byte_for_byte(recorded_copies):
+    golden, values, golden_bytes, values_bytes = recorded_copies
+    record({}, golden=golden, values=values)
+    assert (golden.read_bytes(), values.read_bytes()) == (golden_bytes, values_bytes)
+
+
+@pytest.mark.parametrize("digests_only", [False, True])
+def test_recording_one_case_leaves_every_other_entry(recorded_copies, digests_only):
+    golden, values, golden_bytes, values_bytes = recorded_copies
+    header, body = {"config-hash": "0123"}, "x,y\n1,2.5\n"
+    record({"pattern-cosine": (header, body)}, digests_only, golden=golden, values=values)
+    pins, cells = json.loads(golden.read_text()), json.loads(values.read_text())
+    assert pins.pop("pattern-cosine") == pin(header, body)
+    old_pins = json.loads(golden_bytes)
+    old_pins.pop("pattern-cosine")
+    assert pins == old_pins
+    if digests_only:
+        assert values.read_bytes() == values_bytes
+    else:
+        assert cells["pattern-cosine"] == [["x", "y"], [1, 2.5]]
+        record({"pattern-cosine": split_csv("pattern-cosine")}, golden=golden, values=values)
+        assert (golden.read_bytes(), values.read_bytes()) == (golden_bytes, values_bytes)
+
+
+def test_unknown_case_name_exits_nonzero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--case", "pattern-cosine", "no-such-case"])
+    assert exited.value.code != 0
+    assert "no-such-case" in capsys.readouterr().err
+
+
 def test_deviation_is_exact_for_integer_and_text_cells():
     assert deviation([[1, 0.5, "a"]], [[1, 0.5 * (1 + 1e-12), "a"]]) == pytest.approx(1e-12)
     for got in ([[2, 0.5, "a"]], [[1, 0.5, "b"]], [[1.0, 0.5, "a"]], [[1, 0.5]], []):
         assert deviation([[1, 0.5, "a"]], got) == math.inf
 
 
-if __name__ == "__main__":
-    outputs = {case: split_csv(case) for case in sorted(CASES)}
-    if sys.argv[1:] == ["--check"]:  # largest deviation of each case from the value record
+def record(outputs: dict, digests_only: bool = False, golden: Path = GOLDEN,
+           values: Path = VALUES) -> None:
+    """Re-record the cases of ``outputs`` ({case: (header, body)}) in both files, or in
+    ``golden`` only with ``digests_only``; every other entry is written back as it was."""
+    def rewrite(path: Path, entries: dict, **dump) -> None:
+        old = json.loads(path.read_text()) if path.exists() else {}
+        merged = {case: entries[case] if case in entries else old[case]
+                  for case in sorted(CASES) if case in entries or case in old}
+        path.write_text(json.dumps(merged, **dump) + "\n")
+
+    rewrite(golden, {case: pin(*out) for case, out in outputs.items()}, indent=1)
+    if not digests_only:
+        rewrite(values, {case: body_cells(body) for case, (_, body) in outputs.items()})
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Check or re-record the golden CSV pins.")
+    parser.add_argument("--check", action="store_true",
+                        help="print each case's largest deviation from the value record")
+    parser.add_argument("--digests", action="store_true",
+                        help="re-record golden_csv.json only and keep the value record")
+    parser.add_argument("--case", nargs="+", choices=sorted(CASES), metavar="NAME",
+                        help="only these cases (default: all)")
+    args = parser.parse_args(argv)
+    outputs = {case: split_csv(case) for case in sorted(args.case or CASES)}
+    if args.check:
         recorded = json.loads(VALUES.read_text())
         for case, (_, body) in outputs.items():
             print(f"{case}: {deviation(recorded[case], body_cells(body)):.3g}")
     else:  # re-record after an intended change of results
-        GOLDEN.write_text(json.dumps({case: pin(*out) for case, out in outputs.items()},
-                                     indent=1) + "\n")
-        if sys.argv[1:] != ["--digests"]:
-            VALUES.write_text(json.dumps({case: body_cells(body) for case, (_, body)
-                                          in outputs.items()}) + "\n")
+        record(outputs, digests_only=args.digests)
+
+
+if __name__ == "__main__":
+    main()
