@@ -218,12 +218,6 @@ class TestSobolStream:
                 np.testing.assert_array_equal(stream.random(n), sobol.random(n))
             assert ours.random() == theirs.random()  # the parent stream is left alone
 
-    def test_first_point_is_the_shift_and_points_are_distinct(self):
-        points = SobolStream(3, np.random.default_rng(0)).random(SOBOL_CANDIDATES)
-        assert points.shape == (SOBOL_CANDIDATES, 3)
-        assert np.all((points >= 0.0) & (points < 1.0))
-        assert len(np.unique(points, axis=0)) == SOBOL_CANDIDATES
-
     @pytest.mark.parametrize("dim", [0, SOBOL_MAX_DIM + 1])
     def test_dimension_outside_the_table_rejected(self, dim):
         with pytest.raises(ValueError, match="dimensions"):
