@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flexarray import bayesopt, harness
 from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
 from flexarray.errors import ConfigError
 from flexarray.geometry import PSI_RANGES, ArrayConfig, FlexModel, flex_geometry
@@ -145,6 +146,43 @@ class TestOptimizeStrategy:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
             optimize_strategy(small_scenario(), "mrt")
+
+    # (sector, salt) of each optimizer run per strategy, for seed s
+    RUNS = {"single-sector": lambda s: [(0, [2, s])],
+            "sfp": lambda s: [(m, [3, m, s]) for m in range(3)],
+            "jfp": lambda s: [(0, [4, s])],
+            "sjfp": lambda s: [(0, [4, s])]}
+
+    @pytest.mark.parametrize("strategy, calls", [("single-sector", 36), ("sfp", 108),
+                                                 ("jfp", 66), ("sjfp", 66)])
+    def test_runs_and_objective_calls_at_default_budgets(self, monkeypatch, strategy, calls):
+        """Each run is one ``bayesopt.optimize`` call on ``_objective`` plus one
+        re-evaluation of the planar point: n_init + 1 + budget + 1 objective
+        calls, summed over the three sectors for SFP."""
+        scenario, seed = small_scenario(seed=6), 11
+        lo, hi = scenario.psi_bounds
+        fixed = flex = 0.0
+        psi_star = np.zeros(3)
+        for sector, salt in self.RUNS[strategy](seed):
+            objective, dim = harness._objective(scenario, strategy, sector)
+            run = bayesopt.optimize(objective, [(lo, hi)] * dim, 30 if dim == 1 else 60,
+                                    n_init=4, seed=np.random.default_rng(salt))
+            fixed += objective(np.zeros(dim))
+            flex += run.best_value
+            psi_star[sector:sector + dim] = run.best_point
+
+        counted = []
+        make = harness._objective
+
+        def counting(*args, **kwargs):
+            objective, dim = make(*args, **kwargs)
+            return (lambda psi: counted.append(1) or objective(psi)), dim
+
+        monkeypatch.setattr(harness, "_objective", counting)
+        result = optimize_strategy(scenario, strategy, seed=seed)
+        assert ((result.rate_fixed, result.rate_flex, result.psi_star.tolist())
+                == (fixed, flex, psi_star.tolist()))
+        assert len(counted) == calls
 
 
 class TestExperiments:
