@@ -104,8 +104,7 @@ def _gram_cholesky(kernel: Kernel, points: np.ndarray):
     JITTER_MAX while the matrix stays ill conditioned."""
     from scipy.linalg import cho_factor
 
-    diff = points[:, None, :] - points[None, :, :]
-    base = kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.sum(diff**2, axis=-1))
+    base = _cross_kernel(kernel, points, points)
     jitter = kernel.jitter
     while True:
         gram = base + jitter * np.eye(points.shape[0])
@@ -231,8 +230,9 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
              n_init: int = 4, seed=0) -> OptimizeResult:
     """Maximize a black-box objective over a box via GP regression plus EI.
 
-    Seeds the design with ``n_init`` uniform random points plus the all-zero
-    point, which guarantees the result dominates the zero baseline, then runs
+    Seeds the design with ``n_init`` uniform random points plus the box point
+    nearest the origin (the all-zero point when the box holds it), which
+    guarantees the result dominates that baseline, then runs
     ``budget`` rounds of posterior fitting and EI maximization over the
     round's candidate set. Observed values are standardized before each fit
     and reported unscaled. Deterministic for a fixed seed. A 1-D round after a
@@ -270,7 +270,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
 
     for row in rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_init, dim)):
         measure(row)
-    measure(np.zeros(dim))
+    measure(np.clip(np.zeros(dim), bounds[:, 0], bounds[:, 1]))
 
     grid = np.linspace(bounds[0, 0], bounds[0, 1], GRID_CANDIDATES_1D)[:, None]
     added = True

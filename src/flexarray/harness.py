@@ -96,22 +96,10 @@ def generate_scenario(cfg: ArrayConfig, pattern: PatternSpec, flex_model: FlexMo
                     paths=PathSet(theta=theta, phi=phi, beta=beta))
 
 
-def _rank_safe(func, scenario: Scenario):
-    """Wrap a sum-rate so that a rank-deficient flex angle scores 0 instead of
-    aborting an optimization run."""
-
-    def wrapped(psi):
-        try:
-            return func(scenario, psi)
-        except RankDeficiencyError:
-            return 0.0
-
-    return wrapped
-
-
 def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None):
     """The sum-rate an optimizer maximizes for ``strategy`` and the number of
-    flex angles it takes.
+    flex angles it takes; a rank-deficient flex angle scores 0 instead of
+    aborting the run.
 
     The 1-D objectives reshape array ``sector`` alone: single-sector serves
     its users with the whole power and no neighbours; SFP holds the leakage
@@ -124,7 +112,7 @@ def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None)
     if sector not in (0, 1, 2):
         raise ConfigError(f"sector: expected 0, 1 or 2, got {sector!r}")
     if strategy == "single-sector":
-        def rate(scenario, psi):
+        def rate(psi):
             geometry = flex_geometry(scenario.flex_model, scenario.cfg, float(psi[0]))
             own = sector_block(scenario, geometry, sector, sector)
             return precoding.single_sector_sumrate(own, scenario.p_total, precoding.NOISE_POWER)
@@ -132,12 +120,22 @@ def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None)
         if leakage is None:
             leakage = precoding.sfp_leakage(scenario, np.zeros(3))
 
-        def rate(scenario, psi):
+        def rate(psi):
             return precoding.sector_rate_given_leakage(scenario, sector, float(psi[0]),
                                                        leakage[sector])
     else:
-        rate = precoding.jfp_sumrate if strategy == "jfp" else precoding.sjfp_sumrate
-    return _rank_safe(rate, scenario), 3 if strategy in ("jfp", "sjfp") else 1
+        sumrate = precoding.jfp_sumrate if strategy == "jfp" else precoding.sjfp_sumrate
+
+        def rate(psi):
+            return sumrate(scenario, psi)
+
+    def objective(psi):
+        try:
+            return rate(psi)
+        except RankDeficiencyError:
+            return 0.0
+
+    return objective, 3 if strategy in ("jfp", "sjfp") else 1
 
 
 @dataclass
@@ -153,33 +151,26 @@ def optimize_strategy(scenario: Scenario, strategy: str, seed=0,
                       budget_1d: int = 30, budget_3d: int = 60, n_init: int = 4) -> StrategyResult:
     """Optimize the flex angles for one strategy on one scenario.
 
-    The zero point is always part of the design, so ``rate_flex`` can never
-    fall below ``rate_fixed`` (the planar baseline of the same strategy). SFP
-    optimizes each sector's angle against the others' planar shapes and sums
-    the three per-sector incumbents; the joint strategies optimize all three
-    angles on the full objective.
+    SFP runs one 1-D optimization per sector, each against the leakage of the
+    planar arrays, and sums the three results; every other strategy is one
+    run on its full objective. The zero point is always part of a run's
+    design, so ``rate_flex`` can never fall below ``rate_fixed`` (the planar
+    baseline of the same strategy).
     """
     lo, hi = scenario.psi_bounds
-    if strategy == "sfp":
-        leakage = precoding.sfp_leakage(scenario, np.zeros(3))
-        fixed = flex = 0.0
-        psi_star = np.zeros(3)
-        for m in range(3):
-            objective, _ = _objective(scenario, "sfp", m, leakage)
-            result = bayesopt.optimize(objective, [(lo, hi)], budget_1d, n_init=n_init,
-                                       seed=np.random.default_rng([3, m, _entropy(seed)]))
-            fixed += objective(np.zeros(1))
-            flex += result.best_value
-            psi_star[m] = result.best_point[0]
-        return StrategyResult(rate_fixed=fixed, rate_flex=flex, psi_star=psi_star)
-    objective, dim = _objective(scenario, strategy)
-    budget, salt = (budget_1d, 2) if dim == 1 else (budget_3d, 4)  # single-sector is 1-D
-    result = bayesopt.optimize(objective, [(lo, hi)] * dim, budget, n_init=n_init,
-                               seed=np.random.default_rng([salt, _entropy(seed)]))
+    leakage = precoding.sfp_leakage(scenario, np.zeros(3)) if strategy == "sfp" else None
+    fixed = flex = 0.0
     psi_star = np.zeros(3)
-    psi_star[:dim] = result.best_point
-    return StrategyResult(rate_fixed=objective(np.zeros(dim)),
-                          rate_flex=result.best_value, psi_star=psi_star)
+    for m in range(3) if strategy == "sfp" else [0]:
+        objective, dim = _objective(scenario, strategy, m, leakage)
+        salt = [3, m] if strategy == "sfp" else [2 if dim == 1 else 4]
+        result = bayesopt.optimize(objective, [(lo, hi)] * dim,
+                                   budget_1d if dim == 1 else budget_3d, n_init=n_init,
+                                   seed=np.random.default_rng([*salt, _entropy(seed)]))
+        fixed += objective(np.zeros(dim))
+        flex += result.best_value
+        psi_star[m:m + dim] = result.best_point
+    return StrategyResult(rate_fixed=fixed, rate_flex=flex, psi_star=psi_star)
 
 
 def _entropy(seed) -> int:

@@ -296,8 +296,17 @@ class TestOptimize:
         result = optimize(lambda p: -float(np.sum(p**2)), [(-1, 1), (0.25, 0.25), (-1, 1)],
                           budget=5, n_init=3, seed=0)
         assert len(result.trace) == 3 + 1 + 5
-        for i, (point, _) in enumerate(result.trace):
-            assert point[1] == (0.0 if i == 3 else 0.25)  # measurement 3 is the zero point
+        for point, _ in result.trace:
+            assert point[1] == 0.25
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_box_without_the_origin_measures_its_nearest_point(self, dim):
+        result = optimize(lambda p: -float(np.sum(p**2)), [(0.5, 1.0)] * dim, budget=3,
+                          n_init=2, seed=0)
+        assert result.trace[2][0].tolist() == [0.5] * dim  # the zero-point measurement
+        assert all(np.all((point >= 0.5) & (point <= 1.0)) for point, _ in result.trace)
+        assert result.best_point.tolist() == [0.5] * dim
+        assert result.best_value == -0.25 * dim
 
 
 TRACES = json.loads((Path(__file__).parent / "data" / "optimize_traces.json").read_text())
