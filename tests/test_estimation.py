@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from flexarray.channel import PathSet, array_manifold, flexible_channel
-from flexarray.errors import COND_MAX, PatternBoundaryError, SingularFisherError
+from flexarray.errors import (COND_MAX, OptimizationError, PatternBoundaryError,
+                              SingularFisherError)
 from flexarray.estimation import (FisherMatrix, channel_param_derivatives, crb, fisher_matrix,
                                   mean_angle_crb, optimal_psi_for_crb)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
-from flexarray.harness import generate_scenario
+from flexarray.harness import CRB_PSI_RANGE, _crb_regime_paths, generate_scenario
 from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
                                  pattern_coefficient, wrap_angle)
 
@@ -334,7 +335,63 @@ class TestCrb:
             crb(fisher, 4)
 
 
+def per_point_psi_search(model, cfg, spec, paths, grid_size):
+    """The CRB grid search one point at a time: one Fisher build and one CRB
+    per point, skipping singular and support-edge points, ties broken toward
+    psi >= 0 and then smaller |psi|. Returns ((psi, crb) or None, skips)."""
+    evaluated, skipped = [], {"singular": 0, "edge": 0}
+    for psi in np.linspace(*CRB_PSI_RANGE, grid_size):
+        try:
+            value = mean_angle_crb(fisher_matrix(model, cfg, spec, paths, psi, 0.0, 1.0))
+        except SingularFisherError:
+            skipped["singular"] += 1
+            continue
+        except PatternBoundaryError:
+            skipped["edge"] += 1
+            continue
+        evaluated.append((float(psi), value))
+    if not evaluated:
+        return None, skipped
+    best_value = min(value for _, value in evaluated)
+    ties = [item for item in evaluated if item[1] <= best_value * (1.0 + 1e-12)]
+    return min(ties, key=lambda item: (item[0] < 0.0, abs(item[0]))), skipped
+
+
+FLEX_MODELS = [FlexModel.ROTATABLE, FlexModel.BENDABLE, FlexModel.FOLDABLE]
+
+
 class TestOptimalPsi:
+    @pytest.mark.parametrize("grid_size", [37, 181])
+    @pytest.mark.parametrize("n_paths", [1, 6])
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2], ids=["omni", "cos1", "cos2"])
+    @pytest.mark.parametrize("model", FLEX_MODELS, ids=lambda model: model.value)
+    def test_equals_the_per_point_search(self, model, spec, n_paths, grid_size):
+        cfg = ArrayConfig(4, 4)
+        paths = _crb_regime_paths(np.random.default_rng(53), 6)[:n_paths]
+        expected, _ = per_point_psi_search(model, cfg, spec, paths, grid_size)
+        got = optimal_psi_for_crb(model, cfg, spec, paths, 0.0, 1.0, CRB_PSI_RANGE, grid_size)
+        assert got == expected
+
+    def test_skips_singular_and_support_edge_points_like_the_per_point_search(self):
+        # phi = pi/2 sits on the cosine support edge at psi = 0; rotations past
+        # the edge leave that path unidentifiable
+        cfg = ArrayConfig(4, 4)
+        paths = PathSet(theta=[1.2, 1.7], phi=[np.pi / 2, 0.3], beta=[1.0, 0.5j])
+        expected, skipped = per_point_psi_search(FlexModel.ROTATABLE, cfg, COS2, paths, 37)
+        assert skipped["singular"] > 0 and skipped["edge"] > 0
+        got = optimal_psi_for_crb(FlexModel.ROTATABLE, cfg, COS2, paths, 0.0, 1.0,
+                                  CRB_PSI_RANGE, 37)
+        assert got == expected
+
+    def test_grid_where_every_point_is_singular_or_on_the_edge_raises(self):
+        cfg = ArrayConfig(1, 1)
+        paths = PathSet(theta=[1.2], phi=[np.pi / 2], beta=[1.0])
+        expected, skipped = per_point_psi_search(FlexModel.ROTATABLE, cfg, COS2, paths, 37)
+        assert expected is None and skipped["singular"] > 0 and skipped["edge"] > 0
+        with pytest.raises(OptimizationError):
+            optimal_psi_for_crb(FlexModel.ROTATABLE, cfg, COS2, paths, 0.0, 1.0,
+                                CRB_PSI_RANGE, 37)
+
     def test_never_worse_than_planar_baseline(self):
         rng = np.random.default_rng(47)
         cfg = ArrayConfig(8, 2)
@@ -364,8 +421,6 @@ class TestOptimalPsi:
         assert values[round(psi_star, 12)] == pytest.approx(best, rel=1e-9)
 
     def test_all_points_failing_raises(self):
-        from flexarray.errors import OptimizationError
-
         cfg = ArrayConfig(1, 1)
         # single element: angle parameters unidentifiable, fisher singular
         paths = PathSet(theta=[1.2], phi=[0.1], beta=[1.0])
