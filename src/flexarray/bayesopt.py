@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import COND_MAX, GramConditionError, condition_number
+from .errors import COND_MAX, GramConditionError, OptimizationError, condition_number
 
 DUPLICATE_TOL = 1e-12
 JITTER_MAX = 1e-6
@@ -237,7 +237,8 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     round's candidate set. Observed values are standardized before each fit
     and reported unscaled. Deterministic for a fixed seed. A 1-D round after a
     duplicate proposal sees the same data and grid as the round before, so it
-    repeats that proposal without refitting.
+    repeats that proposal without refitting. A nan or inf objective value raises
+    OptimizationError naming the point.
     """
     if budget < 0 or n_init < 1:
         raise ValueError("need budget >= 0 and n_init >= 1")
@@ -261,6 +262,8 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
 
     def measure(point: np.ndarray) -> bool:
         value = float(objective(point))
+        if not np.isfinite(value):
+            raise OptimizationError(f"objective returned {value} at {point.tolist()}")
         trace.append((point.copy(), value))
         if _is_duplicate(point, points):
             return False

@@ -5,13 +5,18 @@ import numpy as np
 COND_MAX = 1e12  # largest condition number of a ZF, Fisher or GP gram the package inverts
 
 
-def condition_number(hermitian) -> float:
-    """lambda_max / lambda_min of a Hermitian matrix from ``eigvalsh``; inf when
-    the matrix is not finite or not positive definite."""
-    if not np.isfinite(hermitian).all():
-        return np.inf
+def condition_number(hermitian):
+    """lambda_max / lambda_min of each Hermitian matrix of a (..., n, n) stack from one
+    ``eigvalsh``; inf where a matrix is not finite or not positive definite. One
+    matrix gives a float, a stack an array of its leading shape."""
+    if not np.isfinite(hermitian).all():  # zeroed, a non-finite matrix is not positive definite
+        finite = np.isfinite(hermitian).all(axis=(-2, -1))
+        hermitian = np.where(finite[..., None, None], hermitian, 0.0)
     eigs = np.linalg.eigvalsh(hermitian)
-    return float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf  # lambda_min <= a_ii: never nan
+    if eigs.ndim == 1:
+        return float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf  # lambda_min <= a_ii: never nan
+    low, high = eigs[..., 0], eigs[..., -1]
+    return np.where(low > 0, high / np.where(low > 0, low, 1.0), np.inf)
 
 
 class FlexArrayError(Exception):
@@ -43,7 +48,7 @@ class GramConditionError(FlexArrayError, ValueError):
 
 
 class OptimizationError(FlexArrayError, RuntimeError):
-    """Every candidate of a search failed to evaluate."""
+    """Every candidate of a search failed to evaluate, or an objective value was not finite."""
 
 
 class ConfigError(FlexArrayError, ValueError):

@@ -99,10 +99,25 @@ def crb(fisher: FisherMatrix, index: int) -> float:
     return float(fisher.inverse()[index, index])
 
 
+def _mean_angle_crbs(matrices, n_paths: int):
+    """Condition numbers of G stacked (4L, 4L) Fisher matrices, and the mean of the
+    first 2L diagonal entries of each inverse within COND_MAX (nan elsewhere), from
+    one ``eigvalsh`` and one LU inverse over the stack."""
+    matrices = np.reshape(matrices, (-1, 4 * n_paths, 4 * n_paths))
+    conditions = condition_number(matrices)
+    invertible = conditions <= COND_MAX
+    diagonals = np.diagonal(np.linalg.inv(matrices[invertible]), axis1=1, axis2=2)
+    crbs = np.full(len(matrices), np.nan)
+    crbs[invertible] = np.ascontiguousarray(diagonals[:, : 2 * n_paths]).mean(axis=1)
+    return conditions, crbs
+
+
 def mean_angle_crb(fisher: FisherMatrix) -> float:
     """Average CRB over all elevation and azimuth parameters (first 2L)."""
-    inv = fisher.inverse()
-    return float(np.mean(np.diag(inv)[: 2 * fisher.n_paths]))
+    (condition,), (value,) = _mean_angle_crbs(fisher.matrix, fisher.n_paths)
+    if condition > COND_MAX:
+        raise SingularFisherError(float(condition))
+    return float(value)
 
 
 def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
@@ -110,22 +125,26 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                         psi_range: tuple, grid_size: int = 181):
     """Grid search for the flex angle minimizing the mean angle CRB.
 
-    Grid points that hit a singular Fisher matrix or a pattern support edge
-    are skipped. Ties (the CRB is even in psi for symmetric scenarios) are
-    broken toward the non-negative half, then toward smaller |psi|. Returns
-    (psi_star, crb_star); raises OptimizationError when every point fails.
+    Grid points that hit a pattern support edge, or whose Fisher matrix fails
+    the condition rule (tested and inverted as one stack), are skipped. Ties
+    (the CRB is even in psi for symmetric scenarios) are broken toward the
+    non-negative half, then toward smaller |psi|. Returns (psi_star, crb_star);
+    raises OptimizationError when every point fails.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     paths = paths.link()
     lo, hi = float(psi_range[0]), float(psi_range[1])
-    evaluated = []
+    grid, matrices = [], []
     for psi in np.linspace(lo, hi, grid_size):
         try:
-            value = mean_angle_crb(fisher_matrix(model, cfg, spec, paths, psi, mount, sigma2))
-        except (SingularFisherError, PatternBoundaryError):
+            matrices.append(fisher_matrix(model, cfg, spec, paths, psi, mount, sigma2).matrix)
+        except PatternBoundaryError:
             continue
-        evaluated.append((float(psi), value))
+        grid.append(float(psi))
+    conditions, crbs = _mean_angle_crbs(matrices, paths.n_paths)
+    evaluated = [(psi, float(value)) for psi, condition, value in zip(grid, conditions, crbs)
+                 if condition <= COND_MAX]
     if not evaluated:
         raise OptimizationError("mean angle CRB failed at every grid point")
     best_value = min(value for _, value in evaluated)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from flexarray.bayesopt import (SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kern
                                 _cross_kernel, _expected_improvement_batch, _gram_cholesky,
                                 _posterior_batch, expected_improvement, gp_posterior, kernel_eval,
                                 optimize, propose_next)
-from flexarray.errors import GramConditionError
+from flexarray.errors import GramConditionError, OptimizationError
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
 
@@ -307,6 +308,21 @@ class TestOptimize:
         assert all(np.all((point >= 0.5) & (point <= 1.0)) for point, _ in result.trace)
         assert result.best_point.tolist() == [0.5] * dim
         assert result.best_value == -0.25 * dim
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_objective_value_is_rejected_by_name(self, bad):
+        points = []
+
+        def objective(point):
+            points.append(point.copy())
+            return bad if point[0] > 0.5 else -float(point[0])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # before, standardizing the values warned
+            with pytest.raises(OptimizationError) as err:
+                optimize(objective, [(0.0, 1.0)], budget=10, seed=0)
+        assert points[-1][0] > 0.5
+        assert str(err.value) == f"objective returned {bad} at {points[-1].tolist()}"
 
 
 TRACES = json.loads((Path(__file__).parent / "data" / "optimize_traces.json").read_text())

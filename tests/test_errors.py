@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,21 @@ class TestConditionNumber:
             h = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
             gram = h.conj().T @ h
             assert condition_number(gram) == pytest.approx(np.linalg.cond(gram), rel=1e-8)
+
+    def test_stack_equals_the_single_matrix_calls_without_warnings(self):
+        rng = np.random.default_rng(1)
+        h = rng.standard_normal((6, 4))
+        stack = np.stack([h.T @ h, np.zeros((4, 4)), np.diag([1.0, np.nan, 1.0, 1.0]),
+                          np.diag([1.0, 1.0, np.inf, 1.0]), np.diag([-1.0, 2.0, 3.0, 4.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = condition_number(stack)
+            singles = [condition_number(matrix) for matrix in stack]
+        assert got.shape == (5,)
+        assert got.tolist() == singles
+        assert np.isfinite(singles[0]) and singles[1:] == [np.inf] * 4
+        assert condition_number(stack.reshape(5, 1, 4, 4)).shape == (5, 1)
+
+    def test_one_matrix_gives_a_python_float(self):
+        assert type(condition_number(np.diag([4.0, 1.0]))) is float
+        assert type(condition_number(np.zeros((2, 2)))) is float
