@@ -26,6 +26,9 @@ DUPLICATE_TOL = 1e-12
 JITTER_MAX = 1e-6
 GRID_CANDIDATES_1D = 361
 SOBOL_CANDIDATES = 2048
+# candidates per posterior block, so a T x 512 kernel block stays in cache; the last block
+# also takes the remainder, since a narrow tail block gets other bits from BLAS than the one-block form
+POSTERIOR_BLOCK = 512
 SOBOL_BITS = 30
 # Joe & Kuo (2008) direction numbers for Sobol dimensions 2 to 8, as scipy ships them: the
 # primitive polynomial with its leading and trailing 1 bits, and m_1..m_s. Dimension 1 has m_j = 1.
@@ -48,10 +51,9 @@ class Kernel:
             raise ValueError("need eta0 > 0, eta1 > 0 and jitter >= 0")
 
 
-def _is_duplicate(point: np.ndarray, existing) -> bool:
-    """Whether ``point`` lies within DUPLICATE_TOL of any row of ``existing``."""
-    stacked = np.reshape(existing, (-1, point.size))
-    return bool(np.any(np.sum((stacked - point) ** 2, axis=1) < DUPLICATE_TOL**2))
+def _is_duplicate(point: np.ndarray, existing: np.ndarray) -> bool:
+    """Whether ``point`` lies within DUPLICATE_TOL of any row of ``existing``, (T, D)."""
+    return bool(np.any(np.sum((existing - point) ** 2, axis=1) < DUPLICATE_TOL**2))
 
 
 @dataclass
@@ -73,6 +75,13 @@ class GpDataset:
             raise ValueError("dataset contains duplicate points")
         self.points = pts
         self.values = vals
+
+    @classmethod
+    def _distinct(cls, points: np.ndarray, values: np.ndarray) -> GpDataset:
+        """A dataset of (T, D) points already known to be distinct, without the O(T^2) scan."""
+        data = cls.__new__(cls)
+        data.points, data.values = points, values
+        return data
 
     @property
     def size(self) -> int:
@@ -118,23 +127,34 @@ def _gram_cholesky(kernel: Kernel, points: np.ndarray):
 
 def _cross_kernel(kernel: Kernel, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Kernel between (T, D) points and (C, D) queries, shape (T, C); squared
-    distances in expansion form, clipped at 0 against cancellation."""
-    dist2 = (np.sum(points**2, axis=1)[:, None] + np.sum(queries**2, axis=1)[None, :]
-             - 2.0 * points @ queries.T)
-    return kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.clip(dist2, 0.0, None))
+    distances in expansion form, clipped at 0 against cancellation. Each step
+    works in place on one (T, C) array: fresh temporaries of that size cost page faults."""
+    dist2 = np.add.outer(np.sum(points**2, axis=1), np.sum(queries**2, axis=1))
+    dist2 -= 2.0 * points @ queries.T
+    np.maximum(dist2, 0.0, out=dist2)
+    dist2 *= -0.5 * kernel.eta1
+    np.exp(dist2, out=dist2)
+    dist2 *= kernel.eta0
+    return dist2
 
 
 def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
-    """Predictive means and variances at (C, D) query points at once."""
+    """Predictive means and variances at (C, D) query points, from one gram fit
+    and contiguous blocks of POSTERIOR_BLOCK queries (bit for bit the one-block form)."""
     from scipy.linalg import cho_solve, solve_triangular
 
     if queries.shape[1] != data.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != data dimension {data.dim}")
     factor = _gram_cholesky(kernel, data.points)
-    k_star = _cross_kernel(kernel, data.points, queries)  # (T, C)
-    mean = k_star.T @ cho_solve(factor, data.values)
-    v = solve_triangular(factor[0], k_star, lower=True)  # k*' K^-1 k* = |L^-1 k*|^2
-    variance = kernel.eta0 - np.sum(v * v, axis=0)
+    weights = cho_solve(factor, data.values)
+    mean, variance = np.empty(len(queries)), np.empty(len(queries))
+    starts = range(0, max(len(queries) - POSTERIOR_BLOCK, 0) + 1, POSTERIOR_BLOCK)
+    for block in map(slice, starts, [*starts[1:], len(queries)]):
+        k_star = _cross_kernel(kernel, data.points, queries[block])  # (T, block)
+        mean[block] = k_star.T @ weights
+        v = solve_triangular(factor[0], k_star, lower=True)  # k*' K^-1 k* = |L^-1 k*|^2
+        v *= v
+        variance[block] = kernel.eta0 - np.sum(v, axis=0)
     return mean, np.clip(variance, 0.0, None)
 
 
@@ -153,13 +173,11 @@ def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: flo
     """EI (Jones, Schonlau & Welch 1998); 0 where sigma is not positive."""
     from scipy.special import ndtr
 
-    out = np.zeros_like(mean)
-    positive = sigma > 0.0
-    gap = mean[positive] - f_best
-    with np.errstate(all="ignore"):  # extreme z only saturates cdf/pdf
-        z = gap / sigma[positive]
-        out[positive] = gap * ndtr(z) + sigma[positive] * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
-    return np.clip(out, 0.0, None)
+    gap = mean - f_best
+    with np.errstate(all="ignore"):  # extreme z only saturates cdf/pdf; sigma 0 is zeroed below
+        z = gap / sigma
+        ei = gap * ndtr(z) + sigma * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
+    return np.clip(np.where(sigma > 0.0, ei, 0.0), 0.0, None)
 
 
 def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
@@ -217,13 +235,20 @@ class SobolStream:
         return points * 2.0**-SOBOL_BITS
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizeResult:
-    """Outcome of a surrogate optimization run."""
+    """Outcome of a surrogate optimization run; ``==`` compares values, points elementwise."""
 
     best_point: np.ndarray
     best_value: float
     trace: list = field(default_factory=list)  # (point, value) per measurement
+
+    def __eq__(self, other):
+        if not isinstance(other, OptimizeResult):
+            return NotImplemented
+        mine, theirs = ((r.best_value, tuple(r.best_point), [(v, tuple(p)) for p, v in r.trace])
+                        for r in (self, other))
+        return mine == theirs
 
 
 def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget: int,
@@ -256,19 +281,21 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
         span = np.tile(bounds[:, 1] - bounds[:, 0], (SOBOL_CANDIDATES, 1))
         low = np.tile(bounds[:, 0], (SOBOL_CANDIDATES, 1))
 
-    points: list[np.ndarray] = []
-    values: list[float] = []
+    # distinct measured points and their values, rows [0, count)
+    points, values = np.empty((n_init + 1 + budget, dim)), np.empty(n_init + 1 + budget)
+    count = 0
     trace: list = []
 
     def measure(point: np.ndarray) -> bool:
+        nonlocal count
         value = float(objective(point))
         if not np.isfinite(value):
             raise OptimizationError(f"objective returned {value} at {point.tolist()}")
         trace.append((point.copy(), value))
-        if _is_duplicate(point, points):
+        if _is_duplicate(point, points[:count]):
             return False
-        points.append(point.copy())
-        values.append(value)
+        points[count], values[count] = point, value
+        count += 1
         return True
 
     for row in rng.uniform(bounds[:, 0], bounds[:, 1], size=(n_init, dim)):
@@ -279,13 +306,13 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     added = True
     for _ in range(budget):
         if dim > 1 or added:
-            raw = np.array(values)
+            raw = values[:count]
             spread = raw.std()
             scaled = (raw - raw.mean()) / (spread if spread > 0 else 1.0)
-            data = GpDataset(np.array(points), scaled)
+            data = GpDataset._distinct(points[:count], scaled)
             candidates = grid if dim == 1 else sobol.random(SOBOL_CANDIDATES) * span + low
             proposal = propose_next(kernel, data, candidates)
         added = measure(proposal)
 
-    best = int(np.argmax(values))
-    return OptimizeResult(best_point=points[best].copy(), best_value=values[best], trace=trace)
+    best = int(np.argmax(values[:count]))
+    return OptimizeResult(best_point=points[best].copy(), best_value=float(values[best]), trace=trace)

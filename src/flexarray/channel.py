@@ -89,19 +89,32 @@ def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.n
     return np.exp(-2j * np.pi / wavelength * arg)
 
 
+def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):
+    """The parts of the channel to (..., L) paths that no flex angle changes: the
+    path sines and cosines (..., L, 1), -jk sin(theta), and the gain-weighted row
+    factors sqrt(1/L) beta exp(-jk cos(theta) z) at ``heights``, as (..., N_v, L)."""
+    sin_theta = np.sin(theta)[..., None]
+    cos_phi, sin_phi = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    jk = 2j * np.pi / wavelength
+    gains = np.sqrt(1.0 / theta.shape[-1]) * beta[..., None]
+    rows = gains * np.exp(-jk * np.cos(theta)[..., None] * heights)
+    return sin_theta, cos_phi, sin_phi, -jk * sin_theta, np.swapaxes(rows, -1, -2)
+
+
+def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
+    """The channel from :func:`_path_factors` and the flexed columns; shape (..., N)."""
+    sin_theta, cos_phi, sin_phi, phase, rows = factors
+    columns = np.exp(phase * (geometry.column_x * cos_phi + geometry.column_y * sin_phi))
+    columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, geometry.column_offsets)
+    grid = rows @ columns  # (..., N_v, N_h)
+    return grid.reshape(*grid.shape[:-2], -1)
+
+
 def _synthesize(geometry: ArrayGeometry, spec: PatternSpec, theta, phi, beta,
                 wavelength: float) -> np.ndarray:
     """sqrt(1/L) sum_l beta_l e_l (.) g_l over the last axis of the (..., L)
     elevations, array-local azimuths and gains; shape (..., N)."""
-    sin_theta, cos_theta = np.sin(theta)[..., None], np.cos(theta)[..., None]
-    cos_phi, sin_phi = np.cos(phi)[..., None], np.sin(phi)[..., None]
-    jk = 2j * np.pi / wavelength
-    columns = np.exp(-jk * sin_theta * (geometry.column_x * cos_phi + geometry.column_y * sin_phi))
-    columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, geometry.column_offsets)
-    gains = np.sqrt(1.0 / theta.shape[-1]) * beta[..., None]
-    rows = gains * np.exp(-jk * cos_theta * geometry.heights)
-    grid = np.swapaxes(rows, -1, -2) @ columns  # (..., N_v, N_h)
-    return grid.reshape(*grid.shape[:-2], -1)
+    return _combine(geometry, spec, _path_factors(theta, phi, beta, geometry.heights, wavelength))
 
 
 def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
@@ -124,9 +137,17 @@ def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector
     """Channels from array ``faa``, already built as ``geometry`` at zero
     mount, to the users of ``sectors``: one sector index gives (N, K), a
     slice of sectors (N, S*K) in sector order. Vectorized over users and
-    paths; the array's local azimuths subtract its mount."""
-    paths = scenario.paths
-    block = _synthesize(geometry, scenario.pattern, paths.theta[sectors],
-                        paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
-                        scenario.cfg.wavelength)
+    paths; the array's local azimuths subtract its mount.
+
+    The flex-independent factors are derived once per (array, sectors, heights)
+    and kept on the scenario; its path arrays turn read-only then, so they cannot go stale."""
+    key = (faa, repr(sectors), geometry.heights.tobytes())  # a slice is unhashable before 3.12
+    if (factors := scenario.channel_factors.get(key)) is None:
+        paths = scenario.paths
+        for values in (paths.theta, paths.phi, paths.beta):
+            values.flags.writeable = False
+        factors = scenario.channel_factors[key] = _path_factors(
+            paths.theta[sectors], paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
+            geometry.heights, scenario.cfg.wavelength)
+    block = _combine(geometry, scenario.pattern, factors)
     return block.reshape(-1, block.shape[-1]).T

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,13 +37,15 @@ CRB_PSI_RANGE = (-np.pi / 2, np.pi / 2)  # flex angles searched by experiment_cr
 CRB_MAX_RESAMPLES = 100  # redraws of one experiment_crb_sweep draw before it fails
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One realization of the three-sector system.
 
     ``paths`` holds the paths of every user, shape (3 sectors, K, L), with
     global azimuths. Every array sees the same paths:
-    :func:`~flexarray.channel.sector_block` subtracts its mount.
+    :func:`~flexarray.channel.sector_block` subtracts its mount. It keeps the
+    channel's flex-independent factors in ``channel_factors``, and the path
+    arrays are read-only from its first channel build on.
     """
 
     cfg: ArrayConfig
@@ -51,6 +53,7 @@ class Scenario:
     flex_model: FlexModel
     snr_db: float
     paths: PathSet
+    channel_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.paths.theta.shape if isinstance(self.paths, PathSet) else None
@@ -138,13 +141,20 @@ def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None)
     return objective, 3 if strategy in ("jfp", "sjfp") else 1
 
 
-@dataclass
+@dataclass(eq=False)
 class StrategyResult:
-    """Fixed-array baseline versus flex-optimized sum-rate of one scenario."""
+    """Fixed-array baseline versus flex-optimized sum-rate of one scenario;
+    ``==`` compares values, ``psi_star`` elementwise."""
 
     rate_fixed: float
     rate_flex: float
     psi_star: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, StrategyResult):
+            return NotImplemented
+        return ((self.rate_fixed, self.rate_flex) == (other.rate_fixed, other.rate_flex)
+                and np.array_equal(self.psi_star, other.psi_star))
 
 
 def optimize_strategy(scenario: Scenario, strategy: str, seed=0,

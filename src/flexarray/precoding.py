@@ -25,18 +25,20 @@ NOISE_POWER = 1.0  # every rate depends on P / sigma2 only, so sigma2 is the uni
 
 
 def _zero_forcing(channel: np.ndarray, precoder: bool = False):
-    """Post-ZF gains 1 / [(H^H H)^{-1}]_{kk}, shape (K,), and, when asked, the
-    precoder F = H (H^H H)^{-1} (else None), from one guarded Gram inverse."""
+    """Post-ZF gains 1 / [(H^H H)^{-1}]_{kk}, shape (..., K), and, when asked, the
+    precoder F = H (H^H H)^{-1} (else None), from one guarded Gram inverse of
+    each (N, K) channel of a (..., N, K) stack; the first failing channel raises."""
     channel = np.asarray(channel)
-    n, k = channel.shape
+    n, k = channel.shape[-2:]
     if k > n:
         raise RankDeficiencyError(np.inf, f"cannot zero-force {k} users with {n} antennas")
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite Gram fails the guard
-        gram = channel.conj().T @ channel
-    if (cond := condition_number(gram)) > COND_MAX:
-        raise RankDeficiencyError(cond)
+        gram = np.swapaxes(channel.conj(), -1, -2) @ channel
+    cond = np.ravel(condition_number(gram))
+    if (failing := np.flatnonzero(cond > COND_MAX)).size:
+        raise RankDeficiencyError(float(cond[failing[0]]))
     inv = np.linalg.inv(gram)
-    return (channel @ inv if precoder else None), 1.0 / np.diag(inv).real
+    return (channel @ inv if precoder else None), 1.0 / np.diagonal(inv, axis1=-2, axis2=-1).real
 
 
 def zf_precoder(channel: np.ndarray) -> np.ndarray:
@@ -70,21 +72,18 @@ def _array_responses(scenario: "Scenario", psi: Sequence[float]) -> list:
 
 def _sector_state(scenario: "Scenario", psi: Sequence[float]):
     """Per-sector gains, scaled ZF precoders, and cross leakage from one
-    channel build per array."""
+    channel build per array and one stacked ZF of the three own-sector blocks."""
     k = scenario.k_users
     stream_power = scenario.p_total / (3.0 * k)
     responses = _array_responses(scenario, psi)
     users = [slice(m * k, (m + 1) * k) for m in range(3)]
-    precoders, gains = [], []
-    for m in range(3):
-        f, gain = _zero_forcing(responses[m][:, users[m]], precoder=True)
-        precoders.append(np.sqrt(stream_power) * (f / np.linalg.norm(f, axis=0, keepdims=True)))
-        gains.append(gain)
+    f, gains = _zero_forcing(np.stack([responses[m][:, users[m]] for m in range(3)]), precoder=True)
+    precoders = np.sqrt(stream_power) * (f / np.linalg.norm(f, axis=-2, keepdims=True))
     leakage = np.zeros((3, k))
     for m, mp in permutations(range(3), 2):
         cross = responses[mp][:, users[m]]  # array mp -> sector m users
         leakage[m] += np.sum(np.abs(cross.conj().T @ precoders[mp]) ** 2, axis=1)
-    return np.array(gains), leakage, stream_power
+    return gains, leakage, stream_power
 
 
 def sfp_leakage(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:

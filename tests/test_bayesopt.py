@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from flexarray import bayesopt, harness
-from flexarray.bayesopt import (SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kernel, SobolStream,
+from flexarray.bayesopt import (POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kernel,
+                                OptimizeResult, SobolStream,
                                 _cross_kernel, _expected_improvement_batch, _gram_cholesky,
                                 _posterior_batch, expected_improvement, gp_posterior, kernel_eval,
                                 optimize, propose_next)
@@ -82,6 +83,40 @@ class TestCrossKernel:
         reference = kernel.eta0 - np.sum(k_star * cho_solve(factor, k_star), axis=0)
         np.testing.assert_allclose(variance, np.clip(reference, 0.0, None), rtol=0, atol=1e-10)
         assert np.all(variance >= 0.0) and np.all(variance <= kernel.eta0)
+
+
+def one_shot_posterior(kernel, data, queries):
+    """Reference: the posterior with every query in one (T, C) block and the
+    kernel built out of place, as one expression."""
+    points = data.points
+    dist2 = (np.sum(points**2, axis=1)[:, None] + np.sum(queries**2, axis=1)[None, :]
+             - 2.0 * points @ queries.T)
+    k_star = kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.clip(dist2, 0.0, None))
+    factor = _gram_cholesky(kernel, points)
+    mean = k_star.T @ cho_solve(factor, data.values)
+    v = solve_triangular(factor[0], k_star, lower=True)
+    return mean, np.clip(kernel.eta0 - np.sum(v * v, axis=0), 0.0, None), k_star
+
+
+class TestPosteriorBlocks:
+    """The blocked posterior and the in-place kernel give the one-block
+    form's bits: every block is a contiguous run of columns, so each column
+    sees the same arithmetic."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n_queries", [1, 361, 511, 512, 513, 1030, 2048, 2049])
+    @pytest.mark.parametrize("n_points", [1, 5, 35, 65])
+    def test_blocks_equal_the_one_shot_formula(self, n_points, n_queries, dim):
+        assert POSTERIOR_BLOCK == 512
+        rng = np.random.default_rng([n_points, n_queries, dim])
+        data = GpDataset(rng.uniform(-1.5, 1.5, (n_points, dim)), rng.normal(size=n_points))
+        queries = rng.uniform(-1.5, 1.5, (n_queries, dim))
+        queries[:min(n_points, n_queries)] = data.points[:n_queries]  # variance clipped to 0
+        kernel = Kernel(eta0=1.3, eta1=2.1)
+        mean, variance, k_star = one_shot_posterior(kernel, data, queries)
+        got_mean, got_variance = _posterior_batch(kernel, data, queries)
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_variance, variance)
+        assert np.array_equal(_cross_kernel(kernel, data.points, queries), k_star)
 
 
 class TestDataset:
@@ -308,6 +343,34 @@ class TestOptimize:
         assert all(np.all((point >= 0.5) & (point <= 1.0)) for point, _ in result.trace)
         assert result.best_point.tolist() == [0.5] * dim
         assert result.best_value == -0.25 * dim
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_every_round_dataset_passes_the_public_check(self, monkeypatch, dim):
+        """``optimize`` builds its round datasets without the duplicate scan;
+        the public constructor accepts each of them unchanged."""
+        seen = []
+        propose = bayesopt.propose_next
+        monkeypatch.setattr(bayesopt, "propose_next",
+                            lambda kernel, data, candidates: seen.append(data)
+                            or propose(kernel, data, candidates))
+        # a flat objective makes the 1-D search re-propose measured points
+        optimize(lambda p: float(np.sum(np.round(p, 1))), [(-1.0, 1.0)] * dim, budget=25, seed=5)
+        assert len(seen) >= 2
+        for data in seen:
+            checked = GpDataset(data.points.copy(), data.values.copy())
+            assert np.array_equal(checked.points, data.points)
+            assert np.array_equal(checked.values, data.values)
+
+    def test_results_compare_by_value(self):
+        def run(seed):
+            return optimize(lambda p: float(np.sin(4 * p[0])), [(-2, 2)], budget=6, seed=seed)
+
+        a, b, other = run(7), run(7), run(8)
+        assert a == b and not a != b
+        assert a != other and a != "a result"
+        moved = OptimizeResult(a.best_point + 1e-9, a.best_value, a.trace)
+        assert moved != a
+        assert OptimizeResult(a.best_point, a.best_value, a.trace[:-1]) != a
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
     def test_non_finite_objective_value_is_rejected_by_name(self, bad):

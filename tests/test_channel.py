@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
-from flexarray.channel import (MOUNTS, PathSet, array_manifold, channel_power,
+from flexarray.channel import (MOUNTS, PathSet, _synthesize, array_manifold, channel_power,
                                flexible_channel, sector_block)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import Scenario, generate_scenario
@@ -335,3 +337,56 @@ class TestSectorAssembly:
         geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi[1])
         np.testing.assert_array_equal(sector_block(scenario, geometry, 1, slice(None)),
                                       np.hstack(blocks[1]))
+
+
+class TestPathFactors:
+    """``sector_block`` reuses the flex-independent factors a scenario derived
+    at its first build for that array and those sectors; every block has the
+    bits of a ``_synthesize`` call from scratch."""
+
+    @staticmethod
+    def fresh_block(scenario, geometry, faa, sectors):
+        paths = scenario.paths
+        block = _synthesize(geometry, scenario.pattern, paths.theta[sectors],
+                            paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
+                            scenario.cfg.wavelength)
+        return block.reshape(-1, block.shape[-1]).T
+
+    @pytest.mark.parametrize("model", list(FlexModel))
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2])
+    def test_blocks_equal_a_fresh_synthesis(self, model, spec):
+        scenario = generate_scenario(ArrayConfig(8, 2, wavelength=WAVELENGTH), spec, model,
+                                     k_users=4, n_paths=5, seed=31)
+        rng = np.random.default_rng(37)
+        lo, hi = scenario.psi_bounds
+        for psi in [0.0, *rng.uniform(lo, hi, 3)]:
+            geometry = flex_geometry(model, scenario.cfg, psi)
+            for faa in range(3):
+                for sectors in (0, 1, 2, slice(None)):
+                    assert np.array_equal(sector_block(scenario, geometry, faa, sectors),
+                                          self.fresh_block(scenario, geometry, faa, sectors))
+        assert len(scenario.channel_factors) == 3 * 4
+
+    def test_geometry_of_other_heights_gets_its_own_factors(self):
+        scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), OMNI,
+                                     FlexModel.BENDABLE, k_users=2, n_paths=3, seed=41)
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.2)
+        sector_block(scenario, geometry, 1, 1)
+        raised = replace(geometry, heights=geometry.heights + 0.01)
+        assert np.array_equal(sector_block(scenario, raised, 1, 1),
+                              self.fresh_block(scenario, raised, 1, 1))
+        assert len(scenario.channel_factors) == 2
+
+    def test_paths_are_read_only_after_the_first_build(self):
+        scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), COS1,
+                                     FlexModel.ROTATABLE, k_users=2, n_paths=3, seed=43)
+        scenario.paths.phi[0, 0, 0] = 0.1  # before the first build the paths may change
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.3)
+        before = sector_block(scenario, geometry, 0, slice(None))
+        for values in (scenario.paths.theta, scenario.paths.phi, scenario.paths.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            scenario.paths = scenario.paths[:, :1]
+        assert scenario.paths.phi[0, 0, 0] == 0.1
+        assert np.array_equal(sector_block(scenario, geometry, 0, slice(None)), before)

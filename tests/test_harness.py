@@ -147,6 +147,16 @@ class TestOptimizeStrategy:
         with pytest.raises(ConfigError):
             optimize_strategy(small_scenario(), "mrt")
 
+    def test_results_compare_by_value(self):
+        scenario = small_scenario(seed=9)
+        a, b = (optimize_strategy(scenario, "sjfp", seed=2, budget_3d=3, n_init=2)
+                for _ in range(2))
+        assert a == b and not a != b
+        assert a == harness.StrategyResult(a.rate_fixed, a.rate_flex, a.psi_star.copy())
+        assert a != replace(a, psi_star=a.psi_star + 1e-12)
+        assert a != replace(a, rate_flex=a.rate_flex + 1.0)
+        assert a != (a.rate_fixed, a.rate_flex, a.psi_star)
+
     # (sector, salt) of each optimizer run per strategy, for seed s
     RUNS = {"single-sector": lambda s: [(0, [2, s])],
             "sfp": lambda s: [(m, [3, m, s]) for m in range(3)],

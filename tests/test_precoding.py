@@ -1,4 +1,5 @@
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from flexarray.channel import MOUNTS, flexible_channel, sector_block
 from flexarray.errors import COND_MAX, RankDeficiencyError
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
-from flexarray.precoding import (effective_gain, jfp_sumrate, sector_rate_given_leakage,
-                                 sfp_leakage, single_sector_sumrate, sjfp_sumrate,
-                                 zf_precoder)
+from flexarray.precoding import (_array_responses, _sector_state, _zero_forcing, effective_gain,
+                                 jfp_sumrate, sector_rate_given_leakage, sfp_leakage,
+                                 single_sector_sumrate, sjfp_sumrate, zf_precoder)
 from flexarray.radiation import PatternKind, PatternSpec
 
 OMNI = PatternSpec(PatternKind.OMNI)
@@ -261,6 +262,70 @@ class TestSjfp:
         joint_best = max(sjfp_sumrate(scenario, np.array(p))
                          for p in itertools.product(grid, repeat=3))
         assert joint_best >= sjfp_sumrate(scenario, selfish)
+
+
+def per_sector_state(scenario, psi):
+    """Reference: ``_sector_state`` with one ``_zero_forcing`` call per sector."""
+    k = scenario.k_users
+    stream_power = scenario.p_total / (3.0 * k)
+    responses = _array_responses(scenario, psi)
+    users = [slice(m * k, (m + 1) * k) for m in range(3)]
+    precoders, gains = [], []
+    for m in range(3):
+        f, gain = _zero_forcing(responses[m][:, users[m]], precoder=True)
+        precoders.append(np.sqrt(stream_power) * (f / np.linalg.norm(f, axis=0, keepdims=True)))
+        gains.append(gain)
+    leakage = np.zeros((3, k))
+    for m, mp in permutations(range(3), 2):
+        cross = responses[mp][:, users[m]]
+        leakage[m] += np.sum(np.abs(cross.conj().T @ precoders[mp]) ** 2, axis=1)
+    return np.array(gains), leakage, stream_power
+
+
+class TestBatchedZf:
+    """``_sector_state`` zero-forces the three own-sector blocks as one stack:
+    one Gram product, one ``condition_number`` and one inverse, with the bits
+    of three separate ``_zero_forcing`` calls."""
+
+    @pytest.mark.parametrize("pattern, model, k_users", [
+        (OMNI, FlexModel.ROTATABLE, 3), (COS1, FlexModel.FOLDABLE, 8),
+        (COS2, FlexModel.BENDABLE, 16)], ids=["omni-k3", "cosine1-k8", "cosine2-full-load"])
+    def test_equals_per_sector_zero_forcing(self, pattern, model, k_users):
+        scenario = make_scenario(pattern=pattern, model=model, k_users=k_users, seed=23)
+        lo, hi = scenario.psi_bounds
+        rng = np.random.default_rng(29)
+        for psi in [np.zeros(3), *rng.uniform(lo, hi, (20, 3))]:
+            gains, leakage, power = _sector_state(scenario, psi)
+            ref_gains, ref_leakage, ref_power = per_sector_state(scenario, psi)
+            assert np.array_equal(gains, ref_gains) and np.array_equal(leakage, ref_leakage)
+            assert power == ref_power
+
+    def test_stack_raises_for_the_first_failing_channel(self):
+        def diagonal(*gains):
+            return np.vstack([np.diag(np.sqrt(gains)), np.zeros((2, len(gains)))])
+
+        stack = np.stack([diagonal(1.0, 2.0), diagonal(1.01e12, 1.0), diagonal(1e13, 1.0)])
+        with pytest.raises(RankDeficiencyError) as alone:
+            _zero_forcing(stack[1])
+        with pytest.raises(RankDeficiencyError) as stacked:
+            _zero_forcing(stack, precoder=True)
+        assert stacked.value.condition == alone.value.condition
+        assert stacked.value.condition == pytest.approx(1.01e12, rel=1e-12)
+
+    def test_rank_deficient_sector_raises_its_condition(self):
+        scenario = make_scenario(seed=31)
+        for sector in (1, 2):  # the second user of sectors 1 and 2 repeats the first
+            for values in (scenario.paths.theta, scenario.paths.phi, scenario.paths.beta):
+                values[sector, 1] = values[sector, 0]
+        psi = np.array([0.1, -0.2, 0.3])
+        with pytest.raises(RankDeficiencyError) as reference:
+            per_sector_state(scenario, psi)
+        with pytest.raises(RankDeficiencyError) as batched:
+            _sector_state(scenario, psi)
+        own = _array_responses(scenario, psi)[1][:, 3:6]
+        with pytest.raises(RankDeficiencyError) as sector_one:
+            _zero_forcing(own)
+        assert batched.value.condition == reference.value.condition == sector_one.value.condition
 
 
 class TestFixedSeedValues:

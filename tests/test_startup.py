@@ -32,6 +32,17 @@ for args in (["--help"], ["sumrate", "--help"]):
     except SystemExit as exc:
         assert exc.code == 0, exc.code
 """
+SUMRATES = """
+import numpy as np
+from flexarray.geometry import ArrayConfig, FlexModel
+from flexarray.harness import generate_scenario
+from flexarray.precoding import jfp_sumrate, sjfp_sumrate
+from flexarray.radiation import PatternKind, PatternSpec
+scenario = generate_scenario(ArrayConfig(4, 2), PatternSpec(PatternKind.COSINE, kappa=2.0),
+                             FlexModel.BENDABLE, k_users=4, n_paths=3, seed=0)
+for psi in (np.zeros(3), np.array([0.2, -0.1, 0.3])):
+    jfp_sumrate(scenario, psi), sjfp_sumrate(scenario, psi)
+"""
 GP_RUN = """
 import numpy as np
 from flexarray.bayesopt import optimize
@@ -49,8 +60,8 @@ def scipy_modules_after(code: str) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("code", ["import flexarray", TINY_RUNS, CLI_HELP],
-                         ids=["import", "gp-free-experiments", "cli-help"])
+@pytest.mark.parametrize("code", ["import flexarray", TINY_RUNS, CLI_HELP, SUMRATES],
+                         ids=["import", "gp-free-experiments", "cli-help", "scenario-sumrates"])
 def test_no_scipy_without_a_gp_fit(code):
     assert scipy_modules_after(code) == set()
 
