@@ -114,6 +114,60 @@ def reference_fisher(model, cfg, spec, paths, psi, mount, sigma2):
     return 0.5 * (j + j.T)
 
 
+def oracle_pattern_and_derivatives(spec, theta, phi):
+    """The one-call pattern build the staged one must reproduce bit for bit:
+    (A, dA/dtheta, dA/dphi) with theta checked, then the azimuth and the
+    elevation support-edge refusals."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if np.any(theta < 0.0) or np.any(theta > np.pi):
+        raise ValueError("elevation theta must lie in [0, pi]")
+    if spec.kind is PatternKind.OMNI:
+        shape = np.broadcast_shapes(theta.shape, phi.shape)
+        return np.ones(shape), np.zeros(shape), np.zeros(shape)
+    w = wrap_angle(phi)
+    if np.any(np.abs(np.abs(w) - np.pi / 2) < BOUNDARY_EPS):
+        raise PatternBoundaryError("azimuth within 1e-6 of the cosine support edge")
+    theta_edge = (theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS)
+    if theta_edge.any() and np.any(theta_edge & (np.abs(w) < np.pi / 2)):
+        raise PatternBoundaryError("elevation within 1e-6 of the cosine support edge")
+    half_kappa = spec.kappa / 2.0
+    sin_theta = np.sin(theta)
+    amp = np.sqrt(spec.peak_gain) * sin_theta**half_kappa * np.maximum(np.cos(w), 0.0)**half_kappa
+    cot_theta = np.divide(np.cos(theta), sin_theta, out=np.zeros(theta.shape), where=~theta_edge)
+    return amp, half_kappa * amp * cot_theta, -half_kappa * amp * np.tan(w)
+
+
+def oracle_fisher(model, cfg, spec, paths, psi, mount, sigma2):
+    """The Fisher matrix from the one-pass derivative stack that builds every
+    term, path-only or not, at each flex angle."""
+    geometry = flex_geometry(model, cfg, psi)
+    theta, phi = paths.theta[:, None, None], (paths.phi - mount)[:, None, None]
+    pattern, d_pat_theta, d_pat_phi = oracle_pattern_and_derivatives(
+        spec, theta, phi - geometry.column_offsets)
+    sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    x, y, z = geometry.column_x, geometry.column_y, geometry.heights[:, None]
+    u = x * cos_phi + y * sin_phi
+    jk = 2j * np.pi / cfg.wavelength
+    manifold = np.exp(-jk * (sin_theta * u + z * cos_theta))
+    scale = np.sqrt(1.0 / paths.n_paths)
+    weighted = scale * paths.beta[:, None, None] * manifold
+    d_theta = weighted * (d_pat_theta - jk * (cos_theta * u - z * sin_theta) * pattern)
+    d_phi = weighted * (d_pat_phi - jk * sin_theta * (y * cos_phi - x * sin_phi) * pattern)
+    d_beta_r = scale * pattern * manifold
+    stack = np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).reshape(-1, cfg.n_elements).T
+    j = (2.0 / sigma2) * np.real(stack.conj().T @ stack)
+    return 0.5 * (j + j.T)
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type of the exception it raises."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
 class TestManifoldDerivatives:
     def test_colocated_elements_zero(self):
         d_theta, d_phi = manifold_derivatives(np.zeros((4, 3)), 1.0, 0.5, WAVELENGTH)
@@ -187,6 +241,72 @@ class TestSinglePassMatchesThreeCallAssembly:
             ref_theta, ref_phi = reference_pattern_derivatives(spec, theta, phi)
             np.testing.assert_allclose(d_theta, ref_theta, rtol=1e-14, atol=0)
             np.testing.assert_allclose(d_phi, ref_phi, rtol=1e-14, atol=0)
+
+
+class TestMatchesTheOneCallOracle:
+    """Fisher matrices equal the one-call oracle's bit for bit, and every grid
+    point the oracle refuses is refused with the same exception type. One path
+    set per (L, mount) serves every pattern and flex angle."""
+
+    SPECS = [OMNI, COS1, PatternSpec(PatternKind.COSINE, kappa=1.5), COS2]
+    MOUNTS = [0.0, 0.4, 2 * np.pi / 3]
+
+    @staticmethod
+    def paths_for(rng, n_paths, mount):
+        """Paths anywhere on the sphere; from three paths on, path 2 sits on the
+        azimuth support edge at psi = 0, and at six paths path 5 at the zenith."""
+        theta = rng.uniform(0.0, np.pi, n_paths)
+        phi = rng.uniform(-np.pi, np.pi, n_paths)
+        if n_paths >= 3:
+            phi[2] = mount + np.pi / 2
+        if n_paths == 6:
+            theta[5] = 1e-8
+        return PathSet(theta=theta, phi=phi,
+                       beta=rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+
+    @pytest.mark.parametrize("model", [FlexModel.ROTATABLE, FlexModel.BENDABLE,
+                                       FlexModel.FOLDABLE])
+    def test_fisher_matrices_and_refusals_equal_the_oracle(self, model):
+        rng = np.random.default_rng(61)
+        cfg = ArrayConfig(5, 3, wavelength=WAVELENGTH)
+        kinds = set()
+        for n_paths in range(1, 7):
+            for mount in self.MOUNTS:
+                paths = self.paths_for(rng, n_paths, mount)
+                for spec in self.SPECS:
+                    for psi in np.linspace(-np.pi / 2, np.pi / 2, 21):
+                        expected = outcome(lambda: oracle_fisher(
+                            model, cfg, spec, paths, psi, mount, 0.7))
+                        got = outcome(lambda: fisher_matrix(
+                            model, cfg, spec, paths, psi, mount, 0.7).matrix)
+                        if isinstance(expected, type):
+                            assert got is expected, (n_paths, mount, spec, psi)
+                        else:
+                            assert np.array_equal(got, expected), (n_paths, mount, spec, psi)
+                        kinds.add(expected if isinstance(expected, type) else np.ndarray)
+        assert kinds == {np.ndarray, PatternBoundaryError}
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_pattern_terms_equal_the_oracle(self, spec):
+        rng = np.random.default_rng(67)
+        interior = rng.uniform(0.0, np.pi, (30, 1))
+        edges = np.vstack([[[0.0], [1e-8], [np.pi]], interior[3:]])
+        kinds = set()
+        for index, phi in enumerate(rng.uniform(-2 * np.pi, 2 * np.pi, (40, 1, 4))):
+            phi[0, 0] = np.pi / 2 if index % 5 == 1 else phi[0, 0]
+            theta = edges if index % 5 == 2 else interior
+            expected = outcome(lambda: oracle_pattern_and_derivatives(spec, theta, phi))
+            got = outcome(lambda: pattern_and_derivatives(spec, theta, phi))
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            kinds.add(expected if isinstance(expected, type) else tuple)
+        assert kinds == ({tuple} if spec is OMNI else {tuple, PatternBoundaryError})
+        for theta, phi in [(1.2, 0.3), (0.0, 2.0), (1e-8, 0.1), (1.0, np.pi / 2)]:
+            expected = outcome(lambda: oracle_pattern_and_derivatives(spec, theta, phi))
+            got = outcome(lambda: pattern_and_derivatives(spec, theta, phi))
+            assert got is expected if isinstance(expected, type) else got == expected
 
 
 class TestChannelParamDerivatives:
