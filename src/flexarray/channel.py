@@ -19,7 +19,7 @@ times the row factor exp(-jk z_v cos(theta_l)), and the path sum is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,11 +42,13 @@ class PathSet:
     unitless complex gains, all finite. Gains are stored unnormalized; the
     sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
     gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths.
+    Terms that read only the paths are derived once per set and kept (:meth:`derived`).
     """
 
     theta: np.ndarray
     phi: np.ndarray
     beta: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -73,6 +75,15 @@ class PathSet:
         if self.theta.ndim != 1:
             raise ValueError(f"paths: need a 1-D path set (one link), got shape {self.theta.shape}")
         return self
+
+    def derived(self, key, build):
+        """``build()``, called at the first request for ``key`` and kept. The path
+        arrays turn read-only then, so a kept value cannot go stale."""
+        if (value := self._derived.get(key)) is None:
+            for values in (self.theta, self.phi, self.beta):
+                values.flags.writeable = False
+            value = self._derived[key] = build()
+        return value
 
 
 def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.ndarray:
@@ -110,11 +121,13 @@ def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
     return grid.reshape(*grid.shape[:-2], -1)
 
 
-def _synthesize(geometry: ArrayGeometry, spec: PatternSpec, theta, phi, beta,
-                wavelength: float) -> np.ndarray:
-    """sqrt(1/L) sum_l beta_l e_l (.) g_l over the last axis of the (..., L)
-    elevations, array-local azimuths and gains; shape (..., N)."""
-    return _combine(geometry, spec, _path_factors(theta, phi, beta, geometry.heights, wavelength))
+def _kept_factors(paths: PathSet, index, mount: float, heights: np.ndarray, wavelength: float):
+    """:func:`_path_factors` of ``paths[index]`` seen from ``mount``, derived once per
+    path set; the hex of the mount tells -0.0 from 0.0 (a repr, as a slice is
+    unhashable before 3.12)."""
+    key = (_path_factors, repr(index), float(mount).hex(), heights.tobytes(), wavelength)
+    return paths.derived(key, lambda: _path_factors(
+        paths.theta[index], paths.phi[index] - mount, paths.beta[index], heights, wavelength))
 
 
 def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
@@ -123,8 +136,9 @@ def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     if not np.isfinite(mount):
         raise ValueError("mount must be finite")
     paths = paths.link()
-    return _synthesize(flex_geometry(model, cfg, psi), spec, paths.theta, paths.phi - mount,
-                       paths.beta, cfg.wavelength)
+    geometry = flex_geometry(model, cfg, psi)
+    return _combine(geometry, spec, _kept_factors(paths, ..., mount, geometry.heights,
+                                                  cfg.wavelength))
 
 
 def channel_power(h: np.ndarray) -> float:
@@ -137,17 +151,8 @@ def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector
     """Channels from array ``faa``, already built as ``geometry`` at zero
     mount, to the users of ``sectors``: one sector index gives (N, K), a
     slice of sectors (N, S*K) in sector order. Vectorized over users and
-    paths; the array's local azimuths subtract its mount.
-
-    The flex-independent factors are derived once per (array, sectors, heights)
-    and kept on the scenario; its path arrays turn read-only then, so they cannot go stale."""
-    key = (faa, repr(sectors), geometry.heights.tobytes())  # a slice is unhashable before 3.12
-    if (factors := scenario.channel_factors.get(key)) is None:
-        paths = scenario.paths
-        for values in (paths.theta, paths.phi, paths.beta):
-            values.flags.writeable = False
-        factors = scenario.channel_factors[key] = _path_factors(
-            paths.theta[sectors], paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
-            geometry.heights, scenario.cfg.wavelength)
+    paths; the array's local azimuths subtract its mount."""
+    factors = _kept_factors(scenario.paths, sectors, MOUNTS[faa], geometry.heights,
+                            scenario.cfg.wavelength)
     block = _combine(geometry, scenario.pattern, factors)
     return block.reshape(-1, block.shape[-1]).T

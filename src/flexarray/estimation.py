@@ -18,7 +18,7 @@ from .channel import PathSet
 from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, SingularFisherError,
                      condition_number)
 from .geometry import ArrayConfig, FlexModel, flex_geometry
-from .radiation import PatternSpec, pattern_and_derivatives
+from .radiation import PatternSpec, pattern_azimuth_stage, pattern_elevation_stage
 
 
 @dataclass
@@ -37,28 +37,45 @@ class FisherMatrix:
         return np.linalg.inv(self.matrix)
 
 
+def _link_stage(spec: PatternSpec, paths: PathSet, mount: float, heights: np.ndarray,
+                wavelength: float):
+    """The terms of :func:`_derivative_stack` that read only the paths, on (L, 1, 1) or
+    (L, N_v, 1): the checked elevation stage of the pattern, the azimuths phi - mount,
+    their sines and cosines, sqrt(1/L) beta, z cos(theta), z sin(theta) and jk sin(theta)."""
+    if not np.isfinite(mount):
+        raise ValueError(f"mount must be finite, got {mount!r}")
+    theta, phi = paths.theta[:, None, None], (paths.phi - mount)[:, None, None]
+    sin_theta, cos_theta = np.sin(theta), np.cos(theta)
+    z = heights[:, None]
+    return (pattern_elevation_stage(spec, theta), phi, sin_theta, cos_theta, np.sin(phi),
+            np.cos(phi), np.sqrt(1.0 / paths.n_paths) * paths.beta[:, None, None],
+            z * cos_theta, z * sin_theta, 2j * np.pi / wavelength * sin_theta)
+
+
 def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                       paths: PathSet, psi: float, mount: float) -> np.ndarray:
     """Channel derivatives for all parameters, columns (N, 4L) ordered
     [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass on (L, N_v, N_h):
     the manifold g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi)
-    per column, and its partials -jk (da/dxi) g share one set of path sines and cosines."""
+    per column, and its partials -jk (da/dxi) g. The path set keeps its :func:`_link_stage`,
+    so a flex angle builds only the geometry and the terms that read it."""
     paths = paths.link()
     geometry = flex_geometry(model, cfg, psi)
-    theta, phi = paths.theta[:, None, None], (paths.phi - mount)[:, None, None]
-    pattern, d_pat_theta, d_pat_phi = pattern_and_derivatives(
-        spec, theta, phi - geometry.column_offsets)
-    sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    x, y, z = geometry.column_x, geometry.column_y, geometry.heights[:, None]
+    elevation, phi, sin_theta, cos_theta, sin_phi, cos_phi, gains, z_cos, z_sin, jk_sin = \
+        paths.derived(
+            (_link_stage, spec, float(mount).hex(), cfg.wavelength, geometry.heights.tobytes()),
+            lambda: _link_stage(spec, paths, mount, geometry.heights, cfg.wavelength))
+    pattern, d_pat_theta, d_pat_phi = pattern_azimuth_stage(
+        spec, elevation, phi - geometry.column_offsets)
+    x, y = geometry.column_x, geometry.column_y
     u = x * cos_phi + y * sin_phi
     jk = 2j * np.pi / cfg.wavelength
-    manifold = np.exp(-jk * (sin_theta * u + z * cos_theta))
+    manifold = np.exp(-jk * (sin_theta * u + z_cos))
 
-    scale = np.sqrt(1.0 / paths.n_paths)
-    weighted = scale * paths.beta[:, None, None] * manifold
-    d_theta = weighted * (d_pat_theta - jk * (cos_theta * u - z * sin_theta) * pattern)
-    d_phi = weighted * (d_pat_phi - jk * sin_theta * (y * cos_phi - x * sin_phi) * pattern)
-    d_beta_r = scale * pattern * manifold
+    weighted = gains * manifold
+    d_theta = weighted * (d_pat_theta - jk * (cos_theta * u - z_sin) * pattern)
+    d_phi = weighted * (d_pat_phi - jk_sin * (y * cos_phi - x * sin_phi) * pattern)
+    d_beta_r = np.sqrt(1.0 / paths.n_paths) * pattern * manifold
     return np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).reshape(-1, cfg.n_elements).T
 
 
@@ -82,8 +99,8 @@ def channel_param_derivatives(model: FlexModel, cfg: ArrayConfig, spec: PatternS
 def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                   paths: PathSet, psi: float, mount: float, sigma2: float) -> FisherMatrix:
     """Assemble the 4L x 4L Fisher matrix; symmetric by construction."""
-    if sigma2 <= 0:
-        raise ValueError("noise power sigma2 must be positive")
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"noise power sigma2 must be positive and finite, got {sigma2!r}")
     stack = _derivative_stack(model, cfg, spec, paths, psi, mount)
     j = (2.0 / sigma2) * np.real(stack.conj().T @ stack)
     j = 0.5 * (j + j.T)

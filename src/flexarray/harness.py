@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -43,9 +43,9 @@ class Scenario:
 
     ``paths`` holds the paths of every user, shape (3 sectors, K, L), with
     global azimuths. Every array sees the same paths:
-    :func:`~flexarray.channel.sector_block` subtracts its mount. It keeps the
-    channel's flex-independent factors in ``channel_factors``, and the path
-    arrays are read-only from its first channel build on.
+    :func:`~flexarray.channel.sector_block` subtracts its mount. The path set
+    keeps the channel's flex-independent factors, and its arrays are
+    read-only from the first channel build on.
     """
 
     cfg: ArrayConfig
@@ -53,7 +53,6 @@ class Scenario:
     flex_model: FlexModel
     snr_db: float
     paths: PathSet
-    channel_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.paths.theta.shape if isinstance(self.paths, PathSet) else None
@@ -237,8 +236,9 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     max(l_values) paths once and every L uses the first L of them, so the
     L-to-L and model-to-fixed comparisons see the same randomness (the
     per-path CRB mean is heavy tailed, and unpaired means would be dominated
-    by draw noise). Draws whose angles land in a pattern support band or that
-    produce a singular Fisher matrix anywhere are redrawn whole. Arrays are unmounted.
+    by draw noise). A grid point on a pattern support edge or with a singular
+    Fisher matrix is skipped; a draw is redrawn whole only when its planar build
+    fails either way or every point of some grid fails. Arrays are unmounted.
     """
     l_values = [int(v) for v in l_values]
     l_max = max(l_values)

@@ -112,9 +112,28 @@ def pattern_and_derivatives(spec: PatternSpec, theta, phi):
     BOUNDARY_EPS of a support edge raises PatternBoundaryError rather than
     returning a clamped value, since a silently large derivative would
     corrupt downstream Fisher matrices."""
+    return pattern_azimuth_stage(spec, pattern_elevation_stage(spec, theta), phi)
+
+
+def pattern_elevation_stage(spec: PatternSpec, theta):
+    """The elevation-only part of :func:`pattern_and_derivatives`: theta, checked,
+    with its support-edge mask, sqrt(G) sin^(kappa/2)(theta) and cot(theta)
+    (the mask and factors are None for omni)."""
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     _check_theta(theta)
+    if spec.kind is PatternKind.OMNI:
+        return theta, None, None, None
+    theta_edge = (theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS)
+    sin_theta = np.sin(theta)
+    # an edge elevation only reaches the partials off the support, where A = 0
+    cot_theta = np.divide(np.cos(theta), sin_theta, out=np.zeros(theta.shape), where=~theta_edge)
+    return theta, theta_edge, np.sqrt(spec.peak_gain) * sin_theta**(spec.kappa / 2.0), cot_theta
+
+
+def pattern_azimuth_stage(spec: PatternSpec, elevation, phi):
+    """:func:`pattern_and_derivatives` from its :func:`pattern_elevation_stage` and the azimuths."""
+    theta, theta_edge, lead, cot_theta = elevation
+    phi = np.asarray(phi, dtype=float)
     if spec.kind is PatternKind.OMNI:
         shape = np.broadcast_shapes(theta.shape, phi.shape)
         return np.ones(shape), np.zeros(shape), np.zeros(shape)
@@ -122,16 +141,12 @@ def pattern_and_derivatives(spec: PatternSpec, theta, phi):
     w = wrap_angle(phi)
     if np.any(np.abs(np.abs(w) - np.pi / 2) < BOUNDARY_EPS):
         raise PatternBoundaryError("azimuth within 1e-6 of the cosine support edge")
-    theta_edge = (theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS)
     if theta_edge.any() and np.any(theta_edge & (np.abs(w) < np.pi / 2)):
         raise PatternBoundaryError("elevation within 1e-6 of the cosine support edge")
 
     half_kappa = spec.kappa / 2.0
-    sin_theta = np.sin(theta)
     # cos(w) <= 0 exactly off the front half-space, where A and both partials are 0
-    amp = np.sqrt(spec.peak_gain) * sin_theta**half_kappa * np.maximum(np.cos(w), 0.0)**half_kappa
-    # an edge elevation only reaches here off the support, where A = 0
-    cot_theta = np.divide(np.cos(theta), sin_theta, out=np.zeros(theta.shape), where=~theta_edge)
+    amp = lead * np.maximum(np.cos(w), 0.0)**half_kappa
     return amp, half_kappa * amp * cot_theta, -half_kappa * amp * np.tan(w)
 
 

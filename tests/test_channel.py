@@ -3,8 +3,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from flexarray.channel import (MOUNTS, PathSet, _synthesize, array_manifold, channel_power,
-                               flexible_channel, sector_block)
+from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, array_manifold,
+                               channel_power, flexible_channel, sector_block)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import Scenario, generate_scenario
 from flexarray.radiation import PatternKind, PatternSpec, pattern_coefficient
@@ -342,14 +342,14 @@ class TestSectorAssembly:
 class TestPathFactors:
     """``sector_block`` reuses the flex-independent factors a scenario derived
     at its first build for that array and those sectors; every block has the
-    bits of a ``_synthesize`` call from scratch."""
+    bits of one built from scratch."""
 
     @staticmethod
     def fresh_block(scenario, geometry, faa, sectors):
         paths = scenario.paths
-        block = _synthesize(geometry, scenario.pattern, paths.theta[sectors],
-                            paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
-                            scenario.cfg.wavelength)
+        block = _combine(geometry, scenario.pattern, _path_factors(
+            paths.theta[sectors], paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors],
+            geometry.heights, scenario.cfg.wavelength))
         return block.reshape(-1, block.shape[-1]).T
 
     @pytest.mark.parametrize("model", list(FlexModel))
@@ -365,7 +365,7 @@ class TestPathFactors:
                 for sectors in (0, 1, 2, slice(None)):
                     assert np.array_equal(sector_block(scenario, geometry, faa, sectors),
                                           self.fresh_block(scenario, geometry, faa, sectors))
-        assert len(scenario.channel_factors) == 3 * 4
+        assert len(scenario.paths._derived) == 3 * 4
 
     def test_geometry_of_other_heights_gets_its_own_factors(self):
         scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), OMNI,
@@ -375,7 +375,7 @@ class TestPathFactors:
         raised = replace(geometry, heights=geometry.heights + 0.01)
         assert np.array_equal(sector_block(scenario, raised, 1, 1),
                               self.fresh_block(scenario, raised, 1, 1))
-        assert len(scenario.channel_factors) == 2
+        assert len(scenario.paths._derived) == 2
 
     def test_paths_are_read_only_after_the_first_build(self):
         scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), COS1,
@@ -390,3 +390,61 @@ class TestPathFactors:
             scenario.paths = scenario.paths[:, :1]
         assert scenario.paths.phi[0, 0, 0] == 0.1
         assert np.array_equal(sector_block(scenario, geometry, 0, slice(None)), before)
+
+    def test_scenarios_that_share_the_paths_share_their_factors(self):
+        scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), COS2,
+                                     FlexModel.BENDABLE, k_users=2, n_paths=3, seed=47)
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.4)
+        sector_block(scenario, geometry, 2, 0)
+        louder = replace(scenario, snr_db=30.0)
+        assert louder.paths._derived is scenario.paths._derived
+        assert np.array_equal(sector_block(louder, geometry, 2, 0),
+                              self.fresh_block(scenario, geometry, 2, 0))
+        assert len(scenario.paths._derived) == 1
+        assert scenario.paths[:, :, :2]._derived == {}
+
+    def test_another_wavelength_gets_its_own_factors(self):
+        scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), OMNI,
+                                     FlexModel.ROTATABLE, k_users=2, n_paths=3, seed=53)
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.1)
+        sector_block(scenario, geometry, 0, 0)
+        longer = replace(scenario, cfg=replace(scenario.cfg, wavelength=2 * WAVELENGTH))
+        assert np.array_equal(sector_block(longer, geometry, 0, 0),
+                              self.fresh_block(longer, geometry, 0, 0))
+        assert len(scenario.paths._derived) == 2
+
+
+class TestLinkFactors:
+    """``flexible_channel`` derives a link's flex-independent factors once per
+    path set, mount, wavelength and heights, and keeps them on the path set."""
+
+    CFG = ArrayConfig(4, 3, wavelength=WAVELENGTH)
+
+    def test_sweep_reuses_the_factors_and_equals_fresh_builds(self):
+        paths = random_paths(np.random.default_rng(71), 4, phi_span=1.0)
+        for psi in np.linspace(-1.0, 1.0, 7):
+            fresh = PathSet(paths.theta.copy(), paths.phi.copy(), paths.beta.copy())
+            assert np.array_equal(flexible_channel(FlexModel.BENDABLE, self.CFG, COS15, paths, psi),
+                                  flexible_channel(FlexModel.BENDABLE, self.CFG, COS15, fresh, psi))
+        assert len(paths._derived) == 1
+
+    @pytest.mark.parametrize("mount, cfg", [
+        (0.4, CFG), (-0.0, CFG), (0.0, replace(CFG, wavelength=0.05)),
+        (0.0, replace(CFG, spacing=0.02)), (0.0, replace(CFG, n_v=2))])
+    def test_another_mount_wavelength_or_heights_gets_its_own_factors(self, mount, cfg):
+        paths = random_paths(np.random.default_rng(73), 3, phi_span=1.0)
+        flexible_channel(FlexModel.FOLDABLE, self.CFG, COS2, paths, 0.2, 0.0)
+        fresh = PathSet(paths.theta.copy(), paths.phi.copy(), paths.beta.copy())
+        got = flexible_channel(FlexModel.FOLDABLE, cfg, COS2, paths, 0.2, mount)
+        expected = flexible_channel(FlexModel.FOLDABLE, cfg, COS2, fresh, 0.2, mount)
+        assert np.array_equal(got, expected)
+        assert len(paths._derived) == 2
+
+    def test_paths_are_read_only_after_the_first_call(self):
+        paths = random_paths(np.random.default_rng(79), 3)
+        paths.theta[0] = 1.0  # before the first call the paths may change
+        flexible_channel(FlexModel.ROTATABLE, self.CFG, OMNI, paths, 0.1)
+        for values in (paths.theta, paths.phi, paths.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        assert paths[:2]._derived == {}

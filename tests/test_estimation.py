@@ -576,3 +576,80 @@ class TestOneLinkArguments:
                                      n_paths=3, seed=5)
         with pytest.raises(ValueError, match="paths"):
             self.CALLS[name](self.CFG, scenario.paths[0])
+
+
+class TestInputChecks:
+    """A non-finite noise power or mount is a ValueError that names it, raised
+    before any Fisher matrix is built."""
+
+    CFG = ArrayConfig(4, 2, wavelength=WAVELENGTH)
+    PATHS = PathSet(theta=[1.2, 1.7], phi=[0.3, -0.4], beta=[1.0, 0.5j])
+    CALLS = {
+        "fisher_matrix": lambda cfg, paths, mount, sigma2: fisher_matrix(
+            FlexModel.BENDABLE, cfg, COS2, paths, 0.2, mount, sigma2),
+        "channel_param_derivatives": lambda cfg, paths, mount, sigma2: channel_param_derivatives(
+            FlexModel.BENDABLE, cfg, COS2, paths, 0.2, mount, 0),
+        "optimal_psi_for_crb": lambda cfg, paths, mount, sigma2: optimal_psi_for_crb(
+            FlexModel.BENDABLE, cfg, COS2, paths, mount, sigma2, (-0.5, 0.5), grid_size=5),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mount", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_non_finite_mount_is_named(self, name, mount):
+        with pytest.raises(ValueError, match="mount"):
+            self.CALLS[name](self.CFG, self.PATHS, mount, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["fisher_matrix", "optimal_psi_for_crb"])
+    def test_non_finite_or_non_positive_sigma2_is_named(self, name, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            self.CALLS[name](self.CFG, self.PATHS, 0.0, sigma2)
+
+
+class TestKeptLinkStage:
+    """A path set keeps one link stage per pattern, mount, wavelength and set of
+    heights; its arrays are read-only from the first Fisher build on."""
+
+    CFG = ArrayConfig(4, 3, wavelength=WAVELENGTH)
+
+    @staticmethod
+    def fresh(paths):
+        return PathSet(paths.theta.copy(), paths.phi.copy(), paths.beta.copy())
+
+    def test_grid_search_keeps_one_stage_for_every_point(self):
+        paths = interior_paths(np.random.default_rng(83), 3)
+        optimal_psi_for_crb(FlexModel.BENDABLE, self.CFG, COS2, paths, 0.0, 1.0,
+                            CRB_PSI_RANGE, grid_size=9)
+        mean_angle_crb(fisher_matrix(FlexModel.PLANAR, self.CFG, COS2, paths, 0.0, 0.0, 1.0))
+        assert len(paths._derived) == 1
+
+    @pytest.mark.parametrize("spec, mount, cfg", [
+        (COS1, 0.0, CFG), (OMNI, 0.0, CFG), (COS2, 0.4, CFG), (COS2, -0.0, CFG),
+        (COS2, 0.0, ArrayConfig(4, 3, wavelength=0.05)),
+        (COS2, 0.0, ArrayConfig(4, 3, wavelength=WAVELENGTH, spacing=0.02)),
+        (COS2, 0.0, ArrayConfig(4, 2, wavelength=WAVELENGTH))])
+    def test_another_spec_mount_wavelength_or_heights_gets_its_own_stage(self, spec, mount, cfg):
+        paths = interior_paths(np.random.default_rng(89), 3)
+        fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, paths, 0.3, 0.0, 1.0)
+        got = fisher_matrix(FlexModel.ROTATABLE, cfg, spec, paths, 0.3, mount, 1.0).matrix
+        expected = fisher_matrix(FlexModel.ROTATABLE, cfg, spec, self.fresh(paths), 0.3, mount,
+                                 1.0).matrix
+        assert np.array_equal(got, expected)
+        assert len(paths._derived) == 2
+
+    def test_paths_are_read_only_after_the_first_build(self):
+        paths = interior_paths(np.random.default_rng(97), 3)
+        paths.phi[1] = 0.2  # before the first build the paths may change
+        fisher_matrix(FlexModel.FOLDABLE, self.CFG, COS1, paths, 0.1, 0.0, 1.0)
+        for values in (paths.theta, paths.phi, paths.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        assert paths[:2]._derived == {}
+
+    def test_a_refused_mount_keeps_nothing(self):
+        paths = interior_paths(np.random.default_rng(101), 2)
+        with pytest.raises(ValueError, match="mount"):
+            fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, paths, 0.1, np.nan, 1.0)
+        assert paths._derived == {}
