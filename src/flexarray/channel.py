@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MOUNTS = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)  # array m faces sector m's center
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathSet:
     """Plane-wave path parameters of shape (..., L): one link as (L,), a
     scenario's users as (3, K, L). The single-link functions take a 1-D set.
@@ -42,7 +42,8 @@ class PathSet:
     unitless complex gains, all finite. Gains are stored unnormalized; the
     sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
     gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths.
-    Terms that read only the paths are derived once per set and kept (:meth:`derived`).
+    Terms that read only the paths are derived once per set and kept (:meth:`derived`),
+    so a set is frozen and copies its arrays: nothing else can change them.
     """
 
     theta: np.ndarray
@@ -51,9 +52,9 @@ class PathSet:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=complex))
+        for name, dtype in (("theta", float), ("phi", float), ("beta", complex)):
+            values = np.atleast_1d(np.array(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, values)
         if not self.theta.shape == self.phi.shape == self.beta.shape:
             raise ValueError("theta, phi and beta must have equal shapes")
         if self.theta.size == 0:
@@ -123,8 +124,8 @@ def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
 
 def _kept_factors(paths: PathSet, index, mount: float, heights: np.ndarray, wavelength: float):
     """:func:`_path_factors` of ``paths[index]`` seen from ``mount``, derived once per
-    path set; the hex of the mount tells -0.0 from 0.0 (a repr, as a slice is
-    unhashable before 3.12)."""
+    path set. The key holds the index as a repr (a slice is unhashable before 3.12)
+    and the mount as hex, which tells -0.0 from 0.0."""
     key = (_path_factors, repr(index), float(mount).hex(), heights.tobytes(), wavelength)
     return paths.derived(key, lambda: _path_factors(
         paths.theta[index], paths.phi[index] - mount, paths.beta[index], heights, wavelength))

@@ -39,9 +39,8 @@ class FisherMatrix:
 
 def _link_stage(spec: PatternSpec, paths: PathSet, mount: float, heights: np.ndarray,
                 wavelength: float):
-    """The terms of :func:`_derivative_stack` that read only the paths, on (L, 1, 1) or
-    (L, N_v, 1): the checked elevation stage of the pattern, the azimuths phi - mount,
-    their sines and cosines, sqrt(1/L) beta, z cos(theta), z sin(theta) and jk sin(theta)."""
+    """The terms of :func:`_derivative_stack` that read only the paths: the pattern's elevation
+    stage, phi - mount, the sines and cosines, sqrt(1/L) beta, z cos, z sin and jk sin(theta)."""
     if not np.isfinite(mount):
         raise ValueError(f"mount must be finite, got {mount!r}")
     theta, phi = paths.theta[:, None, None], (paths.phi - mount)[:, None, None]
@@ -61,10 +60,10 @@ def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     so a flex angle builds only the geometry and the terms that read it."""
     paths = paths.link()
     geometry = flex_geometry(model, cfg, psi)
+    heights = geometry.heights
+    key = (_link_stage, spec, float(mount).hex(), cfg.wavelength, heights.tobytes())
     elevation, phi, sin_theta, cos_theta, sin_phi, cos_phi, gains, z_cos, z_sin, jk_sin = \
-        paths.derived(
-            (_link_stage, spec, float(mount).hex(), cfg.wavelength, geometry.heights.tobytes()),
-            lambda: _link_stage(spec, paths, mount, geometry.heights, cfg.wavelength))
+        paths.derived(key, lambda: _link_stage(spec, paths, mount, heights, cfg.wavelength))
     pattern, d_pat_theta, d_pat_phi = pattern_azimuth_stage(
         spec, elevation, phi - geometry.column_offsets)
     x, y = geometry.column_x, geometry.column_y

@@ -448,3 +448,15 @@ class TestLinkFactors:
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
         assert paths[:2]._derived == {}
+
+    def test_a_set_owns_its_arrays_and_cannot_be_rebound(self):
+        theta = np.array([1.0, 1.2, 1.4])
+        full = PathSet(theta, [0.1, 0.3, 0.5], [1.0, 1j, 1.0])
+        link = full[:2]
+        before = flexible_channel(FlexModel.ROTATABLE, self.CFG, OMNI, link, 0.2)
+        theta[1] = 0.5  # the caller's array, not the set's
+        full.theta[0] = 0.5  # the parent set has derived nothing, so it may change
+        assert np.array_equal(flexible_channel(FlexModel.ROTATABLE, self.CFG, OMNI, link, 0.2),
+                              before)
+        with pytest.raises(FrozenInstanceError):
+            link.theta = np.array([0.5, 0.6])
