@@ -92,22 +92,6 @@ class GpDataset:
         return self.points.shape[1]
 
 
-@dataclass
-class GpPosterior:
-    """Predictive mean and variance at a single query point."""
-
-    mean: float
-    variance: float
-
-
-def kernel_eval(kernel: Kernel, a, b) -> float:
-    """Kernel value between two points of equal dimension (no jitter)."""
-    a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return float(_cross_kernel(kernel, a, b)[0, 0])
-
-
 def _gram_cholesky(kernel: Kernel, points: np.ndarray):
     """Cholesky factor of the gram matrix, escalating jitter tenfold up to
     JITTER_MAX while the matrix stays ill conditioned."""
@@ -156,17 +140,6 @@ def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
         v *= v
         variance[block] = kernel.eta0 - np.sum(v, axis=0)
     return mean, np.clip(variance, 0.0, None)
-
-
-def gp_posterior(kernel: Kernel, data: GpDataset, query) -> GpPosterior:
-    """Zero-prior-mean GP posterior at one query point."""
-    mean, variance = _posterior_batch(kernel, data, np.atleast_2d(np.asarray(query, dtype=float)))
-    return GpPosterior(mean=float(mean[0]), variance=float(variance[0]))
-
-
-def expected_improvement(mean: float, sigma: float, f_best: float) -> float:
-    """Closed-form expected improvement over the incumbent ``f_best``."""
-    return float(_expected_improvement_batch(*np.array([[mean], [sigma]], dtype=float), f_best)[0])
 
 
 def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:

@@ -87,20 +87,6 @@ class PathSet:
         return value
 
 
-def array_manifold(positions: np.ndarray, theta, phi, wavelength: float) -> np.ndarray:
-    """Far-field array manifold; unit-modulus phase response of each element.
-
-    ``theta``/``phi`` may be scalars (returns shape (N,)) or broadcastable
-    arrays such as (L, 1) against N positions (returns (L, N)).
-    """
-    positions = np.asarray(positions, dtype=float)
-    x, y, z = positions[..., 0], positions[..., 1], positions[..., 2]
-    arg = (x * np.sin(theta) * np.cos(phi)
-           + y * np.sin(theta) * np.sin(phi)
-           + z * np.cos(theta))
-    return np.exp(-2j * np.pi / wavelength * arg)
-
-
 def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):
     """The parts of the channel to (..., L) paths that no flex angle changes: the
     path sines and cosines (..., L, 1), -jk sin(theta), and the gain-weighted row

@@ -29,13 +29,6 @@ class FisherMatrix:
     sigma2: float
     n_paths: int
 
-    def inverse(self) -> np.ndarray:
-        """Inverse Fisher matrix, SingularFisherError above the condition limit. LU scales
-        exactly by powers of two, so doubling sigma2 doubles every CRB bit for bit."""
-        if (cond := condition_number(self.matrix)) > COND_MAX:
-            raise SingularFisherError(cond)
-        return np.linalg.inv(self.matrix)
-
 
 def _link_stage(spec: PatternSpec, paths: PathSet, mount: float, heights: np.ndarray,
                 wavelength: float):
@@ -78,23 +71,6 @@ def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     return np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).reshape(-1, cfg.n_elements).T
 
 
-def stack_parameters(paths: PathSet) -> np.ndarray:
-    """Channel parameters as one real vector [theta; phi; beta_R; beta_I] of
-    length 4L, in the ordering used by the Fisher matrix and CRB indices."""
-    return np.concatenate([paths.theta, paths.phi, paths.beta.real, paths.beta.imag])
-
-
-def channel_param_derivatives(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
-                              paths: PathSet, psi: float, mount: float, path_index: int):
-    """Derivatives of the channel with respect to path ``path_index``'s four
-    parameters: (d/d theta_l, d/d phi_l, d/d beta_R_l, d/d beta_I_l)."""
-    n_paths = paths.n_paths
-    if not 0 <= path_index < n_paths:
-        raise IndexError(f"path index {path_index} outside 0..{n_paths - 1}")
-    stack = _derivative_stack(model, cfg, spec, paths, psi, mount)
-    return tuple(stack[:, family * n_paths + path_index] for family in range(4))
-
-
 def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                   paths: PathSet, psi: float, mount: float, sigma2: float) -> FisherMatrix:
     """Assemble the 4L x 4L Fisher matrix; symmetric by construction."""
@@ -104,15 +80,6 @@ def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     j = (2.0 / sigma2) * np.real(stack.conj().T @ stack)
     j = 0.5 * (j + j.T)
     return FisherMatrix(matrix=j, sigma2=float(sigma2), n_paths=paths.n_paths)
-
-
-def crb(fisher: FisherMatrix, index: int) -> float:
-    """Cramer-Rao bound of one parameter, a diagonal entry of the inverse
-    Fisher matrix. ``index`` is 0-based over the 4L stacked parameters."""
-    size = fisher.matrix.shape[0]
-    if not 0 <= index < size:
-        raise IndexError(f"parameter index {index} outside 0..{size - 1}")
-    return float(fisher.inverse()[index, index])
 
 
 def _mean_angle_crbs(matrices, n_paths: int):

@@ -275,6 +275,8 @@ def experiment_sumrate(strategy: str, model: FlexModel, spec: PatternSpec, cfg: 
                        k_users: int, n_paths: int, snr_values: Sequence[float], trials: int,
                        seed: int, budget_1d: int = 30, budget_3d: int = 60, n_init: int = 4):
     """Monte Carlo sum-rate of one strategy: fixed baseline vs optimized flex."""
+    if len(snr_values) == 0:
+        raise ValueError("snr_values: need at least one SNR")
     rows = []
     for trial in range(trials):
         scenario = generate_scenario(cfg, spec, model, k_users=k_users, n_paths=n_paths,

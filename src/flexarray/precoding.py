@@ -41,11 +41,6 @@ def _zero_forcing(channel: np.ndarray, precoder: bool = False):
     return (channel @ inv if precoder else None), 1.0 / np.diagonal(inv, axis1=-2, axis2=-1).real
 
 
-def zf_precoder(channel: np.ndarray) -> np.ndarray:
-    """Zero-forcing precoder F = H (H^H H)^{-1}, satisfying H^H F = I."""
-    return _zero_forcing(channel, precoder=True)[0]
-
-
 def effective_gain(channel: np.ndarray) -> np.ndarray:
     """Post-ZF channel gain of each user, 1 / [(H^H H)^{-1}]_{kk}, shape (K,)."""
     return _zero_forcing(channel)[1]

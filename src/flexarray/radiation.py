@@ -25,7 +25,6 @@ from .errors import PatternBoundaryError
 BOUNDARY_EPS = 1e-6
 """Half-width of the band around the cosine support edge where derivatives
 are refused; the amplitude slope is unbounded there for kappa = 1."""
-N_THETA, N_PHI = 720, 1440  # midpoint grid of normalization_integral
 
 
 class PatternKind(enum.Enum):
@@ -50,9 +49,6 @@ class PatternSpec:
         if self.kind is PatternKind.OMNI:
             return 1.0
         return 2.0 * (1.0 + self.kappa)
-
-
-OMNI = PatternSpec(PatternKind.OMNI)
 
 
 def wrap_angle(phi):
@@ -85,14 +81,9 @@ def pattern_gain(spec: PatternSpec, theta, phi):
     return float(gain) if gain.ndim == 0 else gain
 
 
-def pattern_coefficient(spec: PatternSpec, theta, phi):
-    """Amplitude coefficient, the square root of :func:`pattern_gain`."""
-    return np.sqrt(pattern_gain(spec, theta, phi))
-
-
 def column_amplitudes(spec: PatternSpec, sin_theta, cos_phi, sin_phi, offsets):
-    """:func:`pattern_coefficient` toward paths given by the sine of their
-    elevation and the cosine and sine of their azimuth, (..., L, 1) each, for
+    """The amplitude coefficient sqrt(:func:`pattern_gain`) toward paths given by the sine of
+    their elevation and the cosine and sine of their azimuth, (..., L, 1) each, for
     elements with boresight azimuth offsets ``offsets`` (N_h,); (..., L, N_h),
     or 1.0 for omni. cos(phi - o) = cos(phi) cos(o) + sin(phi) sin(o) needs
     no wrapping, and its sign marks the front half-space."""
@@ -106,7 +97,7 @@ def column_amplitudes(spec: PatternSpec, sin_theta, cos_phi, sin_phi, offsets):
 def pattern_and_derivatives(spec: PatternSpec, theta, phi):
     """Amplitude coefficient and its partials (A, dA/dtheta, dA/dphi).
 
-    A equals :func:`pattern_coefficient`; on the open cosine support the
+    A equals sqrt(:func:`pattern_gain`); on the open cosine support the
     partials are (kappa/2) A cot(theta) and -(kappa/2) A tan(phi), outside it
     all three vanish. Theta is checked before broadcasting. Any point within
     BOUNDARY_EPS of a support edge raises PatternBoundaryError rather than
@@ -157,18 +148,3 @@ def pattern_derivatives(spec: PatternSpec, theta, phi):
     if np.ndim(d_theta) == 0:
         return float(d_theta), float(d_phi)
     return d_theta, d_phi
-
-
-def normalization_integral(spec: PatternSpec) -> float:
-    """Quadrature of the gain over the sphere; 4 pi for a normalized pattern.
-
-    Midpoint rule on a tensor grid; the integrand is smooth except for the
-    corner at the cosine support edge, and the N_THETA x N_PHI grid keeps
-    the error far below 1e-3 relative.
-    """
-    d_theta = np.pi / N_THETA
-    d_phi = 2.0 * np.pi / N_PHI
-    theta = (np.arange(N_THETA) + 0.5) * d_theta
-    phi = -np.pi + (np.arange(N_PHI) + 0.5) * d_phi
-    gain = pattern_gain(spec, theta[:, None], phi[None, :])
-    return float(np.sum(gain * np.sin(theta)[:, None]) * d_theta * d_phi)

@@ -13,11 +13,11 @@ from flexarray import bayesopt, harness
 from flexarray.bayesopt import (POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kernel,
                                 OptimizeResult, SobolStream,
                                 _cross_kernel, _expected_improvement_batch, _gram_cholesky,
-                                _posterior_batch, expected_improvement, gp_posterior, kernel_eval,
-                                optimize, propose_next)
+                                _posterior_batch, optimize, propose_next)
 from flexarray.errors import GramConditionError, OptimizationError
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
+from oracles import expected_improvement, gp_posterior, kernel_eval
 
 UNIT = Kernel(eta0=1.0, eta1=1.0, jitter=0.0)
 

@@ -3,11 +3,12 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, array_manifold,
-                               channel_power, flexible_channel, sector_block)
+from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, channel_power,
+                               flexible_channel, sector_block)
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import Scenario, generate_scenario
-from flexarray.radiation import PatternKind, PatternSpec, pattern_coefficient
+from flexarray.radiation import PatternKind, PatternSpec
+from oracles import array_manifold, pattern_coefficient
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from flexarray.channel import PathSet, array_manifold, flexible_channel
+from flexarray.channel import PathSet, flexible_channel
 from flexarray.errors import (COND_MAX, OptimizationError, PatternBoundaryError,
                               SingularFisherError)
-from flexarray.estimation import (FisherMatrix, channel_param_derivatives, crb, fisher_matrix,
-                                  mean_angle_crb, optimal_psi_for_crb)
+from flexarray.estimation import FisherMatrix, fisher_matrix, mean_angle_crb, optimal_psi_for_crb
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import CRB_PSI_RANGE, _crb_regime_paths, generate_scenario
 from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
-                                 pattern_coefficient, wrap_angle)
+                                 wrap_angle)
+from oracles import (array_manifold, channel_param_derivatives, crb, pattern_coefficient,
+                     stack_parameters)
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)
@@ -392,8 +393,6 @@ class TestFisherMatrix:
 
 class TestParameterStacking:
     def test_ordering_matches_crb_indices(self):
-        from flexarray.estimation import stack_parameters
-
         paths = PathSet(theta=[1.0, 1.1], phi=[0.2, -0.3], beta=[1 + 2j, 3 - 4j])
         stacked = stack_parameters(paths)
         np.testing.assert_array_equal(

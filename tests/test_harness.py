@@ -217,6 +217,13 @@ class TestExperiments:
         for row in rows:
             assert row[3] >= row[2]
 
+    def test_sumrate_empty_snr_list_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(harness, "generate_scenario",
+                            lambda *args, **kwargs: pytest.fail("drew a scenario"))
+        with pytest.raises(ValueError, match="snr_values"):
+            experiment_sumrate("jfp", FlexModel.ROTATABLE, OMNI, CFG, k_users=2, n_paths=3,
+                               snr_values=[], trials=2, seed=0)
+
     def test_bo_trace_incumbent_monotone(self):
         scenario = small_scenario(seed=2)
         header, rows = experiment_bo_trace("jfp", scenario, seed=0, budget=4, n_init=2)

@@ -10,8 +10,9 @@ from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
 from flexarray.precoding import (_array_responses, _sector_state, _zero_forcing, effective_gain,
                                  jfp_sumrate, sector_rate_given_leakage, sfp_leakage,
-                                 single_sector_sumrate, sjfp_sumrate, zf_precoder)
+                                 single_sector_sumrate, sjfp_sumrate)
 from flexarray.radiation import PatternKind, PatternSpec
+from oracles import zf_precoder
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)

@@ -1,19 +1,25 @@
-"""scipy loads only when a Gaussian-process fit needs it.
+"""What ``import flexarray`` brings: scipy loads only when a Gaussian-process fit
+needs it, and every exported name is documented.
 
-Each case runs in a fresh interpreter: this test process has imported scipy
+Each scipy case runs in a fresh interpreter: this test process has imported scipy
 already (the bayesopt tests use it), so ``sys.modules`` here says nothing.
 The child prints the names of the loaded modules that start with ``scipy`` as JSON.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import flexarray
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 TINY_RUNS = """
 from flexarray.harness import run_experiment
@@ -76,3 +82,13 @@ def test_three_dimensional_gp_loads_linalg_but_not_stats():
     loaded = scipy_modules_after(GP_RUN.format(dim=3))  # Sobol candidates come from numpy
     assert "scipy.linalg" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_readme_layout_table_names_every_export():
+    """Every name in ``flexarray.__all__`` but the submodules appears backticked in the
+    README's "Library layout" section; the table may also name unexported items."""
+    section = README.read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([^`]+)`", section))
+    exported = {name for name in flexarray.__all__
+                if not isinstance(getattr(flexarray, name), ModuleType)}
+    assert sorted(exported - documented) == []
