@@ -26,8 +26,7 @@ DUPLICATE_TOL = 1e-12
 JITTER_MAX = 1e-6
 GRID_CANDIDATES_1D = 361
 SOBOL_CANDIDATES = 2048
-# candidates per posterior block, so a T x 512 kernel block stays in cache; the last block
-# also takes the remainder, since a narrow tail block gets other bits from BLAS than the one-block form
+# candidates per posterior block, so a T x 512 kernel block stays in cache
 POSTERIOR_BLOCK = 512
 SOBOL_BITS = 30
 # Joe & Kuo (2008) direction numbers for Sobol dimensions 2 to 8, as scipy ships them: the
@@ -70,6 +69,9 @@ class GpDataset:
         vals = np.asarray(self.values, dtype=float).ravel()
         if pts.shape[0] != vals.shape[0] or pts.shape[0] < 1:
             raise ValueError("points and values must share a positive length")
+        for name, array in (("points", pts), ("values", vals)):
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{name} must be finite")
         dist2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         if np.any(np.tril(dist2 < DUPLICATE_TOL**2, k=-1)):
             raise ValueError("dataset contains duplicate points")
@@ -123,22 +125,30 @@ def _cross_kernel(kernel: Kernel, points: np.ndarray, queries: np.ndarray) -> np
 
 
 def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
-    """Predictive means and variances at (C, D) query points, from one gram fit
-    and contiguous blocks of POSTERIOR_BLOCK queries (bit for bit the one-block form)."""
-    from scipy.linalg import cho_solve, solve_triangular
+    """Predictive means and variances at (C, D) queries (Rasmussen & Williams 2006, Alg. 2.1) by
+    GEMMs over blocks of POSTERIOR_BLOCK queries: with the unit kernel k~ = k*/eta0, the mean
+    is k~'(eta0 K^-1 y) and the variance eta0 - |eta0 L^-1 k~|^2, L^-1 from LAPACK trtri."""
+    from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import dtrtri
 
     if queries.shape[1] != data.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != data dimension {data.dim}")
     factor = _gram_cholesky(kernel, data.points)
-    weights = cho_solve(factor, data.values)
+    # rows eta0 K^-1 y (for the means) and eta0 L^-1; cho_factor leaves junk above its diagonal
+    project = kernel.eta0 * np.vstack([cho_solve(factor, data.values),
+                                       dtrtri(np.tril(factor[0]), lower=1)[0]])
+    # h |x - q|^2 = [-2h x, h |x|^2, h] . [q, 1, |q|^2] with h = -eta1/2, one product per block
+    h, points = -0.5 * kernel.eta1, data.points
+    lifted = h * np.column_stack([-2.0 * points, np.sum(points**2, axis=1), np.ones(data.size)])
+    lifted_queries = np.vstack([queries.T, np.ones(len(queries)), np.sum(queries**2, axis=1)])
     mean, variance = np.empty(len(queries)), np.empty(len(queries))
-    starts = range(0, max(len(queries) - POSTERIOR_BLOCK, 0) + 1, POSTERIOR_BLOCK)
-    for block in map(slice, starts, [*starts[1:], len(queries)]):
-        k_star = _cross_kernel(kernel, data.points, queries[block])  # (T, block)
-        mean[block] = k_star.T @ weights
-        v = solve_triangular(factor[0], k_star, lower=True)  # k*' K^-1 k* = |L^-1 k*|^2
-        v *= v
-        variance[block] = kernel.eta0 - np.sum(v, axis=0)
+    for start in range(0, len(queries), POSTERIOR_BLOCK):
+        block = slice(start, start + POSTERIOR_BLOCK)
+        k_unit = lifted @ lifted_queries[:, block]  # (T, block), clipped at 0 against cancellation
+        np.exp(np.minimum(k_unit, 0.0, out=k_unit), out=k_unit)
+        rows = project @ k_unit
+        mean[block] = rows[0]
+        variance[block] = kernel.eta0 - np.einsum("ij,ij->j", rows[1:], rows[1:])
     return mean, np.clip(variance, 0.0, None)
 
 
@@ -158,6 +168,8 @@ def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
     candidates = np.asarray(candidates, dtype=float)
     if len(candidates) == 0:
         raise ValueError("need at least one candidate")
+    if not np.all(np.isfinite(candidates)):
+        raise ValueError("candidates must be finite")
     candidates = candidates.reshape(len(candidates), -1)  # 1-D: one coordinate per candidate
     mean, variance = _posterior_batch(kernel, data, candidates)
     ei = _expected_improvement_batch(mean, np.sqrt(variance), float(np.max(data.values)))

@@ -30,7 +30,7 @@ import pytest
 
 from flexarray.bayesopt import GpDataset, Kernel, optimize
 from flexarray.channel import PathSet, flexible_channel
-from flexarray.estimation import fisher_matrix, mean_angle_crb
+from flexarray.estimation import fisher_matrix
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.harness import (experiment_crb_sweep, experiment_power_sweep,
                                experiment_sumrate, generate_scenario, optimize_strategy)

@@ -99,9 +99,10 @@ def one_shot_posterior(kernel, data, queries):
 
 
 class TestPosteriorBlocks:
-    """The blocked posterior and the in-place kernel give the one-block
-    form's bits: every block is a contiguous run of columns, so each column
-    sees the same arithmetic."""
+    """The blocked GEMM-form posterior against the one-block solve form. The EI
+    argmax is the same; the variance agrees to a fixed bound, and the mean to
+    rounding of the kernel amplified by the weights, |mean error| <= c eta0 |w|_1 eps
+    (c at most 6.8 on this grid). The in-place cross kernel keeps the one-block bits."""
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("n_queries", [1, 361, 511, 512, 513, 1030, 2048, 2049])
@@ -115,7 +116,13 @@ class TestPosteriorBlocks:
         kernel = Kernel(eta0=1.3, eta1=2.1)
         mean, variance, k_star = one_shot_posterior(kernel, data, queries)
         got_mean, got_variance = _posterior_batch(kernel, data, queries)
-        assert np.array_equal(got_mean, mean) and np.array_equal(got_variance, variance)
+        best = float(np.max(data.values))
+        assert (np.argmax(_expected_improvement_batch(got_mean, np.sqrt(got_variance), best))
+                == np.argmax(_expected_improvement_batch(mean, np.sqrt(variance), best)))
+        np.testing.assert_allclose(got_variance, variance, rtol=0, atol=1e-11)
+        weights = cho_solve(_gram_cholesky(kernel, data.points), data.values)
+        bound = 16 * kernel.eta0 * np.sum(np.abs(weights)) * np.finfo(float).eps
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=bound)
         assert np.array_equal(_cross_kernel(kernel, data.points, queries), k_star)
 
 
@@ -127,6 +134,14 @@ class TestDataset:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GpDataset(points=np.array([[0.1], [0.2]]), values=np.array([1.0]))
+
+    @pytest.mark.parametrize("name", ["points", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected_by_name(self, name, bad):
+        arrays = {"points": np.array([[0.1], [0.2]]), "values": np.array([1.0, 2.0])}
+        arrays[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            GpDataset(**arrays)
 
     def test_one_dim_points_promoted(self):
         data = GpDataset(points=np.array([0.1, 0.7]), values=np.array([1.0, 2.0]))
@@ -235,6 +250,12 @@ class TestProposeNext:
             brute.append(expected_improvement(post.mean, np.sqrt(post.variance), best))
         pick = propose_next(UNIT, data, candidates)
         assert pick[0] == candidates[int(np.argmax(brute))][0]
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_candidates_rejected_by_name(self, bad):
+        data = GpDataset(points=np.array([[0.0], [1.0]]), values=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="^candidates must be finite$"):
+            propose_next(UNIT, data, np.array([[0.5], [bad]]))
 
     def test_empty_candidates_rejected(self):
         data = GpDataset(points=np.array([[0.0]]), values=np.array([1.0]))
