@@ -1,10 +1,11 @@
 """Gaussian-process surrogate optimization with expected improvement.
 
-The surrogate is a zero-mean GP with a squared-exponential kernel
-k(a, b) = eta0 * exp(-eta1/2 * ||a - b||^2); hyperparameters stay fixed at
-their defaults. Candidates for the acquisition argmax come from a dense grid
-in one dimension and from a scrambled Sobol stream (refreshed every round) in
-three dimensions, so a run is deterministic given its seed.
+The surrogate is a zero-mean GP with a squared-exponential kernel k(a, b) =
+eta0 * exp(-eta1/2 * ||a - b||^2); hyperparameters stay fixed at their defaults. Candidates
+for the acquisition argmax come from a dense grid in one dimension and from a scrambled
+Sobol stream (refreshed every round) in three, so a run is deterministic given its seed.
+The posterior at the candidates is computed by GEMMs: an augmented product gives the
+squared distances, and the inverse Cholesky factor the variances without a triangular solve.
 
 scipy is imported inside the functions that use it, not with this module:
 ``import flexarray`` and the experiments that never fit a GP load numpy
@@ -166,10 +167,8 @@ def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: flo
 def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
     """Candidate with the largest expected improvement; first index wins ties."""
     candidates = np.asarray(candidates, dtype=float)
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate")
-    if not np.all(np.isfinite(candidates)):
-        raise ValueError("candidates must be finite")
+    if len(candidates) == 0 or not np.all(np.isfinite(candidates)):
+        raise ValueError("candidates must be non-empty and finite")
     candidates = candidates.reshape(len(candidates), -1)  # 1-D: one coordinate per candidate
     mean, variance = _posterior_batch(kernel, data, candidates)
     ei = _expected_improvement_batch(mean, np.sqrt(variance), float(np.max(data.values)))

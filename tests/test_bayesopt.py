@@ -254,7 +254,7 @@ class TestProposeNext:
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_candidates_rejected_by_name(self, bad):
         data = GpDataset(points=np.array([[0.0], [1.0]]), values=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="^candidates must be finite$"):
+        with pytest.raises(ValueError, match="^candidates must be non-empty and finite$"):
             propose_next(UNIT, data, np.array([[0.5], [bad]]))
 
     def test_empty_candidates_rejected(self):
@@ -425,8 +425,9 @@ def full_load_scenario():
 class TestPinnedTraces:
     """Whole ``optimize`` traces, every float as ``repr`` wrote it
     (``tests/data/optimize_traces.json``), recorded before the acquisition
-    used the expansion-form kernel, one triangular solve, the closed-form EI
-    and the reuse of stalled 1-D proposals; compared with ``==``."""
+    used the expansion-form kernel, one triangular solve, the closed-form EI,
+    the reuse of stalled 1-D proposals, blocked candidates and the GEMM form
+    (augmented distance product, inverse Cholesky factor); compared with ``==``."""
 
     @pytest.mark.parametrize("strategy, budget, seed", [("sfp", 30, [3, 0, 0]),
                                                         ("sjfp", 60, [4, 0])])
