@@ -41,7 +41,8 @@ class PathSet:
     Arrays share one shape: elevations in [0, pi], azimuths in radians, and
     unitless complex gains, all finite. Gains are stored unnormalized; the
     sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
-    gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths.
+    gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths
+    as a prefix view that shares its root's kept Fisher grams (both turn read-only).
     Terms that read only the paths are derived once per set and kept (:meth:`derived`),
     so a set is frozen and copies its arrays: nothing else can change them.
     """
@@ -50,6 +51,7 @@ class PathSet:
     phi: np.ndarray
     beta: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _root: PathSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, dtype in (("theta", float), ("phi", float), ("beta", complex)):
@@ -69,7 +71,12 @@ class PathSet:
         return self.theta.shape[-1]
 
     def __getitem__(self, index) -> PathSet:
-        return PathSet(self.theta[index], self.phi[index], self.beta[index])
+        subset = PathSet(self.theta[index], self.phi[index], self.beta[index])
+        if self.theta.ndim == 1 and isinstance(index, slice) and index == slice(index.stop):
+            object.__setattr__(subset, "_root", self._root or self)
+            subset._root._freeze()
+            subset._freeze()
+        return subset
 
     def link(self) -> PathSet:
         """This set if it is one link (1-D); ValueError otherwise."""
@@ -81,10 +88,13 @@ class PathSet:
         """``build()``, called at the first request for ``key`` and kept. The path
         arrays turn read-only then, so a kept value cannot go stale."""
         if (value := self._derived.get(key)) is None:
-            for values in (self.theta, self.phi, self.beta):
-                values.flags.writeable = False
+            self._freeze()
             value = self._derived[key] = build()
         return value
+
+    def _freeze(self):
+        for values in (self.theta, self.phi, self.beta):
+            values.flags.writeable = False
 
 
 def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):

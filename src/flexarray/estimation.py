@@ -5,11 +5,14 @@ and imaginary parts of the gains, xi = [theta; phi; beta_R; beta_I] of length
 4L. For the single-snapshot training model u = h(psi) + n with circular white
 noise of power sigma^2, block (a, b) of the Fisher matrix is
 (2 / sigma^2) Re{ D_a^H D_b } where D_a stacks the channel derivatives with
-respect to parameter family a.
+respect to parameter family a. Only the gain normalization sqrt(1/L) depends on L,
+so the first L of L_max paths have J_L = (L_max/L) J_{L_max} at the indices l + f L_max
+(l < L): a prefix view ``root[:L]`` reads its Fisher matrix from its root's kept gram.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +79,22 @@ def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     """Assemble the 4L x 4L Fisher matrix; symmetric by construction."""
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"noise power sigma2 must be positive and finite, got {sigma2!r}")
-    stack = _derivative_stack(model, cfg, spec, paths, psi, mount)
-    j = (2.0 / sigma2) * np.real(stack.conj().T @ stack)
+    j = (2.0 / sigma2) * _gram(model, cfg, spec, paths, psi, mount)
     j = 0.5 * (j + j.T)
     return FisherMatrix(matrix=j, sigma2=float(sigma2), n_paths=paths.n_paths)
+
+
+def _gram(model, cfg, spec, paths, psi, mount) -> np.ndarray:
+    """Re(D^H D); for a prefix view, a scaled block of the root's gram, kept per (model,
+    psi), unless the root's build meets a support edge beyond the prefix."""
+    if (root := paths._root) is not None:
+        with contextlib.suppress(PatternBoundaryError):
+            gram = root.derived((_gram, model, cfg, spec, float(psi).hex(), float(mount).hex()),
+                                lambda: _gram(model, cfg, spec, root, psi, mount))
+            n, m = paths.n_paths, root.n_paths
+            return (m / n) * gram.reshape(4, m, 4, m)[:, :n, :, :n].reshape(4 * n, 4 * n)
+    stack = _derivative_stack(model, cfg, spec, paths, psi, mount)
+    return np.real(stack.conj().T @ stack)
 
 
 def _mean_angle_crbs(matrices, n_paths: int):

@@ -240,7 +240,11 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     Fisher matrix is skipped; a draw is redrawn whole only when its planar build
     fails either way or every point of some grid fails. Arrays are unmounted.
     """
+    if draws < 1:
+        raise ValueError(f"draws: need at least one draw, got {draws!r}")
     l_values = [int(v) for v in l_values]
+    if not l_values or min(l_values) < 1:
+        raise ValueError(f"l_values: need at least one path count, each >= 1, got {l_values!r}")
     l_max = max(l_values)
     fixed_sums = {n: 0.0 for n in l_values}
     optimized_sums = {(model, n): 0.0 for model in models for n in l_values}
@@ -249,14 +253,14 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
         for _ in range(CRB_MAX_RESAMPLES):
             full = _crb_regime_paths(rng, l_max)
             try:
-                fixed, optimized = {}, {}
-                for n_paths in l_values:
-                    paths = full[:n_paths]
-                    fixed[n_paths] = mean_angle_crb(fisher_matrix(
-                        FlexModel.PLANAR, cfg, spec, paths, 0.0, 0.0, sigma2))
-                    for model in models:
-                        optimized[(model, n_paths)] = optimal_psi_for_crb(
-                            model, cfg, spec, paths, 0.0, sigma2, CRB_PSI_RANGE, grid_size)[1]
+                fixed = {n: mean_angle_crb(fisher_matrix(
+                    FlexModel.PLANAR, cfg, spec, full[:n], 0.0, 0.0, sigma2)) for n in l_values}
+                optimized = {}
+                for model in models:  # prefix views of one root per model share its grams
+                    root = PathSet(full.theta, full.phi, full.beta)
+                    optimized.update({(model, n): optimal_psi_for_crb(
+                        model, cfg, spec, root[:n], 0.0, sigma2, CRB_PSI_RANGE, grid_size)[1]
+                        for n in l_values})
             except (PatternBoundaryError, SingularFisherError, OptimizationError):
                 continue
             break

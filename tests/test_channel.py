@@ -456,7 +456,8 @@ class TestLinkFactors:
         link = full[:2]
         before = flexible_channel(FlexModel.ROTATABLE, self.CFG, OMNI, link, 0.2)
         theta[1] = 0.5  # the caller's array, not the set's
-        full.theta[0] = 0.5  # the parent set has derived nothing, so it may change
+        with pytest.raises(ValueError, match="read-only"):
+            full.theta[0] = 0.5  # a prefix view reads its root's kept terms
         assert np.array_equal(flexible_channel(FlexModel.ROTATABLE, self.CFG, OMNI, link, 0.2),
                               before)
         with pytest.raises(FrozenInstanceError):

@@ -652,3 +652,116 @@ class TestKeptLinkStage:
         with pytest.raises(ValueError, match="mount"):
             fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, paths, 0.1, np.nan, 1.0)
         assert paths._derived == {}
+
+
+def standalone(paths):
+    """The same paths as a set with no root, so its Fisher matrix is built directly."""
+    return PathSet(paths.theta.copy(), paths.phi.copy(), paths.beta.copy())
+
+
+def assert_close_frobenius(got, expected, rtol):
+    """||got - expected||_F <= rtol ||expected||_F, so an all-zero matrix must match exactly."""
+    assert np.linalg.norm(got - expected) <= rtol * np.linalg.norm(expected)
+
+
+class TestPrefixViews:
+    """``root[:L]`` reads its Fisher matrix from the root's kept L_max gram by the
+    prefix identity; it agrees with a direct build of the same L paths."""
+
+    CFG = ArrayConfig(4, 4, wavelength=WAVELENGTH)
+    L_MAX = 6
+
+    @staticmethod
+    def psi_range(model):
+        return (0.0, 0.0) if model is FlexModel.PLANAR else CRB_PSI_RANGE
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2], ids=["omni", "cos1", "cos2"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.value)
+    def test_fisher_matrices_match_a_direct_build(self, model, spec, seed):
+        root = _crb_regime_paths(np.random.default_rng([107, seed]), self.L_MAX)
+        for psi in np.linspace(*self.psi_range(model), 7):
+            for n_paths in range(1, self.L_MAX + 1):
+                try:
+                    expected = fisher_matrix(model, self.CFG, spec, standalone(root[:n_paths]),
+                                             psi, 0.0, 1.0).matrix
+                except PatternBoundaryError:
+                    with pytest.raises(PatternBoundaryError):
+                        fisher_matrix(model, self.CFG, spec, root[:n_paths], psi, 0.0, 1.0)
+                    continue
+                got = fisher_matrix(model, self.CFG, spec, root[:n_paths], psi, 0.0, 1.0)
+                assert got.n_paths == n_paths and np.array_equal(got.matrix, got.matrix.T)
+                assert_close_frobenius(got.matrix, expected, 1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2], ids=["omni", "cos1", "cos2"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.value)
+    def test_grid_search_makes_the_same_decision(self, model, spec, seed):
+        root = _crb_regime_paths(np.random.default_rng([109, seed]), self.L_MAX)
+        for n_paths in range(1, self.L_MAX + 1):
+            search = [optimal_psi_for_crb(model, self.CFG, spec, paths, 0.0, 1.0,
+                                          self.psi_range(model), 181)
+                      for paths in (root[:n_paths], standalone(root[:n_paths]))]
+            (psi_view, crb_view), (psi_direct, crb_direct) = search
+            assert psi_view == psi_direct
+            assert crb_view == pytest.approx(crb_direct, rel=1e-9)
+
+    def test_a_path_on_the_edge_beyond_the_prefix_skips_only_the_root(self):
+        # phi = pi/2 sits on the cosine support edge at psi = 0 for the rotated array
+        root = PathSet(theta=[1.7, 1.2], phi=[0.3, np.pi / 2], beta=[0.5j, 1.0])
+        with pytest.raises(PatternBoundaryError):
+            fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, root, 0.0, 0.0, 1.0)
+        got = fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, root[:1], 0.0, 0.0, 1.0)
+        expected = fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, standalone(root[:1]),
+                                 0.0, 0.0, 1.0)
+        assert np.array_equal(got.matrix, expected.matrix)
+        view, direct = (optimal_psi_for_crb(FlexModel.ROTATABLE, self.CFG, COS2, paths, 0.0,
+                                            1.0, (-0.5, 0.5), 5)
+                        for paths in (root[:1], standalone(root[:1])))
+        assert view[0] == direct[0] and view[1] == pytest.approx(direct[1], rel=1e-9)
+
+    def test_views_share_one_root_and_keep_one_gram_per_point(self):
+        root = interior_paths(np.random.default_rng(113), 4)
+        views = [root[:2], root[:4][:3], root[:]]
+        assert all(view._root is root for view in views)
+        for view in views:
+            fisher_matrix(FlexModel.BENDABLE, self.CFG, COS2, view, 0.2, 0.0, 1.0)
+        assert len(root._derived) == 2  # the link stage and one gram
+        assert all(view._derived == {} for view in views)
+
+    @pytest.mark.parametrize("index", [slice(1, 3), slice(0, 3), slice(None, None, 2), [0, 1],
+                                       0], ids=["offset", "explicit-start", "step", "list", "int"])
+    def test_other_indices_give_plain_sets(self, index):
+        root = interior_paths(np.random.default_rng(127), 4)
+        assert root[index]._root is None
+        assert root.theta.flags.writeable
+
+    def test_a_user_block_prefix_is_a_plain_set(self):
+        scenario = generate_scenario(self.CFG, OMNI, FlexModel.ROTATABLE, k_users=2,
+                                     n_paths=3, seed=5)
+        assert scenario.paths[:1]._root is None
+
+    def test_root_and_view_arrays_turn_read_only(self):
+        root = interior_paths(np.random.default_rng(131), 3)
+        view = root[:2]
+        for paths in (root, view):
+            for values in (paths.theta, paths.phi, paths.beta):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 1.0
+
+    def test_the_kept_gram_is_never_returned(self):
+        root = interior_paths(np.random.default_rng(137), 3)
+        for n_paths in (3, 2):
+            first = fisher_matrix(FlexModel.FOLDABLE, self.CFG, COS1, root[:n_paths], 0.1, 0.0,
+                                  1.0)
+            kept = first.matrix.copy()
+            first.matrix[...] = np.nan
+            again = fisher_matrix(FlexModel.FOLDABLE, self.CFG, COS1, root[:n_paths], 0.1, 0.0,
+                                  1.0)
+            assert np.array_equal(again.matrix, kept)
+
+    def test_noise_scaling_stays_exact_on_a_view(self):
+        root = interior_paths(np.random.default_rng(139), 4)
+        f1 = fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, root[:3], 0.1, 0.0, 1.0)
+        f2 = fisher_matrix(FlexModel.ROTATABLE, self.CFG, COS2, root[:3], 0.1, 0.0, 2.0)
+        assert np.array_equal(f2.matrix, 0.5 * f1.matrix)

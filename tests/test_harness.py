@@ -224,6 +224,18 @@ class TestExperiments:
             experiment_sumrate("jfp", FlexModel.ROTATABLE, OMNI, CFG, k_users=2, n_paths=3,
                                snr_values=[], trials=2, seed=0)
 
+    @pytest.mark.parametrize("name, draws, l_values", [
+        ("draws", -1, [1, 2]), ("draws", 0, [1, 2]), ("l_values", 1, []),
+        ("l_values", 1, [-1]), ("l_values", 1, [2, 0])],
+        ids=["negative-draws", "zero-draws", "empty-l", "negative-l", "zero-l"])
+    def test_crb_sweep_bad_counts_rejected_before_any_draw(self, monkeypatch, name, draws,
+                                                            l_values):
+        monkeypatch.setattr(harness, "_crb_regime_paths",
+                            lambda *args, **kwargs: pytest.fail("drew a path set"))
+        with pytest.raises(ValueError, match=name):
+            harness.experiment_crb_sweep([FlexModel.ROTATABLE], OMNI, ArrayConfig(2, 2),
+                                         l_values, draws, seed=0, grid_size=3)
+
     def test_bo_trace_incumbent_monotone(self):
         scenario = small_scenario(seed=2)
         header, rows = experiment_bo_trace("jfp", scenario, seed=0, budget=4, n_init=2)
