@@ -256,7 +256,7 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
                 fixed = {n: mean_angle_crb(fisher_matrix(
                     FlexModel.PLANAR, cfg, spec, full[:n], 0.0, 0.0, sigma2)) for n in l_values}
                 optimized = {}
-                for model in models:  # prefix views of one root per model share its grams
+                for model in models:  # a fresh root per model keeps one model's grams alive
                     root = PathSet(full.theta, full.phi, full.beta)
                     optimized.update({(model, n): optimal_psi_for_crb(
                         model, cfg, spec, root[:n], 0.0, sigma2, CRB_PSI_RANGE, grid_size)[1]
