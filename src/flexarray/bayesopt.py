@@ -4,14 +4,14 @@ The surrogate is a zero-mean GP with a squared-exponential kernel k(a, b) =
 eta0 * exp(-eta1/2 * ||a - b||^2); hyperparameters stay fixed at their defaults. Candidates
 for the acquisition argmax come from a dense grid in one dimension and from a scrambled
 Sobol stream (refreshed every round) in three, so a run is deterministic given its seed.
-The posterior at the candidates is computed by GEMMs: an augmented product gives the
-squared distances, and the inverse Cholesky factor the variances without a triangular solve.
+The gram and the posterior blocks share one kernel formula, a product of lifted matrices;
+numpy's Cholesky factor, inverted once per fit, gives the variances by GEMMs.
 
-scipy is imported inside the functions that use it, not with this module:
-``import flexarray`` and the experiments that never fit a GP load numpy
-only. The first posterior fit loads ``scipy.linalg`` and ``scipy.special``. The Sobol
-stream is numpy code (:class:`SobolStream`) with the bits of ``scipy.stats.qmc.Sobol``,
-so no run loads ``scipy.stats`` (about two thirds of the scipy import time).
+scipy is imported inside the one function that uses it, not with this module:
+``import flexarray`` and the experiments that never fit a GP load numpy only. The first
+acquisition loads ``scipy.special`` for the normal cdf ``ndtr``. The Sobol stream is numpy
+code (:class:`SobolStream`) with the bits of ``scipy.stats.qmc.Sobol``, so no run loads
+``scipy.stats`` or ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class Kernel:
     jitter: float = 1e-10
 
     def __post_init__(self):
-        if self.eta0 <= 0 or self.eta1 <= 0 or self.jitter < 0:
-            raise ValueError("need eta0 > 0, eta1 > 0 and jitter >= 0")
+        if not (0 < self.eta0 < np.inf and 0 < self.eta1 < np.inf and 0 <= self.jitter < np.inf):
+            raise ValueError("need finite eta0 > 0, eta1 > 0 and jitter >= 0")
 
 
 def _is_duplicate(point: np.ndarray, existing: np.ndarray) -> bool:
@@ -95,59 +95,49 @@ class GpDataset:
         return self.points.shape[1]
 
 
-def _gram_cholesky(kernel: Kernel, points: np.ndarray):
-    """Cholesky factor of the gram matrix, escalating jitter tenfold up to
-    JITTER_MAX while the matrix stays ill conditioned."""
-    from scipy.linalg import cho_factor
+def _lift(kernel: Kernel, points: np.ndarray) -> np.ndarray:
+    """Rows h [-2x, |x|^2, 1] of (T, D) points, shape (T, D+2), with h = -eta1/2: a row times
+    [q, 1, |q|^2] is h |x - q|^2, the exponent of the kernel."""
+    return -0.5 * kernel.eta1 * np.column_stack([-2.0 * points, np.sum(points**2, axis=1),
+                                                 np.ones(len(points))])
 
-    base = _cross_kernel(kernel, points, points)
+
+def _unit_kernel(lifted: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """k / eta0 between :func:`_lift`-ed points and (C, D) queries, shape (T, C): one product,
+    the exponent clipped at 0 against cancellation, and exp, in place on one (T, C) array."""
+    k = lifted @ np.vstack([queries.T, np.ones(len(queries)), np.sum(queries**2, axis=1)])
+    return np.exp(np.minimum(k, 0.0, out=k), out=k)
+
+
+def _gram_cholesky(kernel: Kernel, points: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the gram matrix, escalating jitter tenfold up to
+    JITTER_MAX while the matrix stays ill conditioned."""
+    base = kernel.eta0 * _unit_kernel(_lift(kernel, points), points)
     jitter = kernel.jitter
     while True:
         gram = base + jitter * np.eye(points.shape[0])
         if condition_number(gram) < COND_MAX:
-            return cho_factor(gram, lower=True)
+            return np.linalg.cholesky(gram)
         jitter = max(jitter, 1e-10) * 10.0
         if jitter > JITTER_MAX:
             raise GramConditionError("gram matrix ill conditioned even at jitter 1e-6; "
                                      "measurements may be (nearly) duplicated")
 
 
-def _cross_kernel(kernel: Kernel, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Kernel between (T, D) points and (C, D) queries, shape (T, C); squared
-    distances in expansion form, clipped at 0 against cancellation. Each step
-    works in place on one (T, C) array: fresh temporaries of that size cost page faults."""
-    dist2 = np.add.outer(np.sum(points**2, axis=1), np.sum(queries**2, axis=1))
-    dist2 -= 2.0 * points @ queries.T
-    np.maximum(dist2, 0.0, out=dist2)
-    dist2 *= -0.5 * kernel.eta1
-    np.exp(dist2, out=dist2)
-    dist2 *= kernel.eta0
-    return dist2
-
-
 def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
     """Predictive means and variances at (C, D) queries (Rasmussen & Williams 2006, Alg. 2.1) by
     GEMMs over blocks of POSTERIOR_BLOCK queries: with the unit kernel k~ = k*/eta0, the mean
-    is k~'(eta0 K^-1 y) and the variance eta0 - |eta0 L^-1 k~|^2, L^-1 from LAPACK trtri."""
-    from scipy.linalg import cho_solve
-    from scipy.linalg.lapack import dtrtri
-
+    is k~'(eta0 K^-1 y) and the variance eta0 - |eta0 L^-1 k~|^2, L^-1 formed once per fit."""
     if queries.shape[1] != data.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != data dimension {data.dim}")
-    factor = _gram_cholesky(kernel, data.points)
-    # rows eta0 K^-1 y (for the means) and eta0 L^-1; cho_factor leaves junk above its diagonal
-    project = kernel.eta0 * np.vstack([cho_solve(factor, data.values),
-                                       dtrtri(np.tril(factor[0]), lower=1)[0]])
-    # h |x - q|^2 = [-2h x, h |x|^2, h] . [q, 1, |q|^2] with h = -eta1/2, one product per block
-    h, points = -0.5 * kernel.eta1, data.points
-    lifted = h * np.column_stack([-2.0 * points, np.sum(points**2, axis=1), np.ones(data.size)])
-    lifted_queries = np.vstack([queries.T, np.ones(len(queries)), np.sum(queries**2, axis=1)])
+    inverse = np.linalg.inv(_gram_cholesky(kernel, data.points))
+    # rows eta0 K^-1 y = eta0 L^-T L^-1 y (for the means) and eta0 L^-1
+    project = kernel.eta0 * np.vstack([inverse.T @ (inverse @ data.values), inverse])
+    lifted = _lift(kernel, data.points)
     mean, variance = np.empty(len(queries)), np.empty(len(queries))
     for start in range(0, len(queries), POSTERIOR_BLOCK):
         block = slice(start, start + POSTERIOR_BLOCK)
-        k_unit = lifted @ lifted_queries[:, block]  # (T, block), clipped at 0 against cancellation
-        np.exp(np.minimum(k_unit, 0.0, out=k_unit), out=k_unit)
-        rows = project @ k_unit
+        rows = project @ _unit_kernel(lifted, queries[block])
         mean[block] = rows[0]
         variance[block] = kernel.eta0 - np.einsum("ij,ij->j", rows[1:], rows[1:])
     return mean, np.clip(variance, 0.0, None)
@@ -254,8 +244,9 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim == 1:
         bounds = bounds[None, :]
-    if bounds.shape[1] != 2 or np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ValueError("bounds must be (D, 2) intervals")
+    if (bounds.shape[1] != 2 or not np.isfinite(bounds).all()
+            or np.any(bounds[:, 0] > bounds[:, 1])):
+        raise ValueError("bounds must be finite (D, 2) intervals")
     dim = bounds.shape[0]
     kernel = Kernel()
     rng = np.random.default_rng(seed)

@@ -12,7 +12,6 @@ so the first L of L_max paths have J_L = (L_max/L) J_{L_max} at the indices l + 
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,8 @@ from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, Singular
                      condition_number)
 from .geometry import ArrayConfig, FlexModel, flex_geometry
 from .radiation import PatternSpec, pattern_azimuth_stage, pattern_elevation_stage
+
+_REFUSED = object()  # a root's gram build that met a support edge; derived() reads None as missing
 
 
 @dataclass
@@ -86,11 +87,14 @@ def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
 
 def _gram(model, cfg, spec, paths, psi, mount) -> np.ndarray:
     """Re(D^H D); for a prefix view, a scaled block of the root's gram, kept per (model,
-    psi), unless the root's build meets a support edge beyond the prefix."""
+    psi), unless the root's build meets a support edge beyond the prefix (a kept refusal)."""
     if (root := paths._root) is not None:
-        with contextlib.suppress(PatternBoundaryError):
-            gram = root.derived((_gram, model, cfg, spec, float(psi).hex(), float(mount).hex()),
-                                lambda: _gram(model, cfg, spec, root, psi, mount))
+        key = (_gram, model, cfg, spec, float(psi).hex(), float(mount).hex())
+        try:
+            gram = root.derived(key, lambda: _gram(model, cfg, spec, root, psi, mount))
+        except PatternBoundaryError:  # kept, so that no other view retries the build
+            gram = root.derived(key, lambda: _REFUSED)
+        if gram is not _REFUSED:
             n, m = paths.n_paths, root.n_paths
             return (m / n) * gram.reshape(4, m, 4, m)[:, :n, :, :n].reshape(4 * n, 4 * n)
     stack = _derivative_stack(model, cfg, spec, paths, psi, mount)

@@ -48,8 +48,8 @@ def effective_gain(channel: np.ndarray) -> np.ndarray:
 
 def single_sector_sumrate(channel: np.ndarray, p_total: float, sigma2: float) -> float:
     """Equal-power ZF sum-rate of one array serving its K users alone."""
-    if p_total < 0 or sigma2 <= 0:
-        raise ValueError("need p_total >= 0 and sigma2 > 0")
+    if not (0.0 <= p_total < np.inf and 0.0 < sigma2 < np.inf):
+        raise ValueError("need finite p_total >= 0 and sigma2 > 0")
     k = channel.shape[1]
     gains = effective_gain(channel)
     return float(np.sum(np.log2(1.0 + p_total * gains / (k * sigma2))))

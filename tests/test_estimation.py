@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flexarray import estimation
 from flexarray.channel import PathSet, flexible_channel
 from flexarray.errors import (COND_MAX, OptimizationError, PatternBoundaryError,
                               SingularFisherError)
@@ -719,6 +720,27 @@ class TestPrefixViews:
                                             1.0, (-0.5, 0.5), 5)
                         for paths in (root[:1], standalone(root[:1])))
         assert view[0] == direct[0] and view[1] == pytest.approx(direct[1], rel=1e-9)
+
+    def test_a_refused_root_build_is_kept(self, monkeypatch):
+        # the last path sits on the cosine support edge at psi = 0 for the rotated array
+        root = PathSet(theta=[1.7, 1.2, 1.4, 1.1], phi=[0.3, -0.2, 0.1, np.pi / 2],
+                       beta=[0.5j, 1.0, -0.7, 0.4 + 0.2j])
+
+        def search(paths):
+            return optimal_psi_for_crb(FlexModel.ROTATABLE, self.CFG, COS2, paths, 0.0, 1.0,
+                                       (-0.5, 0.5), 5)
+
+        direct = [search(standalone(root[:n_paths])) for n_paths in (1, 2, 3)]
+        builds = []
+        build = estimation._derivative_stack
+        monkeypatch.setattr(estimation, "_derivative_stack",
+                            lambda *args: builds.append(args[3].n_paths) or build(*args))
+        views = [search(root[:n_paths]) for n_paths in (1, 2, 3)]
+        # 5 root builds, the one refused at psi = 0 kept, and each view's own build at psi = 0
+        # (a refusal retried by every view made 10)
+        assert sorted(builds) == [1, 2, 3] + [4] * 5
+        for (psi_view, crb_view), (psi_direct, crb_direct) in zip(views, direct):
+            assert psi_view == psi_direct and crb_view == pytest.approx(crb_direct, rel=1e-9)
 
     def test_views_share_one_root_and_keep_one_gram_per_point(self):
         root = interior_paths(np.random.default_rng(113), 4)

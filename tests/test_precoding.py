@@ -142,10 +142,11 @@ class TestSingleSectorSumrate:
 
     def test_invalid_arguments(self):
         h = random_channel(np.random.default_rng(11), 8, 2)
-        with pytest.raises(ValueError):
-            single_sector_sumrate(h, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            single_sector_sumrate(h, 1.0, 0.0)
+        # a nan or inf power used to come back as a nan or inf rate
+        for p_total, sigma2 in ((-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (np.inf, 1.0),
+                                (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)):
+            with pytest.raises(ValueError, match="^need finite p_total >= 0 and sigma2 > 0$"):
+                single_sector_sumrate(h, p_total, sigma2)
 
 
 class TestSfp:

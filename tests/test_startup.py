@@ -72,16 +72,11 @@ def test_no_scipy_without_a_gp_fit(code):
     assert scipy_modules_after(code) == set()
 
 
-def test_one_dimensional_gp_loads_linalg_but_not_stats():
-    loaded = scipy_modules_after(GP_RUN.format(dim=1))
-    assert "scipy.linalg" in loaded
-    assert "scipy.stats" not in loaded
-
-
-def test_three_dimensional_gp_loads_linalg_but_not_stats():
-    loaded = scipy_modules_after(GP_RUN.format(dim=3))  # Sobol candidates come from numpy
-    assert "scipy.linalg" in loaded
-    assert "scipy.stats" not in loaded
+@pytest.mark.parametrize("dim", [1, 3], ids=["1-D", "3-D"])  # 3-D: Sobol candidates from numpy
+def test_gp_run_loads_special_but_not_linalg_or_stats(dim):
+    loaded = scipy_modules_after(GP_RUN.format(dim=dim))
+    assert "scipy.special" in loaded
+    assert not any(module.startswith(("scipy.linalg", "scipy.stats")) for module in loaded)
 
 
 def test_readme_layout_table_names_every_export():
