@@ -438,8 +438,9 @@ class TestPinnedTraces:
     """Whole ``optimize`` traces, every float as ``repr`` wrote it
     (``tests/data/optimize_traces.json``), recorded before the acquisition
     used the expansion-form kernel, one triangular solve, the closed-form EI,
-    the reuse of stalled 1-D proposals, blocked candidates and the GEMM form
-    (augmented distance product, inverse Cholesky factor); compared with ``==``."""
+    the reuse of stalled 1-D proposals, blocked candidates, the GEMM form
+    (augmented distance product, inverse Cholesky factor) and one lifted kernel
+    formula on numpy's Cholesky factor; compared with ``==``."""
 
     @pytest.mark.parametrize("strategy, budget, seed", [("sfp", 30, [3, 0, 0]),
                                                         ("sjfp", 60, [4, 0])])
