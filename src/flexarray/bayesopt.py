@@ -9,9 +9,9 @@ numpy's Cholesky factor, inverted once per fit, gives the variances by GEMMs.
 
 scipy is imported inside the one function that uses it, not with this module:
 ``import flexarray`` and the experiments that never fit a GP load numpy only. The first
-acquisition loads ``scipy.special`` for the normal cdf ``ndtr``. The Sobol stream is numpy
-code (:class:`SobolStream`) with the bits of ``scipy.stats.qmc.Sobol``, so no run loads
-``scipy.stats`` or ``scipy.linalg``.
+acquisition loads ``scipy.special`` for the normal cdf ``ndtr``, and nothing else of scipy:
+the linear algebra is numpy's, and the Sobol stream is numpy code (:class:`SobolStream`)
+with the bits of ``scipy.stats.qmc.Sobol``.
 """
 
 from __future__ import annotations
