@@ -110,10 +110,12 @@ def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):
 
 
 def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
-    """The channel from :func:`_path_factors` and the flexed columns; shape (..., N)."""
+    """The channel from :func:`_path_factors` and the flexed columns, (..., N) or (G, N)."""
     sin_theta, cos_phi, sin_phi, phase, rows = factors
-    columns = np.exp(phase * (geometry.column_x * cos_phi + geometry.column_y * sin_phi))
-    columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, geometry.column_offsets)
+    x, y, offsets = (values[..., None, :] for values in (
+        geometry.column_x, geometry.column_y, geometry.column_offsets))
+    columns = np.exp(phase * (x * cos_phi + y * sin_phi))
+    columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, offsets)
     grid = rows @ columns  # (..., N_v, N_h)
     return grid.reshape(*grid.shape[:-2], -1)
 
@@ -129,7 +131,8 @@ def _kept_factors(paths: PathSet, index, mount: float, heights: np.ndarray, wave
 
 def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                      paths: PathSet, psi: float, mount: float = 0.0) -> np.ndarray:
-    """Channel vector of one link for an array flexed to ``psi`` and mounted at ``mount``, (N,)."""
+    """Channel vector of one link for an array flexed to ``psi`` (N,), or to each angle of a
+    1-D ``psi`` (G, N), and mounted at ``mount``."""
     if not np.isfinite(mount):
         raise ValueError("mount must be finite")
     paths = paths.link()

@@ -8,6 +8,11 @@ noise of power sigma^2, block (a, b) of the Fisher matrix is
 respect to parameter family a. Only the gain normalization sqrt(1/L) depends on L,
 so the first L of L_max paths have J_L = (L_max/L) J_{L_max} at the indices l + f L_max
 (l < L): a prefix view ``root[:L]`` reads its Fisher matrix from its root's kept gram.
+
+Each derivative column is a sum of Kronecker products of row and column atoms
+(:func:`_atoms`), so by <a (x) b, c (x) d> = <a, c><b, d>, Re(D^H D) =
+Re(W^H [(A^H A) o (B^H B)] W) for 0/1/j weights W: O((4L)^2 N_h) per flex angle, and a
+grid is one batch whose grams are bit for bit the one-angle builds.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from .channel import PathSet
 from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, SingularFisherError,
                      condition_number)
 from .geometry import ArrayConfig, FlexModel, flex_geometry
-from .radiation import PatternSpec, pattern_azimuth_stage, pattern_elevation_stage
+from .radiation import PatternSpec, pattern_azimuth_stage, pattern_elevation_stage, support_edges
 
-_REFUSED = object()  # a root's gram build that met a support edge; derived() reads None as missing
+_REFUSED = object()  # a gram at a flex angle where a path meets a support edge
+_FAMILIES = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1j]])  # pairs -> params
 
 
 @dataclass
@@ -34,45 +40,45 @@ class FisherMatrix:
     n_paths: int
 
 
-def _link_stage(spec: PatternSpec, paths: PathSet, mount: float, heights: np.ndarray,
-                wavelength: float):
-    """The terms of :func:`_derivative_stack` that read only the paths: the pattern's elevation
-    stage, phi - mount, the sines and cosines, sqrt(1/L) beta, z cos, z sin and jk sin(theta)."""
+def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet, psi,
+           mount: float):
+    """Derivative atoms at the flex angles of the 1-D ``psi`` where no path meets a support
+    edge (``kept``, (G,)): column atoms (G', 4L, N_h) [c(dA/dtheta - jk cos(theta) u A); cA;
+    c(dA/dphi - jk sin(theta) (y cos - x sin) A); cA], c = exp(-jk sin(theta) u), and row
+    atoms (4L, N_v) [g r; g jk sin(theta) z r; g r; s r], r = exp(-jk z cos(theta)), g = s beta,
+    s = sqrt(1/L). Pair m is (row atom m) (x) (column atom m); the parameter columns are
+    theta = pairs 0 + 1, phi = 2, beta_R = 3 and beta_I = j 3 (``_FAMILIES``)."""
+    n = paths.link().n_paths
     if not np.isfinite(mount):
         raise ValueError(f"mount must be finite, got {mount!r}")
-    theta, phi = paths.theta[:, None, None], (paths.phi - mount)[:, None, None]
-    sin_theta, cos_theta = np.sin(theta), np.cos(theta)
-    z = heights[:, None]
-    return (pattern_elevation_stage(spec, theta), phi, sin_theta, cos_theta, np.sin(phi),
-            np.cos(phi), np.sqrt(1.0 / paths.n_paths) * paths.beta[:, None, None],
-            z * cos_theta, z * sin_theta, 2j * np.pi / wavelength * sin_theta)
-
-
-def _derivative_stack(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
-                      paths: PathSet, psi: float, mount: float) -> np.ndarray:
-    """Channel derivatives for all parameters, columns (N, 4L) ordered
-    [theta_1..L, phi_1..L, beta_R_1..L, beta_I_1..L]. One pass on (L, N_v, N_h):
-    the manifold g = exp(-jk a), a = sin(theta) u + z cos(theta), u = x cos(phi) + y sin(phi)
-    per column, and its partials -jk (da/dxi) g. The path set keeps its :func:`_link_stage`,
-    so a flex angle builds only the geometry and the terms that read it."""
-    paths = paths.link()
     geometry = flex_geometry(model, cfg, psi)
-    heights = geometry.heights
-    key = (_link_stage, spec, float(mount).hex(), cfg.wavelength, heights.tobytes())
-    elevation, phi, sin_theta, cos_theta, sin_phi, cos_phi, gains, z_cos, z_sin, jk_sin = \
-        paths.derived(key, lambda: _link_stage(spec, paths, mount, heights, cfg.wavelength))
-    pattern, d_pat_theta, d_pat_phi = pattern_azimuth_stage(
-        spec, elevation, phi - geometry.column_offsets)
-    x, y = geometry.column_x, geometry.column_y
-    u = x * cos_phi + y * sin_phi
+    theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
+    elevation = pattern_elevation_stage(spec, theta)
+    azimuths = phi - geometry.column_offsets[:, None]  # (G, L, N_h)
+    kept = ~support_edges(spec, elevation, azimuths).any(axis=(1, 2))
+    pattern, d_pat_theta, d_pat_phi = pattern_azimuth_stage(spec, elevation, azimuths[kept])
+    x, y = geometry.column_x[kept, None], geometry.column_y[kept, None]
+    sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     jk = 2j * np.pi / cfg.wavelength
-    manifold = np.exp(-jk * (sin_theta * u + z_cos))
+    u = x * cos_phi + y * sin_phi
+    column = np.exp(-jk * sin_theta * u)
+    amplitude = column * pattern
+    columns = np.concatenate([column * d_pat_theta - jk * cos_theta * u * amplitude, amplitude,
+                              column * d_pat_phi - jk * sin_theta * (y * cos_phi - x * sin_phi)
+                              * amplitude, amplitude], axis=1)
+    scale, row = np.sqrt(1.0 / n), np.exp(-jk * cos_theta * geometry.heights)
+    gains = scale * paths.beta[:, None] * row
+    rows = np.concatenate([gains, jk * sin_theta * geometry.heights * gains, gains, scale * row])
+    return columns, rows, kept
 
-    weighted = gains * manifold
-    d_theta = weighted * (d_pat_theta - jk * (cos_theta * u - z_sin) * pattern)
-    d_phi = weighted * (d_pat_phi - jk_sin * (y * cos_phi - x * sin_phi) * pattern)
-    d_beta_r = np.sqrt(1.0 / paths.n_paths) * pattern * manifold
-    return np.concatenate([d_theta, d_phi, d_beta_r, 1j * d_beta_r]).reshape(-1, cfg.n_elements).T
+
+def _grams(model, cfg, spec, paths, psi, mount) -> list:
+    """Re(D^H D) at each flex angle of the 1-D ``psi``; _REFUSED where a path meets an edge."""
+    columns, rows, kept = _atoms(model, cfg, spec, paths, psi, mount)
+    weights = np.kron(_FAMILIES, np.eye(paths.n_paths))
+    pairs = (columns.conj() @ columns.swapaxes(1, 2)) * (rows.conj() @ rows.T)
+    built = iter(np.real(weights.conj().T @ pairs @ weights))
+    return [next(built) if keep else _REFUSED for keep in kept]
 
 
 def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
@@ -86,19 +92,29 @@ def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
 
 
 def _gram(model, cfg, spec, paths, psi, mount) -> np.ndarray:
-    """Re(D^H D); for a prefix view, a scaled block of the root's gram, kept per (model,
-    psi), unless the root's build meets a support edge beyond the prefix (a kept refusal)."""
+    """Re(D^H D); for a prefix view, a scaled block of the root's kept gram, unless the
+    root's paths meet a support edge at ``psi`` (then the view builds its own)."""
     if (root := paths._root) is not None:
-        key = (_gram, model, cfg, spec, float(psi).hex(), float(mount).hex())
-        try:
-            gram = root.derived(key, lambda: _gram(model, cfg, spec, root, psi, mount))
-        except PatternBoundaryError:  # kept, so that no other view retries the build
-            gram = root.derived(key, lambda: _REFUSED)
+        gram = _kept_grams(model, cfg, spec, root, (psi,), mount)[float(psi).hex()]
         if gram is not _REFUSED:
             n, m = paths.n_paths, root.n_paths
             return (m / n) * gram.reshape(4, m, 4, m)[:, :n, :, :n].reshape(4 * n, 4 * n)
-    stack = _derivative_stack(model, cfg, spec, paths, psi, mount)
-    return np.real(stack.conj().T @ stack)
+    (gram,) = _grams(model, cfg, spec, paths, np.array([psi], dtype=float), mount)
+    if gram is _REFUSED:
+        raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
+    return gram
+
+
+def _kept_grams(model, cfg, spec, root: PathSet, psis, mount) -> dict:
+    """The root's grams by flex angle (its float hex), _REFUSED where a path meets a support
+    edge: one dict per (model, array, pattern, mount), the missing ``psis`` built as a batch."""
+    key = (_gram, model, cfg, spec, float(mount).hex())
+    grams = root._derived.get(key, {})
+    missing = {angle: psi for psi in psis if (angle := float(psi).hex()) not in grams}
+    if missing:
+        built = _grams(model, cfg, spec, root, np.array([*missing.values()]), mount)
+        (grams := root.derived(key, dict)).update(zip(missing, built))
+    return grams
 
 
 def _mean_angle_crbs(matrices, n_paths: int):
@@ -135,17 +151,19 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    paths = paths.link()
-    lo, hi = float(psi_range[0]), float(psi_range[1])
-    grid, matrices = [], []
-    for psi in np.linspace(lo, hi, grid_size):
+    if paths.link()._root is None:  # a set of its own: search a view of a private root
+        paths = PathSet(paths.theta, paths.phi, paths.beta)[:]
+    grid = np.linspace(float(psi_range[0]), float(psi_range[1]), grid_size)
+    _kept_grams(model, cfg, spec, paths._root, grid, mount)  # the root's grams as one batch
+    built, matrices = [], []
+    for psi in grid:
         try:
             matrices.append(fisher_matrix(model, cfg, spec, paths, psi, mount, sigma2).matrix)
         except PatternBoundaryError:
             continue
-        grid.append(float(psi))
+        built.append(float(psi))
     conditions, crbs = _mean_angle_crbs(matrices, paths.n_paths)
-    evaluated = [(psi, float(value)) for psi, condition, value in zip(grid, conditions, crbs)
+    evaluated = [(psi, float(value)) for psi, condition, value in zip(built, conditions, crbs)
                  if condition <= COND_MAX]
     if not evaluated:
         raise OptimizationError("mean angle CRB failed at every grid point")

@@ -5,7 +5,8 @@ scalar degree of freedom ``psi``: a rigid rotation about z, a circular bend in
 the horizontal plane, or a single vertical fold line through the array center.
 Every deformation moves the N_h columns in the horizontal plane and keeps the
 N_v heights, so an array is stored as its columns and its heights; the
-element list (horizontal index fastest) is derived from them.
+element list (horizontal index fastest) is derived from them. A 1-D ``psi``
+gives (G, N_h) columns, each row bit for bit the geometry at that one angle.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class ArrayGeometry:
     with boresight azimuth offset ``column_offsets[h]`` from the +x axis and
     holds one element at each height ``heights[v]``. The element list,
     ``positions`` (N, 3) and ``orientation_offsets`` (N,), is derived from
-    the grid on each access, horizontal index fastest."""
+    the grid on each access, horizontal index fastest. A batch of G shapes
+    holds (G, N_h) columns and lists (G, N, 3) and (G, N) elements."""
 
     column_x: np.ndarray
     column_y: np.ndarray
@@ -94,14 +96,15 @@ class ArrayGeometry:
     heights: np.ndarray
 
     def __post_init__(self):
-        if not (self.column_x.ndim == self.heights.ndim == 1
+        if not (self.heights.ndim == 1 and self.column_x.ndim in (1, 2)
                 and self.column_x.shape == self.column_y.shape == self.column_offsets.shape):
-            raise ValueError("need N_h column x, y and offsets and N_v heights, each 1-D")
+            raise ValueError("need N_h (or G x N_h) column x, y and offsets and N_v heights (1-D)")
 
     @property
     def positions(self) -> np.ndarray:
-        grid = np.broadcast_arrays(self.column_x, self.column_y, self.heights[:, None])
-        return np.stack(grid, axis=-1).reshape(-1, 3)
+        columns = self.column_x[..., None, :], self.column_y[..., None, :]
+        grid = np.broadcast_arrays(*columns, self.heights[:, None])
+        return np.stack(grid, axis=-1).reshape(*self.column_x.shape[:-1], -1, 3)
 
     @property
     def orientation_offsets(self) -> np.ndarray:
@@ -113,18 +116,23 @@ def _centered_axis(count: int, spacing: float) -> np.ndarray:
     return (np.arange(count) - (count - 1) / 2.0) * spacing
 
 
-def _check_psi(psi: float) -> float:
-    psi = float(psi)
-    if not math.isfinite(psi):
-        raise ValueError("psi must be finite")
-    return psi
+def _check_psi(psi, limit: float = np.inf, what: str = "psi") -> tuple:
+    """A finite flex angle as a float, or a 1-D batch as (G, 1), each |psi| <= ``limit``,
+    and the largest |psi|; each closed form then broadcasts over the columns."""
+    psi = np.asarray(psi, dtype=float)
+    largest = abs(float(psi)) if psi.ndim == 0 else np.abs(psi).max(initial=0.0)
+    if psi.ndim > 1 or not math.isfinite(largest):
+        raise ValueError(f"psi must be finite, and a scalar or 1-D, got {psi.tolist()!r}")
+    if largest > limit:
+        raise ValueError(f"{what} must not exceed {limit:.6g}, got {psi.tolist()!r}")
+    return (float(psi) if psi.ndim == 0 else psi[:, None]), largest
 
 
-def _grid(cfg: ArrayConfig, x_row, y_row, offset_row) -> ArrayGeometry:
-    """Geometry whose columns have horizontal coordinates ``x_row``, ``y_row``
-    and boresight offsets ``offset_row``, each N_h values or one shared
-    value; the heights are the centred vertical axis."""
-    columns = np.empty((3, cfg.n_h))
+def _grid(cfg: ArrayConfig, x_row, y_row, offset_row, psi=0.0) -> ArrayGeometry:
+    """Geometry whose columns have horizontal coordinates ``x_row``, ``y_row`` and
+    boresight offsets ``offset_row``, each N_h values (per angle of a checked batch
+    ``psi``) or one shared value; the heights are the centred vertical axis."""
+    columns = np.empty((3, *getattr(psi, "shape", (1,))[:-1], cfg.n_h))
     columns[0], columns[1], columns[2] = x_row, y_row, offset_row
     return ArrayGeometry(*columns, _centered_axis(cfg.n_v, cfg.spacing))
 
@@ -134,17 +142,17 @@ def planar_positions(cfg: ArrayConfig) -> ArrayGeometry:
     return _grid(cfg, 0.0, _centered_axis(cfg.n_h, cfg.spacing), 0.0)
 
 
-def rotated_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
+def rotated_geometry(cfg: ArrayConfig, psi) -> ArrayGeometry:
     """Rigid rotation of the planar array about the z axis by ``psi``.
 
     All elements share the same boresight offset ``psi``.
     """
-    psi = _check_psi(psi)
+    psi, _ = _check_psi(psi)
     y_row = _centered_axis(cfg.n_h, cfg.spacing)
-    return _grid(cfg, -y_row * np.sin(psi), y_row * np.cos(psi), psi)
+    return _grid(cfg, -y_row * np.sin(psi), y_row * np.cos(psi), psi, psi)
 
 
-def bent_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
+def bent_geometry(cfg: ArrayConfig, psi) -> ArrayGeometry:
     """Circular bend of the horizontal rows into an arc of half-angle ``psi``.
 
     The arc has radius R = (N_h - 1) d / (2 psi) so adjacent elements keep arc
@@ -153,30 +161,31 @@ def bent_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
     psi_n). |psi| above pi would self-overlap and is rejected; |psi| below
     BEND_EPS returns the planar limit.
     """
-    psi = _check_psi(psi)
-    if abs(psi) > PSI_RANGES[FlexModel.BENDABLE].limit:
-        raise ValueError(f"bend angle |psi| must not exceed pi, got {psi!r}")
-    if abs(psi) < BEND_EPS:
-        return planar_positions(cfg)
+    psi, largest = _check_psi(psi, PSI_RANGES[FlexModel.BENDABLE].limit, "bend angle |psi|")
+    if largest < BEND_EPS:
+        return _grid(cfg, 0.0, _centered_axis(cfg.n_h, cfg.spacing), 0.0, psi)
     if cfg.n_h == 1:
         raise ValueError("bending undefined for a single horizontal element")
+    if isinstance(psi, np.ndarray) and (flat := np.abs(psi[:, 0]) < BEND_EPS).any():
+        geometry = bent_geometry(cfg, np.where(flat, 1.0, psi[:, 0]))  # then laid flat
+        geometry.column_x[flat], geometry.column_offsets[flat] = 0.0, 0.0
+        geometry.column_y[flat] = _centered_axis(cfg.n_h, cfg.spacing)
+        return geometry
     radius = (cfg.n_h - 1) * cfg.spacing / (2.0 * psi)
     psi_n = -psi + 2.0 * psi * np.arange(cfg.n_h) / (cfg.n_h - 1)
-    return _grid(cfg, radius * (np.cos(psi_n) - 1.0), radius * np.sin(psi_n), psi_n)
+    return _grid(cfg, radius * (np.cos(psi_n) - 1.0), radius * np.sin(psi_n), psi_n, psi)
 
 
-def folded_geometry(cfg: ArrayConfig, psi: float) -> ArrayGeometry:
+def folded_geometry(cfg: ArrayConfig, psi) -> ArrayGeometry:
     """Fold about the vertical center line by ``psi``.
 
     Both half-arrays rotate toward -x for positive ``psi``; the y > 0 half
     rotates by +psi and the y < 0 half by -psi, so the boresight offsets take
     the values {+psi, 0, -psi} with zero reserved for a center column.
     """
-    psi = _check_psi(psi)
-    if abs(psi) > PSI_RANGES[FlexModel.FOLDABLE].limit:
-        raise ValueError(f"fold angle |psi| must not exceed pi/2, got {psi!r}")
+    psi, _ = _check_psi(psi, PSI_RANGES[FlexModel.FOLDABLE].limit, "fold angle |psi|")
     half = _centered_axis(cfg.n_h, cfg.spacing)  # signed y of each column
-    return _grid(cfg, -np.abs(half) * np.sin(psi), half * np.cos(psi), np.sign(half) * psi)
+    return _grid(cfg, -np.abs(half) * np.sin(psi), half * np.cos(psi), np.sign(half) * psi, psi)
 
 
 def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeometry:
@@ -185,22 +194,21 @@ def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeom
     Positions rotate by ``mount_azimuth`` and every boresight offset is
     incremented by it, so mounting commutes with any flex deformation.
     """
-    mount = _check_psi(mount_azimuth)
+    mount, _ = _check_psi(mount_azimuth)
     c, s = np.cos(mount), np.sin(mount)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     # first row of the element list: its 0 * z term sets the sign of a zero x or y
     first_row = np.broadcast_arrays(geometry.column_x, geometry.column_y, geometry.heights[0])
     columns = np.stack(first_row, axis=-1) @ rot.T
-    return ArrayGeometry(columns[:, 0], columns[:, 1], geometry.column_offsets + mount,
+    return ArrayGeometry(columns[..., 0], columns[..., 1], geometry.column_offsets + mount,
                          geometry.heights)
 
 
-def flex_geometry(model: FlexModel, cfg: ArrayConfig, psi: float) -> ArrayGeometry:
-    """Build the geometry of ``model`` at flex angle ``psi``, unmounted."""
+def flex_geometry(model: FlexModel, cfg: ArrayConfig, psi) -> ArrayGeometry:
+    """Build the geometry of ``model`` at flex angle ``psi`` (or a 1-D batch), unmounted."""
     if model is FlexModel.PLANAR:
-        if psi != 0.0:
-            raise ValueError("planar arrays have no flexible degree of freedom; psi must be 0")
-        return planar_positions(cfg)
+        psi, _ = _check_psi(psi, 0.0, "planar arrays have no flexible degree of freedom; |psi|")
+        return _grid(cfg, 0.0, _centered_axis(cfg.n_h, cfg.spacing), 0.0, psi)
     if model is FlexModel.ROTATABLE:
         return rotated_geometry(cfg, psi)
     if model is FlexModel.BENDABLE:

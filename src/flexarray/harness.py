@@ -207,13 +207,16 @@ def default_sweep_paths() -> PathSet:
 def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig | None = None,
                            paths: PathSet | None = None, psi_min: float = -np.pi / 2,
                            psi_max: float = np.pi / 2, steps: int = 181, mount: float = 0.0):
-    """Channel power of the flexed array relative to the planar one, in dB."""
+    """Channel power of the flexed array relative to the planar one, in dB; the reference
+    and every step are one channel build over the flex angles."""
+    if steps < 1:
+        raise ValueError(f"steps: need at least one flex angle, got {steps!r}")
     cfg = cfg or DEFAULT_SWEEP_CFG
     paths = paths or default_sweep_paths()
     grid = [float(psi) for psi in np.linspace(psi_min, psi_max, steps)]
     with np.errstate(all="ignore"):  # zero or overflowing power is caught below
-        baseline, *powers = [np.float64(channel_power(flexible_channel(
-            model, cfg, spec, paths, psi, mount))) for psi in [0.0, *grid]]
+        baseline, *powers = [np.float64(channel_power(h)) for h in flexible_channel(
+            model, cfg, spec, paths, np.array([0.0, *grid]), mount)]
         rows = [(psi, 10.0 * np.log10(power / baseline)) for psi, power in zip(grid, powers)]
     if not np.isfinite([db for _, db in rows]).all():
         raise FlexArrayError("zero power or an overflow at some shape; the dB ratio is undefined")
@@ -242,9 +245,11 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     """
     if draws < 1:
         raise ValueError(f"draws: need at least one draw, got {draws!r}")
-    l_values = [int(v) for v in l_values]
-    if not l_values or min(l_values) < 1:
-        raise ValueError(f"l_values: need at least one path count, each >= 1, got {l_values!r}")
+    models, l_values = list(models), [int(v) for v in l_values]
+    if not models or FlexModel.PLANAR in models or len(set(models)) < len(models):
+        raise ValueError(f"models: need distinct flex models, none planar, got {models!r}")
+    if not l_values or min(l_values) < 1 or len(set(l_values)) < len(l_values):
+        raise ValueError(f"l_values: need distinct path counts, each >= 1, got {l_values!r}")
     l_max = max(l_values)
     fixed_sums = {n: 0.0 for n in l_values}
     optimized_sums = {(model, n): 0.0 for model in models for n in l_values}

@@ -129,16 +129,23 @@ def pattern_azimuth_stage(spec: PatternSpec, elevation, phi):
         shape = np.broadcast_shapes(theta.shape, phi.shape)
         return np.ones(shape), np.zeros(shape), np.zeros(shape)
 
+    if support_edges(spec, elevation, phi).any():
+        raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
     w = wrap_angle(phi)
-    if np.any(np.abs(np.abs(w) - np.pi / 2) < BOUNDARY_EPS):
-        raise PatternBoundaryError("azimuth within 1e-6 of the cosine support edge")
-    if theta_edge.any() and np.any(theta_edge & (np.abs(w) < np.pi / 2)):
-        raise PatternBoundaryError("elevation within 1e-6 of the cosine support edge")
-
     half_kappa = spec.kappa / 2.0
     # cos(w) <= 0 exactly off the front half-space, where A and both partials are 0
     amp = lead * np.maximum(np.cos(w), 0.0)**half_kappa
     return amp, half_kappa * amp * cot_theta, -half_kappa * amp * np.tan(w)
+
+
+def support_edges(spec: PatternSpec, elevation, phi) -> np.ndarray:
+    """Where :func:`pattern_azimuth_stage` would refuse: an azimuth within BOUNDARY_EPS of
+    the cosine support edge, or an elevation within it in front (all False for omni)."""
+    theta, theta_edge = elevation[:2]
+    if spec.kind is PatternKind.OMNI:
+        return np.zeros(np.broadcast_shapes(theta.shape, np.shape(phi)), dtype=bool)
+    w = np.abs(wrap_angle(phi))
+    return (np.abs(w - np.pi / 2) < BOUNDARY_EPS) | (theta_edge & (w < np.pi / 2))
 
 
 def pattern_derivatives(spec: PatternSpec, theta, phi):

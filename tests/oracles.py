@@ -15,8 +15,8 @@ import numpy as np
 from flexarray.bayesopt import (GpDataset, Kernel, _expected_improvement_batch, _lift,
                                 _posterior_batch, _unit_kernel)
 from flexarray.channel import PathSet
-from flexarray.errors import COND_MAX, SingularFisherError, condition_number
-from flexarray.estimation import FisherMatrix, _derivative_stack
+from flexarray.errors import COND_MAX, PatternBoundaryError, SingularFisherError, condition_number
+from flexarray.estimation import FisherMatrix, _atoms
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.precoding import _zero_forcing
 from flexarray.radiation import PatternSpec, pattern_gain
@@ -64,12 +64,20 @@ def stack_parameters(paths: PathSet) -> np.ndarray:
 def channel_param_derivatives(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                               paths: PathSet, psi: float, mount: float, path_index: int):
     """Derivatives of the channel with respect to path ``path_index``'s four
-    parameters: (d/d theta_l, d/d phi_l, d/d beta_R_l, d/d beta_I_l)."""
+    parameters: (d/d theta_l, d/d phi_l, d/d beta_R_l, d/d beta_I_l). The full
+    (N, 4L) pairs are assembled from the library's separable atoms, one Kronecker
+    product (row atom outer, column atom inner) per pair, and summed into the
+    four parameter families."""
     n_paths = paths.n_paths
     if not 0 <= path_index < n_paths:
         raise IndexError(f"path index {path_index} outside 0..{n_paths - 1}")
-    stack = _derivative_stack(model, cfg, spec, paths, psi, mount)
-    return tuple(stack[:, family * n_paths + path_index] for family in range(4))
+    columns, rows, kept = _atoms(model, cfg, spec, paths, np.array([psi], dtype=float), mount)
+    if not kept[0]:
+        raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
+    pairs = np.stack([np.kron(row, column) for row, column in zip(rows, columns[0])], axis=1)
+    pairs = pairs.reshape(cfg.n_elements, 4, n_paths)
+    return pairs[:, 0, path_index] + pairs[:, 1, path_index], pairs[:, 2, path_index], \
+        pairs[:, 3, path_index], 1j * pairs[:, 3, path_index]
 
 
 def crb(fisher: FisherMatrix, index: int) -> float:

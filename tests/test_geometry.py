@@ -263,6 +263,46 @@ class TestDirectGrid:
                 assert offsets.tobytes() == geom.orientation_offsets.tobytes()
 
 
+class TestPsiBatch:
+    """A 1-D psi builds G shapes at once: every row equals the one-angle build bit for
+    bit (the sign of every zero too), the flat bends among them included."""
+
+    @pytest.mark.parametrize("model, n_h, n_v", [
+        (model, n_h, n_v) for model in [FlexModel.PLANAR, *MODELS] for n_h, n_v in GRID_SIZES
+        if not (model is FlexModel.BENDABLE and n_h == 1)])
+    def test_every_row_equals_the_scalar_build(self, model, n_h, n_v):
+        cfg = ArrayConfig(n_h, n_v, wavelength=0.03)
+        grid = (np.array([0.0, -0.0]) if model is FlexModel.PLANAR else np.concatenate([
+            np.linspace(-np.pi / 2, np.pi / 2, 181),
+            [1e-7, -1e-7, 0.0, -0.0, BEND_EPS, -BEND_EPS, 0.999 * BEND_EPS]]))
+        batch = flex_geometry(model, cfg, grid)
+        assert batch.column_x.shape == (len(grid), n_h) and batch.heights.shape == (n_v,)
+        for index, psi in enumerate(grid):
+            one = flex_geometry(model, cfg, float(psi))
+            for name in ("column_x", "column_y", "column_offsets"):
+                assert getattr(batch, name)[index].tobytes() == getattr(one, name).tobytes()
+            assert batch.heights.tobytes() == one.heights.tobytes()
+            assert batch.positions[index].tobytes() == one.positions.tobytes()
+            assert batch.orientation_offsets[index].tobytes() == one.orientation_offsets.tobytes()
+            mounted = mounted_geometry(batch, 0.7)
+            assert mounted.positions[index].tobytes() == mounted_geometry(one, 0.7).positions.tobytes()
+
+    def test_a_batch_of_flat_bends_on_one_column_is_planar(self):
+        cfg = ArrayConfig(1, 3)
+        batch = bent_geometry(cfg, np.array([0.0, 1e-7]))
+        assert batch.positions.tobytes() == np.stack([planar_positions(cfg).positions] * 2).tobytes()
+        with pytest.raises(ValueError, match="single horizontal element"):
+            bent_geometry(cfg, np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("model, psi", [
+        (FlexModel.BENDABLE, [0.5, np.pi + 0.01]), (FlexModel.FOLDABLE, [0.1, -np.pi / 2 - 0.01]),
+        (FlexModel.PLANAR, [0.0, 0.1]), (FlexModel.ROTATABLE, [0.1, np.nan]),
+        (FlexModel.ROTATABLE, [[0.1]])])
+    def test_one_bad_angle_refuses_the_batch(self, model, psi):
+        with pytest.raises(ValueError, match="psi"):
+            flex_geometry(model, ArrayConfig(4, 2), np.array(psi))
+
+
 class TestSharedInvariants:
     @settings(max_examples=40, deadline=None)
     @given(psi=st.floats(-np.pi / 2, np.pi / 2), n_h=st.integers(2, 7), n_v=st.integers(1, 3))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from flexarray import bayesopt, harness
-from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
+from flexarray.channel import MOUNTS, PathSet, channel_power, flexible_channel, sector_block
 from flexarray.errors import ConfigError
 from flexarray.geometry import PSI_RANGES, ArrayConfig, FlexModel, flex_geometry
-from flexarray.harness import (SECTOR_RANGES, config_hash, default_sweep_paths,
+from flexarray.harness import (DEFAULT_SWEEP_CFG, SECTOR_RANGES, config_hash, default_sweep_paths,
                                experiment_bo_trace, experiment_power_sweep,
                                experiment_sumrate, generate_scenario, optimize_strategy,
                                run_experiment, write_csv)
@@ -235,6 +235,39 @@ class TestExperiments:
         with pytest.raises(ValueError, match=name):
             harness.experiment_crb_sweep([FlexModel.ROTATABLE], OMNI, ArrayConfig(2, 2),
                                          l_values, draws, seed=0, grid_size=3)
+
+    @pytest.mark.parametrize("models, l_values, name", [
+        ([], [1, 2], "models"), ([FlexModel.PLANAR], [1], "models"),
+        ([FlexModel.ROTATABLE, FlexModel.PLANAR], [1], "models"),
+        ([FlexModel.FOLDABLE, FlexModel.FOLDABLE], [1], "models"),
+        ([FlexModel.ROTATABLE], [2, 2], "l_values"), ([FlexModel.ROTATABLE], [1, 3, 1], "l_values")],
+        ids=["no-models", "planar", "planar-among", "duplicate-model", "duplicate-l", "repeated-l"])
+    def test_crb_sweep_bad_models_or_repeated_l_rejected_before_any_draw(self, monkeypatch, models,
+                                                                         l_values, name):
+        monkeypatch.setattr(harness, "_crb_regime_paths",
+                            lambda *args, **kwargs: pytest.fail("drew a path set"))
+        with pytest.raises(ValueError, match=name):
+            harness.experiment_crb_sweep(models, OMNI, ArrayConfig(2, 2), l_values, 1, seed=0,
+                                         grid_size=3)
+
+    @pytest.mark.parametrize("steps", [0, -1, -181])
+    def test_power_sweep_without_steps_is_rejected_by_name(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            experiment_power_sweep(FlexModel.ROTATABLE, OMNI, steps=steps)
+
+    @pytest.mark.parametrize("model, mount", [(FlexModel.ROTATABLE, 0.0), (FlexModel.BENDABLE, 0.7),
+                                              (FlexModel.FOLDABLE, -1.1), (FlexModel.PLANAR, 0.0)])
+    @pytest.mark.parametrize("spec", [OMNI, PatternSpec(PatternKind.COSINE, kappa=2.0)],
+                             ids=["omni", "cos2"])
+    def test_power_sweep_rows_equal_one_channel_build_per_angle(self, model, mount, spec):
+        psi_max = 0.0 if model is FlexModel.PLANAR else 1.5
+        paths = default_sweep_paths()
+        _, rows = experiment_power_sweep(model, spec, paths=paths, psi_min=-psi_max,
+                                         psi_max=psi_max, steps=37, mount=mount)
+        power = [channel_power(flexible_channel(model, DEFAULT_SWEEP_CFG, spec, paths, psi, mount))
+                 for psi in [0.0, *np.linspace(-psi_max, psi_max, 37)]]
+        expected = [10.0 * np.log10(np.float64(p) / np.float64(power[0])) for p in power[1:]]
+        assert [db for _, db in rows] == expected
 
     def test_bo_trace_incumbent_monotone(self):
         scenario = small_scenario(seed=2)
