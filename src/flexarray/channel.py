@@ -112,8 +112,9 @@ def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):
 def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
     """The channel from :func:`_path_factors` and the flexed columns, (..., N) or (G, N)."""
     sin_theta, cos_phi, sin_phi, phase, rows = factors
-    x, y, offsets = (values[..., None, :] for values in (
-        geometry.column_x, geometry.column_y, geometry.column_offsets))
+    x, y, offsets = geometry.column_x, geometry.column_y, geometry.column_offsets
+    if x.ndim == 2:  # G shapes of one link: (G, 1, N_h) columns against the (L, 1) paths
+        x, y, offsets = x[:, None], y[:, None], offsets[:, None]
     columns = np.exp(phase * (x * cos_phi + y * sin_phi))
     columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, offsets)
     grid = rows @ columns  # (..., N_v, N_h)

@@ -84,11 +84,15 @@ def _grams(model, cfg, spec, paths, psi, mount) -> list:
 def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                   paths: PathSet, psi: float, mount: float, sigma2: float) -> FisherMatrix:
     """Assemble the 4L x 4L Fisher matrix; symmetric by construction."""
-    if not 0.0 < sigma2 < np.inf:
-        raise ValueError(f"noise power sigma2 must be positive and finite, got {sigma2!r}")
+    _check_sigma2(sigma2)
     j = (2.0 / sigma2) * _gram(model, cfg, spec, paths, psi, mount)
     j = 0.5 * (j + j.T)
     return FisherMatrix(matrix=j, sigma2=float(sigma2), n_paths=paths.n_paths)
+
+
+def _check_sigma2(sigma2) -> None:
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"noise power sigma2 must be positive and finite, got {sigma2!r}")
 
 
 def _gram(model, cfg, spec, paths, psi, mount) -> np.ndarray:
@@ -151,6 +155,7 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    _check_sigma2(sigma2)
     if paths.link()._root is None:  # a set of its own: search a view of a private root
         paths = PathSet(paths.theta, paths.phi, paths.beta)[:]
     grid = np.linspace(float(psi_range[0]), float(psi_range[1]), grid_size)

@@ -604,7 +604,8 @@ class TestInputChecks:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["fisher_matrix", "optimal_psi_for_crb"])
-    def test_non_finite_or_non_positive_sigma2_is_named(self, name, sigma2):
+    def test_non_finite_or_non_positive_sigma2_is_named(self, monkeypatch, name, sigma2):
+        monkeypatch.setattr(estimation, "_grams", lambda *args: pytest.fail("built a gram"))
         with pytest.raises(ValueError, match="sigma2"):
             self.CALLS[name](self.CFG, self.PATHS, 0.0, sigma2)
 

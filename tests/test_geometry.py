@@ -284,13 +284,14 @@ class TestPsiBatch:
             assert batch.heights.tobytes() == one.heights.tobytes()
             assert batch.positions[index].tobytes() == one.positions.tobytes()
             assert batch.orientation_offsets[index].tobytes() == one.orientation_offsets.tobytes()
-            mounted = mounted_geometry(batch, 0.7)
-            assert mounted.positions[index].tobytes() == mounted_geometry(one, 0.7).positions.tobytes()
+            mounted, one_mounted = mounted_geometry(batch, 0.7), mounted_geometry(one, 0.7)
+            assert mounted.positions[index].tobytes() == one_mounted.positions.tobytes()
 
     def test_a_batch_of_flat_bends_on_one_column_is_planar(self):
         cfg = ArrayConfig(1, 3)
         batch = bent_geometry(cfg, np.array([0.0, 1e-7]))
-        assert batch.positions.tobytes() == np.stack([planar_positions(cfg).positions] * 2).tobytes()
+        planar = planar_positions(cfg).positions
+        assert batch.positions.tobytes() == np.stack([planar, planar]).tobytes()
         with pytest.raises(ValueError, match="single horizontal element"):
             bent_geometry(cfg, np.array([0.0, 0.5]))
 

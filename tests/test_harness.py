@@ -240,7 +240,8 @@ class TestExperiments:
         ([], [1, 2], "models"), ([FlexModel.PLANAR], [1], "models"),
         ([FlexModel.ROTATABLE, FlexModel.PLANAR], [1], "models"),
         ([FlexModel.FOLDABLE, FlexModel.FOLDABLE], [1], "models"),
-        ([FlexModel.ROTATABLE], [2, 2], "l_values"), ([FlexModel.ROTATABLE], [1, 3, 1], "l_values")],
+        ([FlexModel.ROTATABLE], [2, 2], "l_values"),
+        ([FlexModel.ROTATABLE], [1, 3, 1], "l_values")],
         ids=["no-models", "planar", "planar-among", "duplicate-model", "duplicate-l", "repeated-l"])
     def test_crb_sweep_bad_models_or_repeated_l_rejected_before_any_draw(self, monkeypatch, models,
                                                                          l_values, name):
