@@ -42,9 +42,10 @@ class PathSet:
     unitless complex gains, all finite. Gains are stored unnormalized; the
     sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
     gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths
-    as a prefix view that shares its root's kept Fisher grams (both turn read-only).
-    Terms that read only the paths are derived once per set and kept (:meth:`derived`),
-    so a set is frozen and copies its arrays: nothing else can change them.
+    as a prefix view that shares its root's kept Fisher grams (both turn read-only). A
+    scenario's sector blocks and a root's Fisher grams read only the paths, so they are
+    derived once per set and kept (:meth:`derived`); a set is frozen and copies its arrays, so
+    nothing else can change them.
     """
 
     theta: np.ndarray
@@ -121,15 +122,6 @@ def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
     return grid.reshape(*grid.shape[:-2], -1)
 
 
-def _kept_factors(paths: PathSet, index, mount: float, heights: np.ndarray, wavelength: float):
-    """:func:`_path_factors` of ``paths[index]`` seen from ``mount``, derived once per
-    path set. The key holds the index as a repr (a slice is unhashable before 3.12)
-    and the mount as hex, which tells -0.0 from 0.0."""
-    key = (_path_factors, repr(index), float(mount).hex(), heights.tobytes(), wavelength)
-    return paths.derived(key, lambda: _path_factors(
-        paths.theta[index], paths.phi[index] - mount, paths.beta[index], heights, wavelength))
-
-
 def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                      paths: PathSet, psi: float, mount: float = 0.0) -> np.ndarray:
     """Channel vector of one link for an array flexed to ``psi`` (N,), or to each angle of a
@@ -138,8 +130,8 @@ def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
         raise ValueError("mount must be finite")
     paths = paths.link()
     geometry = flex_geometry(model, cfg, psi)
-    return _combine(geometry, spec, _kept_factors(paths, ..., mount, geometry.heights,
-                                                  cfg.wavelength))
+    return _combine(geometry, spec, _path_factors(paths.theta, paths.phi - mount, paths.beta,
+                                                  geometry.heights, cfg.wavelength))
 
 
 def channel_power(h: np.ndarray) -> float:
@@ -149,11 +141,15 @@ def channel_power(h: np.ndarray) -> float:
 
 
 def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sectors) -> np.ndarray:
-    """Channels from array ``faa``, already built as ``geometry`` at zero
-    mount, to the users of ``sectors``: one sector index gives (N, K), a
-    slice of sectors (N, S*K) in sector order. Vectorized over users and
-    paths; the array's local azimuths subtract its mount."""
-    factors = _kept_factors(scenario.paths, sectors, MOUNTS[faa], geometry.heights,
-                            scenario.cfg.wavelength)
+    """Channels from array ``faa``, already built as ``geometry`` at zero mount, to the users
+    of ``sectors``: one sector index gives (N, K), a slice of sectors (N, S*K) in sector order.
+    Vectorized over users and paths; the array's local azimuths subtract its mount, and the
+    factors no flex angle changes are derived once per path set, keyed by the sectors' repr
+    (a slice is unhashable before Python 3.12)."""
+    paths, heights, wavelength = scenario.paths, geometry.heights, scenario.cfg.wavelength
+    key = (_path_factors, faa, repr(sectors), heights.tobytes(), wavelength)
+    factors = paths.derived(key, lambda: _path_factors(
+        paths.theta[sectors], paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors], heights,
+        wavelength))
     block = _combine(geometry, scenario.pattern, factors)
     return block.reshape(-1, block.shape[-1]).T

@@ -7,7 +7,8 @@ noise of power sigma^2, block (a, b) of the Fisher matrix is
 (2 / sigma^2) Re{ D_a^H D_b } where D_a stacks the channel derivatives with
 respect to parameter family a. Only the gain normalization sqrt(1/L) depends on L,
 so the first L of L_max paths have J_L = (L_max/L) J_{L_max} at the indices l + f L_max
-(l < L): a prefix view ``root[:L]`` reads its Fisher matrix from its root's kept gram.
+(l < L): a prefix view ``root[:L]`` reads its Fisher matrix from its root's kept gram, refused
+at a flex angle only where one of its own paths meets a pattern support edge.
 
 Each derivative column is a sum of Kronecker products of row and column atoms
 (:func:`_atoms`), so by <a (x) b, c (x) d> = <a, c><b, d>, Re(D^H D) =
@@ -25,9 +26,8 @@ from .channel import PathSet
 from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, SingularFisherError,
                      condition_number)
 from .geometry import ArrayConfig, FlexModel, flex_geometry
-from .radiation import PatternSpec, pattern_azimuth_stage, pattern_elevation_stage, support_edges
+from .radiation import PatternSpec, pattern_and_derivatives, support_edges
 
-_REFUSED = object()  # a gram at a flex angle where a path meets a support edge
 _FAMILIES = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1j]])  # pairs -> params
 
 
@@ -42,22 +42,23 @@ class FisherMatrix:
 
 def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet, psi,
            mount: float):
-    """Derivative atoms at the flex angles of the 1-D ``psi`` where no path meets a support
-    edge (``kept``, (G,)): column atoms (G', 4L, N_h) [c(dA/dtheta - jk cos(theta) u A); cA;
-    c(dA/dphi - jk sin(theta) (y cos - x sin) A); cA], c = exp(-jk sin(theta) u), and row
-    atoms (4L, N_v) [g r; g jk sin(theta) z r; g r; s r], r = exp(-jk z cos(theta)), g = s beta,
-    s = sqrt(1/L). Pair m is (row atom m) (x) (column atom m); the parameter columns are
-    theta = pairs 0 + 1, phi = 2, beta_R = 3 and beta_I = j 3 (``_FAMILIES``)."""
+    """Derivative atoms at each flex angle of the 1-D ``psi``: column atoms (G, 4L, N_h)
+    [c(dA/dtheta - jk cos(theta) u A); cA; c(dA/dphi - jk sin(theta) (y cos - x sin) A); cA],
+    c = exp(-jk sin(theta) u), and row atoms (4L, N_v) [g r; g jk sin(theta) z r; g r; s r],
+    r = exp(-jk z cos(theta)), g = s beta, s = sqrt(1/L). Pair m is (row atom m) (x) (column
+    atom m); the parameter columns are theta = pairs 0 + 1, phi = 2, beta_R = 3 and
+    beta_I = j 3 (``_FAMILIES``). ``edges`` (G, L) marks the paths on a support edge, whose
+    pattern is taken from behind the array (azimuth pi), where it is 0."""
     n = paths.link().n_paths
     if not np.isfinite(mount):
         raise ValueError(f"mount must be finite, got {mount!r}")
     geometry = flex_geometry(model, cfg, psi)
     theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
-    elevation = pattern_elevation_stage(spec, theta)
     azimuths = phi - geometry.column_offsets[:, None]  # (G, L, N_h)
-    kept = ~support_edges(spec, elevation, azimuths).any(axis=(1, 2))
-    pattern, d_pat_theta, d_pat_phi = pattern_azimuth_stage(spec, elevation, azimuths[kept])
-    x, y = geometry.column_x[kept, None], geometry.column_y[kept, None]
+    edges = support_edges(spec, theta, azimuths).any(axis=2)
+    azimuths[edges] = np.pi
+    pattern, d_pat_theta, d_pat_phi = pattern_and_derivatives(spec, theta, azimuths)
+    x, y = geometry.column_x[:, None], geometry.column_y[:, None]
     sin_theta, cos_theta, sin_phi, cos_phi = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     jk = 2j * np.pi / cfg.wavelength
     u = x * cos_phi + y * sin_phi
@@ -69,25 +70,33 @@ def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet
     scale, row = np.sqrt(1.0 / n), np.exp(-jk * cos_theta * geometry.heights)
     gains = scale * paths.beta[:, None] * row
     rows = np.concatenate([gains, jk * sin_theta * geometry.heights * gains, gains, scale * row])
-    return columns, rows, kept
+    return columns, rows, edges
 
 
-def _grams(model, cfg, spec, paths, psi, mount) -> list:
-    """Re(D^H D) at each flex angle of the 1-D ``psi``; _REFUSED where a path meets an edge."""
-    columns, rows, kept = _atoms(model, cfg, spec, paths, psi, mount)
+def _grams(model, cfg, spec, paths, psi, mount) -> tuple:
+    """Re(D^H D) (G, 4L, 4L) at the 1-D ``psi``, and each angle's first edge path (L if none)."""
+    columns, rows, edges = _atoms(model, cfg, spec, paths, psi, mount)
     weights = np.kron(_FAMILIES, np.eye(paths.n_paths))
     pairs = (columns.conj() @ columns.swapaxes(1, 2)) * (rows.conj() @ rows.T)
-    built = iter(np.real(weights.conj().T @ pairs @ weights))
-    return [next(built) if keep else _REFUSED for keep in kept]
+    first_edges = np.where(edges.any(axis=1), edges.argmax(axis=1), paths.n_paths)
+    return np.real(weights.conj().T @ pairs @ weights), first_edges.tolist()
 
 
 def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                   paths: PathSet, psi: float, mount: float, sigma2: float) -> FisherMatrix:
-    """Assemble the 4L x 4L Fisher matrix; symmetric by construction."""
+    """Assemble the 4L x 4L Fisher matrix; symmetric by construction. Re(D^H D) of the n paths
+    is the (m/n)-scaled block of their root's kept gram (a set of its own reads a private
+    root's), refused when one of the n paths meets a support edge at ``psi``."""
     _check_sigma2(sigma2)
-    j = (2.0 / sigma2) * _gram(model, cfg, spec, paths, psi, mount)
+    if paths.link()._root is None:
+        paths = PathSet(paths.theta, paths.phi, paths.beta)[:]
+    root, n, m = paths._root, paths.n_paths, paths._root.n_paths
+    gram, first_edge = _kept_grams(model, cfg, spec, root, (psi,), mount)[float(psi).hex()]
+    if first_edge < n:
+        raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
+    j = (2.0 / sigma2) * ((m / n) * gram.reshape(4, m, 4, m)[:, :n, :, :n].reshape(4 * n, 4 * n))
     j = 0.5 * (j + j.T)
-    return FisherMatrix(matrix=j, sigma2=float(sigma2), n_paths=paths.n_paths)
+    return FisherMatrix(matrix=j, sigma2=float(sigma2), n_paths=n)
 
 
 def _check_sigma2(sigma2) -> None:
@@ -95,28 +104,14 @@ def _check_sigma2(sigma2) -> None:
         raise ValueError(f"noise power sigma2 must be positive and finite, got {sigma2!r}")
 
 
-def _gram(model, cfg, spec, paths, psi, mount) -> np.ndarray:
-    """Re(D^H D); for a prefix view, a scaled block of the root's kept gram, unless the
-    root's paths meet a support edge at ``psi`` (then the view builds its own)."""
-    if (root := paths._root) is not None:
-        gram = _kept_grams(model, cfg, spec, root, (psi,), mount)[float(psi).hex()]
-        if gram is not _REFUSED:
-            n, m = paths.n_paths, root.n_paths
-            return (m / n) * gram.reshape(4, m, 4, m)[:, :n, :, :n].reshape(4 * n, 4 * n)
-    (gram,) = _grams(model, cfg, spec, paths, np.array([psi], dtype=float), mount)
-    if gram is _REFUSED:
-        raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
-    return gram
-
-
 def _kept_grams(model, cfg, spec, root: PathSet, psis, mount) -> dict:
-    """The root's grams by flex angle (its float hex), _REFUSED where a path meets a support
-    edge: one dict per (model, array, pattern, mount), the missing ``psis`` built as a batch."""
-    key = (_gram, model, cfg, spec, float(mount).hex())
+    """The root's grams and first edge paths (:func:`_grams`) by flex angle (its float hex):
+    one dict per (model, array, pattern, mount), the missing ``psis`` built as a batch."""
+    key = (_kept_grams, model, cfg, spec, float(mount).hex())
     grams = root._derived.get(key, {})
     missing = {angle: psi for psi in psis if (angle := float(psi).hex()) not in grams}
     if missing:
-        built = _grams(model, cfg, spec, root, np.array([*missing.values()]), mount)
+        built = zip(*_grams(model, cfg, spec, root, np.array([*missing.values()]), mount))
         (grams := root.derived(key, dict)).update(zip(missing, built))
     return grams
 

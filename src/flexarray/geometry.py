@@ -194,7 +194,9 @@ def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeom
     Positions rotate by ``mount_azimuth`` and every boresight offset is
     incremented by it, so mounting commutes with any flex deformation.
     """
-    mount, _ = _check_psi(mount_azimuth)
+    mount = np.asarray(mount_azimuth, dtype=float)
+    if mount.ndim or not math.isfinite(mount):
+        raise ValueError(f"mount must be a finite scalar, got {mount.tolist()!r}")
     c, s = np.cos(mount), np.sin(mount)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     # first row of the element list: its 0 * z term sets the sign of a zero x or y

@@ -99,53 +99,40 @@ def pattern_and_derivatives(spec: PatternSpec, theta, phi):
 
     A equals sqrt(:func:`pattern_gain`); on the open cosine support the
     partials are (kappa/2) A cot(theta) and -(kappa/2) A tan(phi), outside it
-    all three vanish. Theta is checked before broadcasting. Any point within
-    BOUNDARY_EPS of a support edge raises PatternBoundaryError rather than
-    returning a clamped value, since a silently large derivative would
-    corrupt downstream Fisher matrices."""
-    return pattern_azimuth_stage(spec, pattern_elevation_stage(spec, theta), phi)
-
-
-def pattern_elevation_stage(spec: PatternSpec, theta):
-    """The elevation-only part of :func:`pattern_and_derivatives`: theta, checked,
-    with its support-edge mask, sqrt(G) sin^(kappa/2)(theta) and cot(theta)
-    (the mask and factors are None for omni)."""
-    theta = np.asarray(theta, dtype=float)
+    all three vanish. Theta is checked, and its terms are evaluated at its own
+    shape, before broadcasting. Any point within BOUNDARY_EPS of a support edge
+    (:func:`support_edges`) raises PatternBoundaryError rather than returning a
+    clamped value, since a silently large derivative would corrupt downstream
+    Fisher matrices."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     _check_theta(theta)
-    if spec.kind is PatternKind.OMNI:
-        return theta, None, None, None
-    theta_edge = (theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS)
-    sin_theta = np.sin(theta)
-    # an edge elevation only reaches the partials off the support, where A = 0
-    cot_theta = np.divide(np.cos(theta), sin_theta, out=np.zeros(theta.shape), where=~theta_edge)
-    return theta, theta_edge, np.sqrt(spec.peak_gain) * sin_theta**(spec.kappa / 2.0), cot_theta
-
-
-def pattern_azimuth_stage(spec: PatternSpec, elevation, phi):
-    """:func:`pattern_and_derivatives` from its :func:`pattern_elevation_stage` and the azimuths."""
-    theta, theta_edge, lead, cot_theta = elevation
-    phi = np.asarray(phi, dtype=float)
     if spec.kind is PatternKind.OMNI:
         shape = np.broadcast_shapes(theta.shape, phi.shape)
         return np.ones(shape), np.zeros(shape), np.zeros(shape)
-
-    if support_edges(spec, elevation, phi).any():
+    if support_edges(spec, theta, phi).any():
         raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
+    sin_theta, half_kappa = np.sin(theta), spec.kappa / 2.0
+    # an edge elevation only reaches the partials off the support, where A = 0
+    cot_theta = np.divide(np.cos(theta), sin_theta, out=np.zeros(theta.shape),
+                          where=~_elevation_edges(theta))
     w = wrap_angle(phi)
-    half_kappa = spec.kappa / 2.0
     # cos(w) <= 0 exactly off the front half-space, where A and both partials are 0
-    amp = lead * np.maximum(np.cos(w), 0.0)**half_kappa
+    amp = np.sqrt(spec.peak_gain) * sin_theta**half_kappa * np.maximum(np.cos(w), 0.0)**half_kappa
     return amp, half_kappa * amp * cot_theta, -half_kappa * amp * np.tan(w)
 
 
-def support_edges(spec: PatternSpec, elevation, phi) -> np.ndarray:
-    """Where :func:`pattern_azimuth_stage` would refuse: an azimuth within BOUNDARY_EPS of
+def _elevation_edges(theta: np.ndarray) -> np.ndarray:
+    return (theta < BOUNDARY_EPS) | (theta > np.pi - BOUNDARY_EPS)
+
+
+def support_edges(spec: PatternSpec, theta, phi) -> np.ndarray:
+    """Where :func:`pattern_and_derivatives` would refuse: an azimuth within BOUNDARY_EPS of
     the cosine support edge, or an elevation within it in front (all False for omni)."""
-    theta, theta_edge = elevation[:2]
+    theta = np.asarray(theta, dtype=float)
     if spec.kind is PatternKind.OMNI:
         return np.zeros(np.broadcast_shapes(theta.shape, np.shape(phi)), dtype=bool)
     w = np.abs(wrap_angle(phi))
-    return (np.abs(w - np.pi / 2) < BOUNDARY_EPS) | (theta_edge & (w < np.pi / 2))
+    return (np.abs(w - np.pi / 2) < BOUNDARY_EPS) | (_elevation_edges(theta) & (w < np.pi / 2))
 
 
 def pattern_derivatives(spec: PatternSpec, theta, phi):

@@ -71,8 +71,8 @@ def channel_param_derivatives(model: FlexModel, cfg: ArrayConfig, spec: PatternS
     n_paths = paths.n_paths
     if not 0 <= path_index < n_paths:
         raise IndexError(f"path index {path_index} outside 0..{n_paths - 1}")
-    columns, rows, kept = _atoms(model, cfg, spec, paths, np.array([psi], dtype=float), mount)
-    if not kept[0]:
+    columns, rows, edges = _atoms(model, cfg, spec, paths, np.array([psi], dtype=float), mount)
+    if edges[0].any():
         raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
     pairs = np.stack([np.kron(row, column) for row, column in zip(rows, columns[0])], axis=1)
     pairs = pairs.reshape(cfg.n_elements, 4, n_paths)

@@ -424,14 +424,30 @@ class TestOptimize:
 TRACES = json.loads((Path(__file__).parent / "data" / "optimize_traces.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def full_load_scenario():
+PINNED_RUNS = [("sfp", 30, [3, 0, 0]), ("sjfp", 60, [4, 0])]  # (strategy, budget, seed)
+
+
+def full_load_drop():
     """The sum-rate benchmark's full-load drop: 8x2 bendable arrays, cosine
     kappa=2, K=N=16 users, 5 paths, 15 dB."""
     return harness.generate_scenario(ArrayConfig(8, 2, wavelength=0.03),
                                      PatternSpec(PatternKind.COSINE, kappa=2.0),
                                      FlexModel.BENDABLE, k_users=16, n_paths=5, snr_db=15.0,
                                      seed=0)
+
+
+def pinned_trace(scenario, strategy: str, budget: int, seed) -> list:
+    """One pinned ``optimize`` run's trace as rows [*point, value] of floats."""
+    objective, dim = harness._objective(scenario, strategy)
+    lo, hi = scenario.psi_bounds
+    result = optimize(objective, [(lo, hi)] * dim, budget, n_init=4,
+                      seed=np.random.default_rng(seed))
+    return [[*map(float, point), value] for point, value in result.trace]
+
+
+@pytest.fixture(scope="module")
+def full_load_scenario():
+    return full_load_drop()
 
 
 class TestPinnedTraces:
@@ -442,21 +458,17 @@ class TestPinnedTraces:
     (augmented distance product, inverse Cholesky factor) and one lifted kernel
     formula on numpy's Cholesky factor; compared with ``==``."""
 
-    @pytest.mark.parametrize("strategy, budget, seed", [("sfp", 30, [3, 0, 0]),
-                                                        ("sjfp", 60, [4, 0])])
+    @pytest.mark.parametrize("strategy, budget, seed", PINNED_RUNS)
     def test_trace_and_acquisitions(self, full_load_scenario, monkeypatch, strategy, budget,
                                     seed):
         calls = []
         propose = bayesopt.propose_next
         monkeypatch.setattr(bayesopt, "propose_next",
                             lambda *args: calls.append(args) or propose(*args))
-        objective, dim = harness._objective(full_load_scenario, strategy)
-        lo, hi = full_load_scenario.psi_bounds
-        result = optimize(objective, [(lo, hi)] * dim, budget, n_init=4,
-                          seed=np.random.default_rng(seed))
-        rows = [[*map(float, point), value] for point, value in result.trace]
+        rows = pinned_trace(full_load_scenario, strategy, budget, seed)
         assert rows == TRACES[strategy]
         points = [tuple(row[:-1]) for row in rows]
+        dim = len(points[0])
         new = [point not in points[:i] for i, point in enumerate(points)]
         if dim == 1:
             # round r >= 1 refits only after measurement 4 + r added a point

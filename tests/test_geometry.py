@@ -179,6 +179,13 @@ class TestMounted:
         np.testing.assert_allclose(twice.orientation_offsets, once.orientation_offsets,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("mount", [[0.1, 0.2], [0.1], [[0.1]], np.nan],
+                             ids=["pair", "one", "nested", "nan"])
+    def test_a_mount_that_is_no_finite_scalar_is_named(self, mount):
+        geom = rotated_geometry(ArrayConfig(4, 2), 0.2)
+        with pytest.raises(ValueError, match="mount must be a finite scalar"):
+            mounted_geometry(geom, mount)
+
 
 MODELS = [FlexModel.ROTATABLE, FlexModel.BENDABLE, FlexModel.FOLDABLE]
 

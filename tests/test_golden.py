@@ -15,6 +15,13 @@ case, the SHA-256 of the body, the header's key set and its config hash;
   rounding re-records the digests and shows here that it stayed within the
   bound.
 
+The digests pin this CPU's BLAS kernels as well as the code, since OpenBLAS
+picks its kernels by CPU at run time and each kernel rounds its own way. So
+one test reruns the value check and the pinned ``optimize`` traces of
+``tests/test_bayesopt.py`` in a child process told to use OpenBLAS's Haswell
+kernels: every trace point must be equal, and every value within
+``VALUE_RTOL``.
+
 ``python tests/test_golden.py --check`` prints the largest relative deviation
 of each case from the value record. ``python tests/test_golden.py`` re-records
 both files after an intended change of results; with ``--digests`` it
@@ -28,13 +35,18 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flexarray.harness import run_experiment
 
-DATA = Path(__file__).parent / "data"
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS / "data"
 GOLDEN = DATA / "golden_csv.json"
 VALUES = DATA / "golden_values.json"
 VALUE_RTOL = 1e-9  # the ZF guard admits cond(H) up to 1e6, which amplifies rounding
@@ -144,6 +156,44 @@ def test_values_agree_with_the_record(case, outputs):
 def test_every_case_has_a_recorded_digest():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
     assert sorted(json.loads(VALUES.read_text())) == sorted(CASES)
+
+
+OTHER_KERNEL_RUN = """
+import json
+import test_bayesopt, test_golden
+values = json.loads(test_golden.VALUES.read_text())
+bodies = {case: test_golden.split_csv(case)[1] for case in test_golden.CASES}
+scenario = test_bayesopt.full_load_drop()
+print(json.dumps({
+    "deviations": {case: test_golden.deviation(values[case], test_golden.body_cells(body))
+                   for case, body in bodies.items()},
+    "traces": {run[0]: test_bayesopt.pinned_trace(scenario, *run)
+               for run in test_bayesopt.PINNED_RUNS}}))
+"""
+
+
+def openblas_with_avx2() -> bool:
+    """numpy's BLAS is OpenBLAS and this CPU can run its Haswell (AVX2) kernels."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    cpuinfo = Path("/proc/cpuinfo")
+    return "openblas" in blas and cpuinfo.exists() and "avx2" in cpuinfo.read_text().split()
+
+
+@pytest.mark.skipif(not openblas_with_avx2(), reason="needs numpy's OpenBLAS and an AVX2 CPU")
+def test_another_blas_kernel_makes_the_same_decisions():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join([str(TESTS), str(TESTS.parent / "src")])}
+    child = subprocess.run([sys.executable, "-c", OTHER_KERNEL_RUN], env=env, check=True,
+                           capture_output=True, text=True, timeout=600)
+    got = json.loads(child.stdout)
+    assert sorted(got["deviations"]) == sorted(CASES)
+    assert max(got["deviations"].values()) <= VALUE_RTOL, got["deviations"]
+    traces = json.loads((DATA / "optimize_traces.json").read_text())
+    for strategy, rows in got["traces"].items():
+        recorded = traces[strategy]
+        assert [row[:-1] for row in rows] == [row[:-1] for row in recorded]
+        assert all(math.isclose(row[-1], pinned[-1], rel_tol=VALUE_RTOL)
+                   for row, pinned in zip(rows, recorded))
 
 
 @pytest.fixture
