@@ -11,6 +11,7 @@ any sharpness kappa >= 1. Amplitude coefficients are the square roots of the
 gains. Azimuth arguments are wrapped to (-pi, pi] first, since per-element
 boresight offsets can push them outside the principal range;
 ``column_amplitudes`` takes the azimuth's cosine and sine, which need no wrap.
+``pattern_and_derivatives`` refuses the points that ``support_edges`` marks.
 """
 
 from __future__ import annotations
