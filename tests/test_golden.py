@@ -174,9 +174,10 @@ print(json.dumps({
 
 def openblas_with_avx2() -> bool:
     """numpy's BLAS is OpenBLAS and this CPU can run its Haswell (AVX2) kernels."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     cpuinfo = Path("/proc/cpuinfo")
-    return "openblas" in blas and cpuinfo.exists() and "avx2" in cpuinfo.read_text().split()
+    return ("openblas" in blas.get("name", "") and cpuinfo.exists()
+            and "avx2" in cpuinfo.read_text().split())
 
 
 @pytest.mark.skipif(not openblas_with_avx2(), reason="needs numpy's OpenBLAS and an AVX2 CPU")
