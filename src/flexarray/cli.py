@@ -1,13 +1,13 @@
 """Command line interface.
 
-One executable with a subcommand per task; every flag can also be supplied
-from an INI config file (section named after the subcommand, keys matching
-the flag names) via ``--config``, with explicit flags taking precedence and
-keys that name no flag rejected. ``--dump-config`` writes the effective
-settings back out, with the ``[run]`` section that lets ``run`` replay
-them. Every subcommand but ``run`` is generated from ``harness.EXPERIMENTS``
-and runs, like ``run``, through ``harness.run_experiment``. Exit codes: 0
-success, 2 configuration or usage error, 3 numerical failure.
+One subcommand per experiment of ``harness.EXPERIMENTS``, generated from its
+settings and run through ``harness.run_experiment``. ``--config`` reads flag
+defaults from the INI section named after the subcommand (explicit flags
+win); a key that names no flag, or a section named like the subcommand but
+for case or '_' versus '-', exits 2. ``--dump-config`` writes the settings
+back with a ``[run]`` section; ``run`` replays such a file through the
+subcommand it names, its other ``[run]`` keys below that one's own. Exit
+codes: 0 success, 2 configuration or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,21 +34,32 @@ ALIASES = {"l_min": ("--L-min",), "l_max": ("--L-max",)}
 NUMBER_TYPES = {int: int, harness._real: float, harness._positive: float}
 
 
+def _config_section(path: str, section: str) -> dict:
+    """The keys of INI file ``path``'s ``[section]``, '-' read as '_'. A missing file,
+    or a section named like ``section`` but for case or '_' versus '-', is a usage error."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise click.UsageError(f"config file not found: {path}")
+    folded = section.lower().replace("_", "-")
+    for name in parser.sections():
+        if name != section and name.lower().replace("_", "-") == folded:
+            raise click.UsageError(f"section [{name}]: the {section} settings go under "
+                                   f"[{section}]")
+    items = parser.items(section) if parser.has_section(section) else []
+    return {key.replace("-", "_"): raw for key, raw in items}
+
+
 def _load_config_defaults(ctx: click.Context, param: click.Parameter, value):
-    """Eager --config callback: INI section values become flag defaults."""
+    """Eager --config callback: the keys of the subcommand's section become flag
+    defaults, over those ``run`` passes down from its ``[run]`` section."""
     if not value:
         return value
-    parser = configparser.ConfigParser()
-    if not parser.read(value):
-        raise click.UsageError(f"config file not found: {value}")
-    section = ctx.command.name or ""
-    if parser.has_section(section):
-        defaults = {key.replace("-", "_"): raw for key, raw in parser.items(section)}
-        known = {option.name for option in ctx.command.params}
-        for key in defaults:
-            if key not in known or key in ("config", "dump_config"):
-                raise click.UsageError(f"{key}: not a {section} setting (in {value})")
-        ctx.default_map = {**(ctx.default_map or {}), **defaults}
+    name = ctx.command.name
+    ctx.default_map = {**(ctx.default_map or {}), **_config_section(value, name)}
+    known = {option.name for option in ctx.command.params} - {"config", "dump_config"}
+    for key in ctx.default_map:
+        if key not in known:
+            raise click.UsageError(f"{key}: not a {name} setting (in {value})")
     return value
 
 
@@ -67,25 +78,6 @@ def _dump_config(ctx: click.Context) -> None:
             parser.write(handle)
     except OSError as exc:
         raise click.UsageError(f"dump_config: {exc}") from exc
-
-
-def _run_guarded(ctx: click.Context, out: str | None, config: dict) -> None:
-    """Run the experiment ``config`` and print its CSV text, or write it to
-    ``out`` ('-' or None for stdout); configuration errors and unwritable
-    files exit 2, numerical failures 3."""
-    path = None if out in (None, "-") else out
-    try:
-        text = harness.run_experiment({**config, "out": path}).csv_text
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except FlexArrayError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        ctx.exit(3)
-    except OSError as exc:  # from writing ``out``; an unreadable scenario file is a ConfigError
-        raise click.UsageError(f"out: {exc}") from exc
-    if path is None:
-        click.echo(text, nl=False)
-    _dump_config(ctx)
 
 
 @click.group()
@@ -119,7 +111,19 @@ def _experiment_command(name: str) -> None:
                   help="Output CSV path, '-' for stdout.")
     @click.pass_context
     def command(ctx, out, config, dump_config, **settings):
-        _run_guarded(ctx, out, {"experiment": name, **settings})
+        path = None if out == "-" else out
+        try:
+            text = harness.run_experiment({"experiment": name, **settings, "out": path}).csv_text
+        except ConfigError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except FlexArrayError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            ctx.exit(3)
+        except OSError as exc:  # from writing ``out``; an unreadable scenario file is a ConfigError
+            raise click.UsageError(f"out: {exc}") from exc
+        if path is None:
+            click.echo(text, nl=False)
+        _dump_config(ctx)
 
     for setting in reversed(harness.EXPERIMENTS[name]):
         command = _option(setting)(command)
@@ -137,22 +141,16 @@ for _name in harness.EXPERIMENTS:
 @click.pass_context
 def run(ctx, config_path, out):
     """Run an experiment fully described by a config file."""
-    parser = configparser.ConfigParser()
-    if not parser.read(config_path):
-        raise click.UsageError(f"config file not found: {config_path}")
-    if not parser.has_option("run", "experiment"):
-        raise click.UsageError("config must provide [run] experiment = <name>")
-    experiment = parser.get("run", "experiment")
-    folded = experiment.lower().replace("_", "-")  # case and '_' versus '-' folded away
-    for section in parser.sections():
-        if section != experiment and section.lower().replace("_", "-") == folded:
-            raise click.UsageError(f"section [{section}]: the {experiment} settings go "
-                                   f"under [{experiment}]")
-    config: dict = {}
-    for section in ("run", experiment):
-        if parser.has_section(section):
-            config.update((key.replace("-", "_"), value) for key, value in parser.items(section))
-    _run_guarded(ctx, out or config.get("out"), config)
+    settings = _config_section(config_path, "run")
+    experiment = settings.pop("experiment", None)
+    if experiment not in harness.EXPERIMENTS:
+        raise click.UsageError(f"experiment: [run] must name one of "
+                               f"{sorted(harness.EXPERIMENTS)}, got {experiment!r}")
+    args = ["--config", config_path, *(["--out", out] if out else [])]
+    # the other [run] keys sit below the section's; usage errors show the subcommand's usage
+    with main.commands[experiment].make_context(experiment, args, parent=ctx.parent,
+                                                default_map=settings) as sub:
+        sub.command.invoke(sub)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import PathSet
 from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, SingularFisherError,
                      condition_number)
-from .geometry import ArrayConfig, FlexModel, flex_geometry
+from .geometry import ArrayConfig, FlexModel, _check_mount, flex_geometry
 from .radiation import PatternSpec, pattern_and_derivatives, support_edges
 
 _FAMILIES = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1j]])  # pairs -> params
@@ -49,9 +49,7 @@ def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet
     atom m); the parameter columns are theta = pairs 0 + 1, phi = 2, beta_R = 3 and
     beta_I = j 3 (``_FAMILIES``). ``edges`` (G, L) marks the paths on a support edge, whose
     pattern is taken from behind the array (azimuth pi), where it is 0."""
-    n = paths.link().n_paths
-    if not np.isfinite(mount):
-        raise ValueError(f"mount must be finite, got {mount!r}")
+    n, mount = paths.link().n_paths, _check_mount(mount)
     geometry = flex_geometry(model, cfg, psi)
     theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
     azimuths = phi - geometry.column_offsets[:, None]  # (G, L, N_h)
@@ -106,8 +104,10 @@ def _check_sigma2(sigma2) -> None:
 
 def _kept_grams(model, cfg, spec, root: PathSet, psis, mount) -> dict:
     """The root's grams and first edge paths (:func:`_grams`) by flex angle (its float hex):
-    one dict per (model, array, pattern, mount), the missing ``psis`` built as a batch."""
-    key = (_kept_grams, model, cfg, spec, float(mount).hex())
+    one dict per (model, array, pattern, mount), the missing ``psis`` built as a batch. A
+    mount that is no finite scalar is refused before anything is looked up or kept."""
+    mount = _check_mount(mount)
+    key = (_kept_grams, model, cfg, spec, mount.hex())
     grams = root._derived.get(key, {})
     missing = {angle: psi for psi in psis if (angle := float(psi).hex()) not in grams}
     if missing:

@@ -188,15 +188,21 @@ def folded_geometry(cfg: ArrayConfig, psi) -> ArrayGeometry:
     return _grid(cfg, -np.abs(half) * np.sin(psi), half * np.cos(psi), np.sign(half) * psi, psi)
 
 
+def _check_mount(mount) -> float:
+    """``mount`` as a float; ValueError naming it unless it is one finite number."""
+    value = np.asarray(mount, dtype=float)
+    if value.ndim or not math.isfinite(value):
+        raise ValueError(f"mount must be a finite scalar, got {value.tolist()!r}")
+    return float(value)
+
+
 def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeometry:
     """Rotate a whole array about z to its mounting azimuth.
 
     Positions rotate by ``mount_azimuth`` and every boresight offset is
     incremented by it, so mounting commutes with any flex deformation.
     """
-    mount = np.asarray(mount_azimuth, dtype=float)
-    if mount.ndim or not math.isfinite(mount):
-        raise ValueError(f"mount must be a finite scalar, got {mount.tolist()!r}")
+    mount = _check_mount(mount_azimuth)
     c, s = np.cos(mount), np.sin(mount)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     # first row of the element list: its 0 * z term sets the sign of a zero x or y

@@ -342,14 +342,41 @@ class TestConfigHandling:
                                                      ("crb-sweep", "CRB-Sweep"),
                                                      ("power-sweep", "Power_Sweep"),
                                                      ("bo-trace", "BO-trace")])
-    def test_run_rejects_a_misspelled_experiment_section(self, runner, tmp_path, experiment,
-                                                         section):
+    @pytest.mark.parametrize("route", ["run", "subcommand"])
+    def test_a_misspelled_experiment_section_is_rejected(self, runner, tmp_path, route,
+                                                         experiment, section):
         # read as written, crb-sweep would run its 200-draw 8x8 default
         conf = tmp_path / "exp.ini"
         conf.write_text(f"[run]\nexperiment = {experiment}\n[{section}]\nmodel = rotate\nnh = 2\n")
-        result = runner.invoke(main, ["run", "--config", str(conf)])
+        command = "run" if route == "run" else experiment
+        result = runner.invoke(main, [command, "--config", str(conf)])
         assert result.exit_code == 2, result.output
         assert f"[{section}]" in result.output and f"[{experiment}]" in result.output
+
+    @pytest.mark.parametrize("experiment", ["run", "crb_sweep", "frobnicate"])
+    def test_run_refuses_an_experiment_with_no_subcommand(self, runner, tmp_path, experiment):
+        conf = tmp_path / "exp.ini"
+        conf.write_text(f"[run]\nexperiment = {experiment}\n[run2]\n")
+        result = runner.invoke(main, ["run", "--config", str(conf)])
+        assert result.exit_code == 2, result.output
+        assert "Error: experiment: " in result.output and repr(experiment) in result.output
+
+    def test_flags_win_over_the_experiment_section_which_wins_over_run(self, runner, tmp_path):
+        conf, ran = tmp_path / "exp.ini", tmp_path / "r.csv"
+        run_keys = f"[run]\nexperiment = pattern\nkind = omni\ngrid = 2\nout = {ran}\n"
+        conf.write_text(run_keys)
+        assert runner.invoke(main, ["run", "--config", str(conf)]).exit_code == 0
+        assert len(parse_csv(ran.read_text())[1]) == 2 * 2
+        ran.unlink()
+        conf.write_text(f"{run_keys}[pattern]\ngrid = 3\nout = {tmp_path / 'p.csv'}\n")
+        assert runner.invoke(main, ["run", "--config", str(conf)]).exit_code == 0
+        assert len(parse_csv((tmp_path / "p.csv").read_text())[1]) == 3 * 3
+        assert not ran.exists()
+        result = runner.invoke(main, ["run", "--config", str(conf), "--out", "-"])
+        assert len(parse_csv(result.stdout)[1]) == 3 * 3
+        result = runner.invoke(main, ["pattern", "--config", str(conf), "--kind", "omni",
+                                      "--grid", "4", "--out", "-"])
+        assert len(parse_csv(result.stdout)[1]) == 4 * 4
 
     def test_run_ignores_unrelated_sections(self, runner, tmp_path):
         conf = tmp_path / "exp.ini"
@@ -644,6 +671,14 @@ def _non_finite_cells(csv_text: str) -> list:
     return cells
 
 
+def _assert_exit_code_contract(result, args):
+    assert result.exit_code in (0, 2, 3), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert _non_finite_cells(result.stdout) == [], args
+
+
 @pytest.mark.parametrize("command", sorted(_FUZZED_COMMANDS))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -652,9 +687,20 @@ def test_fuzzed_flags_keep_the_exit_code_contract(command, data):
     included, end in exit 0, 2 or 3 and never in an uncaught exception; a
     run that exits 0 writes only finite numbers."""
     args = data.draw(_FUZZED_COMMANDS[command])
-    result = CliRunner().invoke(main, [command, *args])
-    assert result.exit_code in (0, 2, 3), (args, result.output)
-    assert result.exception is None or isinstance(result.exception, SystemExit), args
-    assert "Traceback" not in result.output
-    if result.exit_code == 0:
-        assert _non_finite_cells(result.stdout) == [], args
+    _assert_exit_code_contract(CliRunner().invoke(main, [command, *args]), args)
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZED_COMMANDS))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_ini_settings_keep_the_exit_code_contract(command, data):
+    """The same drawn values, written to an INI file and run by ``run --config``,
+    keep the same contract."""
+    args = data.draw(_FUZZED_COMMANDS[command])
+    pairs = (arg[2:].split("=", 1) for arg in args)
+    keys = "".join(f"{key.replace('-', '_')} = {value}\n" for key, value in pairs)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("exp.ini", "w") as handle:
+            handle.write(f"[run]\nexperiment = {command}\n[{command}]\n{keys}")
+        _assert_exit_code_contract(runner.invoke(main, ["run", "--config", "exp.ini"]), keys)

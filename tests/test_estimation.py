@@ -602,6 +602,17 @@ class TestInputChecks:
             self.CALLS[name](self.CFG, self.PATHS, mount, 1.0)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mount", [[0.1], [[0.1]], np.array([0.1, 0.2]), np.nan],
+                             ids=["list", "nested", "pair", "nan"])
+    @pytest.mark.parametrize("name", ["flexible_channel", "fisher_matrix", "optimal_psi_for_crb"])
+    def test_a_mount_that_is_no_finite_scalar_is_named(self, name, mount):
+        # the rule of mounted_geometry: neither the first entry nor a broadcast
+        calls = {**self.CALLS, "flexible_channel": lambda cfg, paths, mount, sigma2:
+                 flexible_channel(FlexModel.BENDABLE, cfg, COS2, paths, 0.2, mount)}
+        with pytest.raises(ValueError, match="mount must be a finite scalar"):
+            calls[name](self.CFG, self.PATHS, mount, 1.0)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["fisher_matrix", "optimal_psi_for_crb"])
     def test_non_finite_or_non_positive_sigma2_is_named(self, monkeypatch, name, sigma2):
