@@ -37,7 +37,7 @@ NUMBER_TYPES = {int: int, harness._real: float, harness._positive: float}
 def _config_section(path: str, section: str) -> dict:
     """The keys of INI file ``path``'s ``[section]``, '-' read as '_'. A missing file,
     or a section named like ``section`` but for case or '_' versus '-', is a usage error."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise click.UsageError(f"config file not found: {path}")
     folded = section.lower().replace("_", "-")
@@ -69,7 +69,7 @@ def _dump_config(ctx: click.Context) -> None:
     path = ctx.params.get("dump_config")
     if not path:
         return
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["run"] = {"experiment": ctx.command.name}
     parser[ctx.command.name] = {key: str(value) for key, value in ctx.params.items()
                                 if key not in NOT_SETTINGS and value is not None}

@@ -468,6 +468,19 @@ class TestDumpedConfigRuns:
             assert again.stdout_bytes == first.stdout_bytes
 
 
+    def test_a_percent_sign_in_a_value_replays_as_written(self, runner, tmp_path):
+        # configparser reads '%' as the start of an interpolation by default
+        scenario = tmp_path / "paths%1.json"
+        scenario.write_text('{"theta": [1.0, 1.4], "phi": [0.2, -0.5], "beta_real": [1.0, 0.5]}')
+        conf = tmp_path / "d.ini"
+        first = runner.invoke(main, ["power-sweep", "--model", "rotate", "--steps", "3",
+                                     "--scenario-file", str(scenario), "--dump-config", str(conf)])
+        assert first.exit_code == 0, first.output
+        for replay in (["run", "--config", str(conf)], ["power-sweep", "--config", str(conf)]):
+            again = runner.invoke(main, replay)
+            assert again.exit_code == 0, again.output
+            assert again.stdout_bytes == first.stdout_bytes
+
     @pytest.mark.parametrize("args", [
         ["geometry", "--model", "bend", "--nh", "4", "--nv", "2", "--psi", "0.4",
          "--mount", "2.0943951023931953", "--spacing", "0.01"],
