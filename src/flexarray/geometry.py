@@ -189,7 +189,10 @@ def folded_geometry(cfg: ArrayConfig, psi) -> ArrayGeometry:
 
 
 def _check_mount(mount) -> float:
-    """``mount`` as a float; ValueError naming it unless it is one finite number."""
+    """``mount`` as a float; ValueError naming it unless it is one finite number. A finite
+    float passes without an array: the rule runs at every Fisher matrix of a grid search."""
+    if isinstance(mount, float) and math.isfinite(mount):
+        return mount
     value = np.asarray(mount, dtype=float)
     if value.ndim or not math.isfinite(value):
         raise ValueError(f"mount must be a finite scalar, got {value.tolist()!r}")
