@@ -356,7 +356,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("experiment", ["run", "crb_sweep", "frobnicate"])
     def test_run_refuses_an_experiment_with_no_subcommand(self, runner, tmp_path, experiment):
         conf = tmp_path / "exp.ini"
-        conf.write_text(f"[run]\nexperiment = {experiment}\n[run2]\n")
+        conf.write_text(f"[run]\nexperiment = {experiment}\n")
         result = runner.invoke(main, ["run", "--config", str(conf)])
         assert result.exit_code == 2, result.output
         assert "Error: experiment: " in result.output and repr(experiment) in result.output
