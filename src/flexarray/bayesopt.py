@@ -116,7 +116,7 @@ def _gram_cholesky(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     jitter = kernel.jitter
     while True:
         gram = base + jitter * np.eye(points.shape[0])
-        if condition_number(gram) < COND_MAX:
+        if condition_number(gram) <= COND_MAX:
             return np.linalg.cholesky(gram)
         jitter = max(jitter, 1e-10) * 10.0
         if jitter > JITTER_MAX:

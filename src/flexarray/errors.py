@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and the condition rule they enforce."""
+"""Exception types shared across the package, the condition rule they enforce, and the
+guarded inverse that applies the rule to the ZF and Fisher stacks."""
 
 import numpy as np
 
 COND_MAX = 1e12  # largest condition number of a ZF, Fisher or GP gram the package inverts
+# cond_2(J) <= ||J||_F ||J^-1||_F for the exact inverse; the computed one is off by about
+# n cond eps <= 3e-3 relative for n <= 48 and cond <= COND_MAX, far inside this factor
+SCREEN_MARGIN = 2.0
 
 
 def condition_number(hermitian):
@@ -17,6 +21,44 @@ def condition_number(hermitian):
         return float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf  # lambda_min <= a_ii: never nan
     low, high = eigs[..., 0], eigs[..., -1]
     return np.where(low > 0, high / np.where(low > 0, low, 1.0), np.inf)
+
+
+def guarded_inverse(hermitian):
+    """LU inverses of a (..., n, n) stack of Hermitian matrices that are positive semidefinite
+    up to rounding (ZF and Fisher grams), nan where refused, and the refusals: the condition
+    number that refused each matrix (> COND_MAX), 0 where accepted. The decisions and inverse
+    bits are those of :func:`condition_number` and then ``inv`` of the accepted matrices:
+
+    1. a non-finite entry or a non-positive diagonal entry a_ii refuses a matrix with inf,
+       since lambda_min <= a_ii (``eigvalsh`` may read a huge finite ratio there instead);
+    2. the others are inverted as one stack; ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN
+       accepts a matrix, as it bounds |lambda|max / |lambda|min, which a negative eigenvalue
+       of rounding size fails;
+    3. ``eigvalsh`` decides the rest, or all of them if ``inv`` finds one exactly singular."""
+    hermitian = np.asarray(hermitian)
+    stack = hermitian.reshape(-1, *hermitian.shape[-2:])
+    refusals = np.full(len(stack), np.inf)
+    inverses = np.full(stack.shape, np.nan, dtype=np.result_type(stack.dtype, float))
+    informed = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2))
+                              & (np.diagonal(stack, axis1=1, axis2=2).real > 0).all(axis=1))
+    rest = stack[informed]
+    try:
+        inverse = np.linalg.inv(rest)
+    except np.linalg.LinAlgError:
+        conditions = condition_number(rest)
+        accepted = conditions <= COND_MAX
+        inverse = np.full(rest.shape, np.nan, dtype=inverses.dtype)
+        inverse[accepted] = np.linalg.inv(rest[accepted])
+    else:
+        bound = np.linalg.norm(rest, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+        uncertain = ~(bound <= COND_MAX / SCREEN_MARGIN)
+        conditions = np.zeros(len(rest))
+        conditions[uncertain] = condition_number(rest[uncertain])
+        accepted = conditions <= COND_MAX
+        inverse[~accepted] = np.nan
+    refusals[informed] = np.where(accepted, 0.0, conditions)
+    inverses[informed] = inverse
+    return inverses.reshape(hermitian.shape), refusals.reshape(hermitian.shape[:-2])
 
 
 class FlexArrayError(Exception):

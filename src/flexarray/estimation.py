@@ -18,13 +18,14 @@ grid is one batch whose grams are bit for bit the one-angle builds.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathSet
-from .errors import (COND_MAX, OptimizationError, PatternBoundaryError, SingularFisherError,
-                     condition_number)
+from .errors import OptimizationError, PatternBoundaryError, SingularFisherError, guarded_inverse
 from .geometry import ArrayConfig, FlexModel, _check_mount, flex_geometry
 from .radiation import PatternSpec, pattern_and_derivatives, support_edges
 
@@ -117,23 +118,19 @@ def _kept_grams(model, cfg, spec, root: PathSet, psis, mount) -> dict:
 
 
 def _mean_angle_crbs(matrices, n_paths: int):
-    """Condition numbers of G stacked (4L, 4L) Fisher matrices, and the mean of the
-    first 2L diagonal entries of each inverse within COND_MAX (nan elsewhere), from
-    one ``eigvalsh`` and one LU inverse over the stack."""
-    matrices = np.reshape(matrices, (-1, 4 * n_paths, 4 * n_paths))
-    conditions = condition_number(matrices)
-    invertible = conditions <= COND_MAX
-    diagonals = np.diagonal(np.linalg.inv(matrices[invertible]), axis1=1, axis2=2)
-    crbs = np.full(len(matrices), np.nan)
-    crbs[invertible] = np.ascontiguousarray(diagonals[:, : 2 * n_paths]).mean(axis=1)
-    return conditions, crbs
+    """The refusals of G stacked (4L, 4L) Fisher matrices (:func:`guarded_inverse`: the
+    refusing condition number, 0 where accepted), and the mean of the first 2L diagonal
+    entries of each inverse (nan where refused)."""
+    inverses, refusals = guarded_inverse(np.reshape(matrices, (-1, 4 * n_paths, 4 * n_paths)))
+    diagonals = np.diagonal(inverses, axis1=1, axis2=2)
+    return refusals, np.ascontiguousarray(diagonals[:, : 2 * n_paths]).mean(axis=1)
 
 
 def mean_angle_crb(fisher: FisherMatrix) -> float:
     """Average CRB over all elevation and azimuth parameters (first 2L)."""
-    (condition,), (value,) = _mean_angle_crbs(fisher.matrix, fisher.n_paths)
-    if condition > COND_MAX:
-        raise SingularFisherError(float(condition))
+    (refusal,), (value,) = _mean_angle_crbs(fisher.matrix, fisher.n_paths)
+    if refusal:
+        raise SingularFisherError(float(refusal))
     return float(value)
 
 
@@ -148,12 +145,15 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     non-negative half, then toward smaller |psi|. Returns (psi_star, crb_star);
     raises OptimizationError when every point fails.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 2):
+        raise ValueError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
+    low, high = (float(bound) for bound in psi_range)
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"psi_range must hold two finite flex angles, got {psi_range!r}")
     _check_sigma2(sigma2)
     if paths.link()._root is None:  # a set of its own: search a view of a private root
         paths = PathSet(paths.theta, paths.phi, paths.beta)[:]
-    grid = np.linspace(float(psi_range[0]), float(psi_range[1]), grid_size)
+    grid = np.linspace(low, high, grid_size)
     _kept_grams(model, cfg, spec, paths._root, grid, mount)  # the root's grams as one batch
     built, matrices = [], []
     for psi in grid:
@@ -162,9 +162,9 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
         except PatternBoundaryError:
             continue
         built.append(float(psi))
-    conditions, crbs = _mean_angle_crbs(matrices, paths.n_paths)
-    evaluated = [(psi, float(value)) for psi, condition, value in zip(built, conditions, crbs)
-                 if condition <= COND_MAX]
+    refusals, crbs = _mean_angle_crbs(matrices, paths.n_paths)
+    evaluated = [(psi, float(value)) for psi, refusal, value in zip(built, refusals, crbs)
+                 if not refusal]
     if not evaluated:
         raise OptimizationError("mean angle CRB failed at every grid point")
     best_value = min(value for _, value in evaluated)

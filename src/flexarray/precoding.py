@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import sector_block
-from .errors import COND_MAX, RankDeficiencyError, condition_number
+from .errors import RankDeficiencyError, guarded_inverse
 from .geometry import flex_geometry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,18 +26,20 @@ NOISE_POWER = 1.0  # every rate depends on P / sigma2 only, so sigma2 is the uni
 
 def _zero_forcing(channel: np.ndarray, precoder: bool = False):
     """Post-ZF gains 1 / [(H^H H)^{-1}]_{kk}, shape (..., K), and, when asked, the
-    precoder F = H (H^H H)^{-1} (else None), from one guarded Gram inverse of
-    each (N, K) channel of a (..., N, K) stack; the first failing channel raises."""
+    precoder F = H (H^H H)^{-1} (else None), from one :func:`guarded_inverse` of the
+    Grams of a (..., N, K) channel stack; the first refused channel raises with its
+    condition number."""
     channel = np.asarray(channel)
     n, k = channel.shape[-2:]
+    if k < 1:
+        raise ValueError("need k_users >= 1 to zero-force a channel")
     if k > n:
         raise RankDeficiencyError(np.inf, f"cannot zero-force {k} users with {n} antennas")
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite Gram fails the guard
         gram = np.swapaxes(channel.conj(), -1, -2) @ channel
-    cond = np.ravel(condition_number(gram))
-    if (failing := np.flatnonzero(cond > COND_MAX)).size:
-        raise RankDeficiencyError(float(cond[failing[0]]))
-    inv = np.linalg.inv(gram)
+    inv, refusals = guarded_inverse(gram)
+    if (failing := np.flatnonzero(refusals)).size:
+        raise RankDeficiencyError(float(np.ravel(refusals)[failing[0]]))
     return (channel @ inv if precoder else None), 1.0 / np.diagonal(inv, axis1=-2, axis2=-1).real
 
 

@@ -93,6 +93,21 @@ def crb(fisher: FisherMatrix, index: int) -> float:
     return float(np.linalg.inv(fisher.matrix)[index, index])
 
 
+# -- errors -----------------------------------------------------------------
+
+def eigvalsh_first_inverse(hermitian):
+    """Reference for :func:`flexarray.errors.guarded_inverse`: ``condition_number`` of every
+    matrix of a (..., n, n) stack, then one ``inv`` of those within COND_MAX (nan elsewhere);
+    returns (inverses, conditions)."""
+    hermitian = np.asarray(hermitian)
+    stack = hermitian.reshape(-1, *hermitian.shape[-2:])
+    conditions = np.atleast_1d(condition_number(stack))
+    accepted = conditions <= COND_MAX
+    inverses = np.full(stack.shape, np.nan, dtype=np.result_type(stack.dtype, float))
+    inverses[accepted] = np.linalg.inv(stack[accepted])
+    return inverses.reshape(hermitian.shape), conditions.reshape(hermitian.shape[:-2])
+
+
 # -- radiation --------------------------------------------------------------
 
 def pattern_coefficient(spec: PatternSpec, theta, phi):

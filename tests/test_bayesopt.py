@@ -14,7 +14,7 @@ from flexarray.bayesopt import (POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM
                                 OptimizeResult, SobolStream, _expected_improvement_batch,
                                 _gram_cholesky, _lift, _posterior_batch, _unit_kernel, optimize,
                                 propose_next)
-from flexarray.errors import GramConditionError, OptimizationError
+from flexarray.errors import COND_MAX, GramConditionError, OptimizationError
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import expected_improvement, gp_posterior, kernel_eval
@@ -182,6 +182,16 @@ class TestPosterior:
         data = GpDataset(points=np.array([[0.0], [1e-5]]), values=np.array([1.0, 1.0]))
         post = gp_posterior(Kernel(jitter=1e-10), data, [0.5])
         assert np.isfinite(post.mean)
+
+    def test_a_gram_at_exactly_cond_max_is_factored_without_jitter(self, monkeypatch):
+        # the condition rule accepts cond <= COND_MAX, as for the Fisher and ZF grams
+        seen = []
+        monkeypatch.setattr(bayesopt, "condition_number", lambda gram: seen.append(gram) or COND_MAX)
+        kernel, points = Kernel(jitter=1e-10), np.array([[0.0], [0.4], [1.0]])
+        factor = _gram_cholesky(kernel, points)
+        gram = kernel.eta0 * _unit_kernel(_lift(kernel, points), points) + 1e-10 * np.eye(3)
+        assert len(seen) == 1 and np.array_equal(seen[0], gram)
+        assert np.array_equal(factor, np.linalg.cholesky(gram))
 
     def test_pathological_cluster_raises(self):
         # with a large output scale the clustered gram stays above the

@@ -621,6 +621,31 @@ class TestInputChecks:
             self.CALLS[name](self.CFG, self.PATHS, 0.0, sigma2)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("psi_range", [(-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5)])
+    def test_a_non_finite_psi_range_is_named(self, monkeypatch, psi_range):
+        # an infinite bound used to reach np.linspace, warn twice and name a nan psi
+        monkeypatch.setattr(estimation, "_grams", lambda *args: pytest.fail("built a gram"))
+        with pytest.raises(ValueError, match=r"psi_range must hold two finite flex angles, got"):
+            optimal_psi_for_crb(FlexModel.BENDABLE, self.CFG, COS2, self.PATHS, 0.0, 1.0,
+                                psi_range, grid_size=5)
+
+    @pytest.mark.parametrize("grid_size", [2.5, 1, 0, 5.0, "5"])
+    def test_a_grid_size_that_is_no_integer_of_at_least_2_is_named(self, monkeypatch, grid_size):
+        # 2.5 used to raise numpy's TypeError from np.linspace
+        monkeypatch.setattr(estimation, "_grams", lambda *args: pytest.fail("built a gram"))
+        with pytest.raises(ValueError, match=f"grid_size must be an integer of at least 2, "
+                                             f"got {grid_size!r}"):
+            optimal_psi_for_crb(FlexModel.BENDABLE, self.CFG, COS2, self.PATHS, 0.0, 1.0,
+                                (-0.5, 0.5), grid_size=grid_size)
+
+    def test_a_numpy_integer_grid_size_is_accepted(self):
+        expected = optimal_psi_for_crb(FlexModel.BENDABLE, self.CFG, COS2, self.PATHS, 0.0, 1.0,
+                                       (-0.5, 0.5), grid_size=5)
+        assert optimal_psi_for_crb(FlexModel.BENDABLE, self.CFG, COS2, self.PATHS, 0.0, 1.0,
+                                   (-0.5, 0.5), grid_size=np.int64(5)) == expected
+
+
 class TestKeptGrams:
     """A root keeps one gram per flex angle in one dict per model, array, pattern and mount,
     and a grid search builds its grid's grams as one batch; a set that is no view keeps

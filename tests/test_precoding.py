@@ -149,6 +149,15 @@ class TestSingleSectorSumrate:
                 single_sector_sumrate(h, p_total, sigma2)
 
 
+    @pytest.mark.parametrize("call", [effective_gain, lambda h: single_sector_sumrate(h, 1.0, 1.0),
+                                      lambda h: _zero_forcing(h, precoder=True)],
+                             ids=["effective_gain", "single_sector_sumrate", "zero_forcing"])
+    def test_zero_users_are_named(self, call):
+        # an (N, 0) channel used to raise a bare IndexError from the condition rule
+        with pytest.raises(ValueError, match="need k_users >= 1"):
+            call(np.zeros((4, 0), dtype=complex))
+
+
 class TestSfp:
     def test_no_cross_sector_coupling_reduces_to_single_sector(self):
         scenario = uncoupled_scenario(seed=12)
