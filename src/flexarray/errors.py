@@ -24,17 +24,18 @@ def condition_number(hermitian):
 
 
 def guarded_inverse(hermitian):
-    """LU inverses of a (..., n, n) stack of Hermitian matrices that are positive semidefinite
-    up to rounding (ZF and Fisher grams), nan where refused, and the refusals: the condition
-    number that refused each matrix (> COND_MAX), 0 where accepted. The decisions and inverse
-    bits are those of :func:`condition_number` and then ``inv`` of the accepted matrices:
+    """LU inverses of a (..., n, n) Hermitian stack under the condition rule, nan where
+    refused, and the refusals: the condition number that refused each matrix (> COND_MAX),
+    0 where accepted. The decisions and inverse bits are those of :func:`condition_number`
+    and then ``inv`` of the accepted matrices, with ``eigvalsh`` only where needed:
 
     1. a non-finite entry or a non-positive diagonal entry a_ii refuses a matrix with inf,
        since lambda_min <= a_ii (``eigvalsh`` may read a huge finite ratio there instead);
     2. the others are inverted as one stack; ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN
-       accepts a matrix, as it bounds |lambda|max / |lambda|min, which a negative eigenvalue
-       of rounding size fails;
-    3. ``eigvalsh`` decides the rest, or all of them if ``inv`` finds one exactly singular."""
+       bounds |lambda|max / |lambda|min, and one Cholesky of the matrices it bounds shows
+       them positive definite, so they are accepted;
+    3. ``eigvalsh`` decides the rest: every matrix where ``inv`` finds one exactly singular,
+       or where the Cholesky fails."""
     hermitian = np.asarray(hermitian)
     stack = hermitian.reshape(-1, *hermitian.shape[-2:])
     refusals = np.full(len(stack), np.inf)
@@ -52,6 +53,10 @@ def guarded_inverse(hermitian):
     else:
         bound = np.linalg.norm(rest, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
         uncertain = ~(bound <= COND_MAX / SCREEN_MARGIN)
+        try:  # the bound sees |lambda| only; Cholesky certifies the sign
+            np.linalg.cholesky(rest[~uncertain])
+        except np.linalg.LinAlgError:
+            uncertain[:] = True
         conditions = np.zeros(len(rest))
         conditions[uncertain] = condition_number(rest[uncertain])
         accepted = conditions <= COND_MAX

@@ -18,7 +18,6 @@ grid is one batch whose grams are bit for bit the one-angle builds.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -147,13 +146,13 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     """
     if not (isinstance(grid_size, numbers.Integral) and grid_size >= 2):
         raise ValueError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
-    low, high = (float(bound) for bound in psi_range)
-    if not (math.isfinite(low) and math.isfinite(high)):
+    bounds = np.asarray(psi_range, dtype=float)
+    if bounds.shape != (2,) or not np.isfinite(bounds).all():
         raise ValueError(f"psi_range must hold two finite flex angles, got {psi_range!r}")
     _check_sigma2(sigma2)
     if paths.link()._root is None:  # a set of its own: search a view of a private root
         paths = PathSet(paths.theta, paths.phi, paths.beta)[:]
-    grid = np.linspace(low, high, grid_size)
+    grid = np.linspace(*bounds, grid_size)
     _kept_grams(model, cfg, spec, paths._root, grid, mount)  # the root's grams as one batch
     built, matrices = [], []
     for psi in grid:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flexarray import errors, estimation, harness
-from flexarray.errors import COND_MAX, condition_number, guarded_inverse
+from flexarray.errors import COND_MAX, SingularFisherError, condition_number, guarded_inverse
+from flexarray.estimation import FisherMatrix, mean_angle_crb
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import eigvalsh_first_inverse
@@ -127,6 +128,19 @@ class TestGuardedInverse:
         assert refusals[:2].tolist() == [0.0, 0.0]
         assert refusals[2] == condition_number(stack[2]) and refusals[3] > COND_MAX
         assert refusals[4] == np.inf
+
+    def test_a_well_conditioned_indefinite_matrix_is_refused(self, monkeypatch):
+        # eigenvalues -1, 1, 1, 1 and a positive diagonal: the Frobenius bound reads 4
+        householder = np.eye(4) - 0.5 * np.ones((4, 4))
+        stack = np.concatenate([householder[None], hermitian_stack(np.random.default_rng(3), 4,
+                                                                    [2.0, 30.0])])
+        decided = []
+        monkeypatch.setattr(errors, "condition_number",
+                            lambda h: decided.append(len(h)) or condition_number(h))
+        refusals = assert_matches_the_reference(stack)
+        assert refusals.tolist() == [np.inf, 0.0, 0.0] and decided == [3]
+        with pytest.raises(SingularFisherError):
+            mean_angle_crb(FisherMatrix(householder, sigma2=1.0, n_paths=1))
 
     def test_an_empty_stack_gives_empty_results(self):
         inverses, refusals = guarded_inverse(np.zeros((0, 8, 8)))

@@ -622,7 +622,8 @@ class TestInputChecks:
 
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("psi_range", [(-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5)])
+    @pytest.mark.parametrize("psi_range", [(-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5),
+                                           (-0.5, 0.0, 0.5), (0.5,)])
     def test_a_non_finite_psi_range_is_named(self, monkeypatch, psi_range):
         # an infinite bound used to reach np.linspace, warn twice and name a nan psi
         monkeypatch.setattr(estimation, "_grams", lambda *args: pytest.fail("built a gram"))
