@@ -34,8 +34,8 @@ def guarded_inverse(hermitian):
     2. the others are inverted as one stack; ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN
        bounds |lambda|max / |lambda|min, and one Cholesky of the matrices it bounds shows
        them positive definite, so they are accepted;
-    3. ``eigvalsh`` decides the rest: every matrix where ``inv`` finds one exactly singular,
-       or where the Cholesky fails."""
+    3. ``eigvalsh`` decides the rest, and all of them where ``inv`` finds one exactly
+       singular or the Cholesky fails."""
     hermitian = np.asarray(hermitian)
     stack = hermitian.reshape(-1, *hermitian.shape[-2:])
     refusals = np.full(len(stack), np.inf)
