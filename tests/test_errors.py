@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from flexarray import errors, estimation, harness
-from flexarray.errors import COND_MAX, SingularFisherError, condition_number, guarded_inverse
+from flexarray.channel import PathSet
+from flexarray.errors import (COND_MAX, OptimizationError, SingularFisherError, condition_number,
+                              guarded_inverse)
 from flexarray.estimation import FisherMatrix, mean_angle_crb
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
@@ -142,9 +144,19 @@ class TestGuardedInverse:
         with pytest.raises(SingularFisherError):
             mean_angle_crb(FisherMatrix(householder, sigma2=1.0, n_paths=1))
 
-    def test_an_empty_stack_gives_empty_results(self):
+    def test_an_empty_stack_gives_empty_results(self, monkeypatch):
         inverses, refusals = guarded_inverse(np.zeros((0, 8, 8)))
         assert inverses.shape == (0, 8, 8) and refusals.shape == (0,)
+        # every grid point on a support edge: azimuth pi/2 behind the rotated boresight
+        stacks = []
+        monkeypatch.setattr(estimation, "guarded_inverse",
+                            lambda stack: stacks.append(stack.shape) or guarded_inverse(stack))
+        paths = PathSet(theta=[1.2], phi=[0.3 + np.pi / 2], beta=[1.0])
+        with pytest.raises(OptimizationError, match="every grid point"):
+            estimation.optimal_psi_for_crb(FlexModel.ROTATABLE, ArrayConfig(4, 2),
+                                           PatternSpec(PatternKind.COSINE, kappa=2.0), paths,
+                                           0.0, 1.0, (0.3, 0.3), grid_size=3)
+        assert stacks == [(0, 4, 4)]
 
     def test_leading_shape_and_one_matrix(self):
         stack = hermitian_stack(np.random.default_rng(11), 3, [2.0, 1e13, 5.0, 7.0], True)
