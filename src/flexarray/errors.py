@@ -9,60 +9,60 @@ COND_MAX = 1e12  # largest condition number of a ZF, Fisher or GP gram the packa
 SCREEN_MARGIN = 2.0
 
 
+def _uninformed(hermitian):
+    """True for each matrix of a (..., n, n) stack with a non-finite entry or a non-positive
+    diagonal entry a_ii: lambda_min <= a_ii, so it is not positive definite."""
+    return ~(np.isfinite(hermitian).all(axis=(-2, -1))
+             & (np.diagonal(hermitian, axis1=-2, axis2=-1).real > 0).all(axis=-1))
+
+
+def _stand_in(hermitian, refused):
+    """The stack with an identity in place of each refused matrix (itself if none is)."""
+    if not np.any(refused):
+        return hermitian
+    return np.where(refused[..., None, None], np.eye(hermitian.shape[-1]), hermitian)
+
+
 def condition_number(hermitian):
     """lambda_max / lambda_min of each Hermitian matrix of a (..., n, n) stack from one
     ``eigvalsh``; inf where a matrix is not finite or not positive definite. One
     matrix gives a float, a stack an array of its leading shape."""
-    if not np.isfinite(hermitian).all():  # zeroed, a non-finite matrix is not positive definite
-        finite = np.isfinite(hermitian).all(axis=(-2, -1))
-        hermitian = np.where(finite[..., None, None], hermitian, 0.0)
-    eigs = np.linalg.eigvalsh(hermitian)
-    if eigs.ndim == 1:
-        return float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf  # lambda_min <= a_ii: never nan
+    hermitian = np.asarray(hermitian)
+    refused = _uninformed(hermitian)
+    eigs = np.linalg.eigvalsh(_stand_in(hermitian, refused))
     low, high = eigs[..., 0], eigs[..., -1]
-    return np.where(low > 0, high / np.where(low > 0, low, 1.0), np.inf)
+    conditions = np.where(refused | ~(low > 0), np.inf, high / np.where(low > 0, low, 1.0))
+    return float(conditions) if conditions.ndim == 0 else conditions
 
 
 def guarded_inverse(hermitian):
     """LU inverses of a (..., n, n) Hermitian stack under the condition rule, nan where
     refused, and the refusals: the condition number that refused each matrix (> COND_MAX),
-    0 where accepted. The decisions and inverse bits are those of :func:`condition_number`
-    and then ``inv`` of the accepted matrices, with ``eigvalsh`` only where needed:
+    0 where accepted; the decisions and bits of :func:`condition_number`, then ``inv``:
 
-    1. a non-finite entry or a non-positive diagonal entry a_ii refuses a matrix with inf,
-       since lambda_min <= a_ii (``eigvalsh`` may read a huge finite ratio there instead);
-    2. the others are inverted as one stack; ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN
-       bounds |lambda|max / |lambda|min, and one Cholesky of the matrices it bounds shows
-       them positive definite, so they are accepted;
-    3. ``eigvalsh`` decides the rest, and all of them where ``inv`` finds one exactly
-       singular or the Cholesky fails."""
+    1. a non-finite or non-positive diagonal refuses a matrix with inf, and an identity
+       stands in for it, so one ``inv`` covers the stack;
+    2. ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN bounds |lambda|max / |lambda|min, and
+       one Cholesky of the matrices it bounds shows them positive definite: accepted;
+    3. ``eigvalsh`` decides the rest, or every matrix if ``inv`` finds one exactly singular
+       or the Cholesky fails, and ``inv`` then runs again with the new stand-ins."""
     hermitian = np.asarray(hermitian)
     stack = hermitian.reshape(-1, *hermitian.shape[-2:])
-    refusals = np.full(len(stack), np.inf)
-    inverses = np.full(stack.shape, np.nan, dtype=np.result_type(stack.dtype, float))
-    informed = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2))
-                              & (np.diagonal(stack, axis1=1, axis2=2).real > 0).all(axis=1))
-    rest = stack[informed]
+    refused = _uninformed(stack)
+    stack, refusals = _stand_in(stack, refused), np.where(refused, np.inf, 0.0)
     try:
-        inverse = np.linalg.inv(rest)
-    except np.linalg.LinAlgError:
-        conditions = condition_number(rest)
-        accepted = conditions <= COND_MAX
-        inverse = np.full(rest.shape, np.nan, dtype=inverses.dtype)
-        inverse[accepted] = np.linalg.inv(rest[accepted])
-    else:
-        bound = np.linalg.norm(rest, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+        inverses = np.linalg.inv(stack)
+        bound = np.linalg.norm(stack, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
         uncertain = ~(bound <= COND_MAX / SCREEN_MARGIN)
-        try:  # the bound sees |lambda| only; Cholesky certifies the sign
-            np.linalg.cholesky(rest[~uncertain])
-        except np.linalg.LinAlgError:
-            uncertain[:] = True
-        conditions = np.zeros(len(rest))
-        conditions[uncertain] = condition_number(rest[uncertain])
-        accepted = conditions <= COND_MAX
-        inverse[~accepted] = np.nan
-    refusals[informed] = np.where(accepted, 0.0, conditions)
-    inverses[informed] = inverse
+        np.linalg.cholesky(stack[~(uncertain | refused)])  # the bound sees |lambda| only
+    except np.linalg.LinAlgError:
+        inverses, uncertain = None, ~refused
+    if uncertain.any():
+        conditions = condition_number(stack[uncertain])
+        refusals[uncertain] = np.where(conditions <= COND_MAX, 0.0, conditions)
+    if inverses is None:
+        inverses = np.linalg.inv(_stand_in(stack, refusals > 0))
+    inverses[refusals > 0] = np.nan
     return inverses.reshape(hermitian.shape), refusals.reshape(hermitian.shape[:-2])
 
 

@@ -96,12 +96,18 @@ def crb(fisher: FisherMatrix, index: int) -> float:
 # -- errors -----------------------------------------------------------------
 
 def eigvalsh_first_inverse(hermitian):
-    """Reference for :func:`flexarray.errors.guarded_inverse`: ``condition_number`` of every
-    matrix of a (..., n, n) stack, then one ``inv`` of those within COND_MAX (nan elsewhere);
-    returns (inverses, conditions)."""
+    """Reference for :func:`flexarray.errors.guarded_inverse`, independent of its
+    zero-information test: the condition lambda_max / lambda_min of every finite matrix of a
+    (..., n, n) stack from raw ``np.linalg.eigvalsh`` (inf where lambda_min <= 0 or an entry
+    is not finite), then one ``inv`` of those within COND_MAX (nan elsewhere); returns
+    (inverses, conditions)."""
     hermitian = np.asarray(hermitian)
     stack = hermitian.reshape(-1, *hermitian.shape[-2:])
-    conditions = np.atleast_1d(condition_number(stack))
+    conditions = np.full(len(stack), np.inf)
+    finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+    eigs = np.linalg.eigvalsh(stack[finite])
+    positive = eigs[:, 0] > 0
+    conditions[finite[positive]] = eigs[positive, -1] / eigs[positive, 0]
     accepted = conditions <= COND_MAX
     inverses = np.full(stack.shape, np.nan, dtype=np.result_type(stack.dtype, float))
     inverses[accepted] = np.linalg.inv(stack[accepted])

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -23,9 +24,13 @@ class TestConditionNumber:
 
     @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.full((3, 3), np.nan),
                                         np.diag([1.0, np.nan, 1.0]), np.diag([1.0, np.inf, 1.0]),
-                                        np.diag([-np.inf, 1.0, 1.0])],
-                             ids=["zero", "all-nan", "one-nan", "inf", "minus-inf"])
+                                        np.diag([-np.inf, 1.0, 1.0]), "zero-row-fisher"],
+                             ids=["zero", "all-nan", "one-nan", "inf", "minus-inf",
+                                  "zero-row-fisher"])
     def test_zero_and_non_finite_give_inf(self, matrix):
+        if isinstance(matrix, str):
+            matrix = zero_information_fisher()
+            assert np.count_nonzero(np.diagonal(matrix) == 0) == 4  # one path's four parameters
         assert condition_number(matrix) == np.inf
 
     @pytest.mark.parametrize("eigenvalues", [[-1.0, 2.0, 3.0], [-1.0, 1.0], [-3.0, -2.0]])
@@ -57,6 +62,36 @@ class TestConditionNumber:
     def test_one_matrix_gives_a_python_float(self):
         assert type(condition_number(np.diag([4.0, 1.0]))) is float
         assert type(condition_number(np.zeros((2, 2)))) is float
+
+
+@functools.cache
+def rotatable_stacks(case):
+    """Every stack that reaches ``guarded_inverse`` in a rotatable CRB sweep: a golden case's,
+    or for "crb-sweep-seed-0" the benchmark's draws (ops 0-5 of seed 0)."""
+    stacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "guarded_inverse",
+                      lambda stack: stacks.append(stack) or guarded_inverse(stack))
+        if case == "crb-sweep-seed-0":
+            for op in range(6):
+                seed = int(np.random.SeedSequence([0, op]).generate_state(1)[0])
+                harness.experiment_crb_sweep([FlexModel.ROTATABLE],
+                                             PatternSpec(PatternKind.COSINE, kappa=2.0),
+                                             ArrayConfig(8, 8, wavelength=0.03), range(1, 7),
+                                             draws=1, seed=seed)
+        else:
+            harness.run_experiment({**CASES[case], "model": "rotate"})
+    return stacks
+
+
+def zero_information_fisher():
+    """The Fisher matrix with a zero row (a path behind the rotated cosine array) of the
+    benchmark's draws whose raw ``eigvalsh`` lambda_min is largest. It is positive on
+    OpenBLAS's SkylakeX and Haswell kernels (lambda_max / lambda_min 3e31 and 2e18), where
+    every zero-row matrix of the smaller "crb-sweep-cosine2" golden case reads it <= 0."""
+    matrices = [matrix for stack in rotatable_stacks("crb-sweep-seed-0") for matrix in stack
+                if not (np.diagonal(matrix) > 0).all()]
+    return max(matrices, key=lambda matrix: np.linalg.eigvalsh(matrix)[0])
 
 
 def hermitian_stack(rng, n, conditions, complex_=False):
@@ -99,26 +134,36 @@ class TestGuardedInverse:
     @pytest.mark.parametrize("case, masks", [("crb-sweep", False),  # omni: no zero pattern
                                              ("crb-sweep-cosine2", True),
                                              ("crb-sweep-seed-0", True)])
-    def test_the_mask_agrees_with_eigvalsh_on_rotatable_stacks(self, monkeypatch, case, masks):
-        stacks = []
-        monkeypatch.setattr(estimation, "guarded_inverse",
-                            lambda stack: stacks.append(stack) or guarded_inverse(stack))
-        if case == "crb-sweep-seed-0":  # the benchmark's draws: ops 0-5 of seed 0
-            for op in range(6):
-                seed = int(np.random.SeedSequence([0, op]).generate_state(1)[0])
-                harness.experiment_crb_sweep([FlexModel.ROTATABLE],
-                                             PatternSpec(PatternKind.COSINE, kappa=2.0),
-                                             ArrayConfig(8, 8, wavelength=0.03), range(1, 7),
-                                             draws=1, seed=seed)
-        else:
-            harness.run_experiment({**CASES[case], "model": "rotate"})
+    def test_the_mask_agrees_with_eigvalsh_on_rotatable_stacks(self, case, masks):
         masked = 0
-        for stack in stacks:
+        for stack in rotatable_stacks(case):
             refusals = assert_matches_the_reference(stack)
             mask = ~(np.diagonal(stack, axis1=-2, axis2=-1) > 0).all(axis=-1)
             assert np.all(refusals[mask] == np.inf)
             masked += np.count_nonzero(mask)
         assert (masked > 0) == masks
+
+    def test_a_stack_the_screen_certifies_whole_makes_no_eigvalsh_call(self, monkeypatch):
+        stack = np.concatenate([hermitian_stack(np.random.default_rng(13), 16, [1.0, 1e3, 1e9],
+                                                True),
+                                np.zeros((1, 16, 16)), np.full((1, 16, 16), np.nan)])
+        decided = []
+        monkeypatch.setattr(errors, "condition_number",
+                            lambda h: decided.append(len(h)) or condition_number(h))
+        refusals = assert_matches_the_reference(stack)
+        assert refusals.tolist() == [0.0, 0.0, 0.0, np.inf, np.inf] and decided == []
+
+    def test_nested_lists_are_read_as_arrays(self):
+        matrix, with_nan = [[2.0, 0.5], [0.5, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]
+        assert condition_number(matrix) == condition_number(np.array(matrix)) < np.inf
+        assert condition_number(with_nan) == np.inf
+        assert condition_number([matrix, with_nan]).tolist() == [condition_number(matrix), np.inf]
+        inverse, refusal = guarded_inverse(matrix)
+        assert refusal == 0 and np.array_equal(inverse, np.linalg.inv(matrix))
+        inverses, refusals = guarded_inverse([matrix, with_nan])
+        assert refusals.tolist() == [0.0, np.inf]
+        assert np.array_equal(inverses[0], inverse) and np.isnan(inverses[1]).all()
+        assert_matches_the_reference([matrix, with_nan])
 
     def test_an_exactly_singular_matrix_takes_the_eigvalsh_first_path(self):
         rng = np.random.default_rng(7)
