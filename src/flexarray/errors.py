@@ -18,7 +18,7 @@ def _uninformed(hermitian):
 
 def _stand_in(hermitian, refused):
     """The stack with an identity in place of each refused matrix (itself if none is)."""
-    if not np.any(refused):
+    if not refused.any():
         return hermitian
     return np.where(refused[..., None, None], np.eye(hermitian.shape[-1]), hermitian)
 
@@ -31,7 +31,7 @@ def condition_number(hermitian):
     refused = _uninformed(hermitian)
     eigs = np.linalg.eigvalsh(_stand_in(hermitian, refused))
     low, high = eigs[..., 0], eigs[..., -1]
-    conditions = np.where(refused | ~(low > 0), np.inf, high / np.where(low > 0, low, 1.0))
+    conditions = np.where(refused | (low <= 0), np.inf, high / np.where(low > 0, low, 1.0))
     return float(conditions) if conditions.ndim == 0 else conditions
 
 
@@ -40,8 +40,8 @@ def guarded_inverse(hermitian):
     refused, and the refusals: the condition number that refused each matrix (> COND_MAX),
     0 where accepted; the decisions and bits of :func:`condition_number`, then ``inv``:
 
-    1. a non-finite or non-positive diagonal refuses a matrix with inf, and an identity
-       stands in for it, so one ``inv`` covers the stack;
+    1. a non-finite entry or non-positive diagonal entry refuses a matrix with inf, and an
+       identity stands in for it, so one ``inv`` covers the stack;
     2. ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN bounds |lambda|max / |lambda|min, and
        one Cholesky of the matrices it bounds shows them positive definite: accepted;
     3. ``eigvalsh`` decides the rest, or every matrix if ``inv`` finds one exactly singular
@@ -54,7 +54,7 @@ def guarded_inverse(hermitian):
         inverses = np.linalg.inv(stack)
         bound = np.linalg.norm(stack, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
         uncertain = ~(bound <= COND_MAX / SCREEN_MARGIN)
-        np.linalg.cholesky(stack[~(uncertain | refused)])  # the bound sees |lambda| only
+        np.linalg.cholesky(stack[~(uncertain | refused)])  # the bound sees |lambda|, this the sign
     except np.linalg.LinAlgError:
         inverses, uncertain = None, ~refused
     if uncertain.any():
