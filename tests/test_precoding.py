@@ -295,7 +295,7 @@ def per_sector_state(scenario, psi):
 
 class TestBatchedZf:
     """``_sector_state`` zero-forces the three own-sector blocks as one stack:
-    one Gram product, one ``condition_number`` and one inverse, with the bits
+    one Gram product and one ``guarded_inverse``, with the bits
     of three separate ``_zero_forcing`` calls."""
 
     @pytest.mark.parametrize("pattern, model, k_users", [
