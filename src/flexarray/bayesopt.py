@@ -5,7 +5,8 @@ eta0 * exp(-eta1/2 * ||a - b||^2); hyperparameters stay fixed at their defaults.
 for the acquisition argmax come from a dense grid in one dimension and from a scrambled
 Sobol stream (refreshed every round) in three, so a run is deterministic given its seed.
 The gram and the posterior blocks share one kernel formula, a product of lifted matrices;
-numpy's Cholesky factor, inverted once per fit, gives the variances by GEMMs.
+numpy's Cholesky factor, inverted once per fit, bounds the gram's condition number and
+gives the variances by GEMMs.
 
 scipy is imported inside the one function that uses it, not with this module:
 ``import flexarray`` and the experiments that never fit a GP load numpy only. The first
@@ -21,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import COND_MAX, GramConditionError, OptimizationError, condition_number
+from .errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError,
+                     condition_number)
 
 DUPLICATE_TOL = 1e-12
 JITTER_MAX = 1e-6
@@ -97,27 +99,45 @@ class GpDataset:
 
 def _lift(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     """Rows h [-2x, |x|^2, 1] of (T, D) points, shape (T, D+2), with h = -eta1/2: a row times
-    [q, 1, |q|^2] is h |x - q|^2, the exponent of the kernel."""
+    a :func:`_features` column [q, 1, |q|^2] is h |x - q|^2, the exponent of the kernel."""
     return -0.5 * kernel.eta1 * np.column_stack([-2.0 * points, np.sum(points**2, axis=1),
                                                  np.ones(len(points))])
 
 
-def _unit_kernel(lifted: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """k / eta0 between :func:`_lift`-ed points and (C, D) queries, shape (T, C): one product,
-    the exponent clipped at 0 against cancellation, and exp, in place on one (T, C) array."""
-    k = lifted @ np.vstack([queries.T, np.ones(len(queries)), np.sum(queries**2, axis=1)])
+def _features(queries: np.ndarray) -> np.ndarray:
+    """Columns [q, 1, |q|^2] of (C, D) queries, shape (D+2, C)."""
+    return np.vstack([queries.T, np.ones(len(queries)), np.sum(queries**2, axis=1)])
+
+
+def _unit_kernel(lifted: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """k / eta0 between :func:`_lift`-ed points and :func:`_features` of C queries, shape (T, C):
+    one product, the exponent clipped at 0 against cancellation, and exp, in place on one
+    (T, C) array."""
+    k = lifted @ features
     return np.exp(np.minimum(k, 0.0, out=k), out=k)
 
 
-def _gram_cholesky(kernel: Kernel, points: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the gram matrix, escalating jitter tenfold up to
-    JITTER_MAX while the matrix stays ill conditioned."""
-    base = kernel.eta0 * _unit_kernel(_lift(kernel, points), points)
+def _gram_cholesky(kernel: Kernel, lifted: np.ndarray, points: np.ndarray):
+    """Lower Cholesky factor L of the gram matrix of the (T, D) ``points``, lifted as ``lifted``,
+    and its inverse, escalating jitter tenfold up to JITTER_MAX while the gram stays ill
+    conditioned. cond_2(K) <= ||K||_F ||K^-1||_F <= ||K||_F ||L^-1||_F^2, so the factor
+    certifies a gram where that bound is at most COND_MAX / SCREEN_MARGIN; ``eigvalsh``
+    (:func:`condition_number`) decides a gram it does not certify or that the Cholesky refuses."""
+    base = kernel.eta0 * _unit_kernel(lifted, _features(points))
     jitter = kernel.jitter
     while True:
         gram = base + jitter * np.eye(points.shape[0])
+        try:
+            factor = np.linalg.cholesky(gram)
+            inverse = np.linalg.inv(factor)
+        except np.linalg.LinAlgError:  # not positive definite in floating point
+            pass
+        else:
+            if np.linalg.norm(gram) * np.linalg.norm(inverse) ** 2 <= COND_MAX / SCREEN_MARGIN:
+                return factor, inverse
         if condition_number(gram) <= COND_MAX:
-            return np.linalg.cholesky(gram)
+            factor = np.linalg.cholesky(gram)  # again: the one above may have failed
+            return factor, np.linalg.inv(factor)
         jitter = max(jitter, 1e-10) * 10.0
         if jitter > JITTER_MAX:
             raise GramConditionError("gram matrix ill conditioned even at jitter 1e-6; "
@@ -127,17 +147,19 @@ def _gram_cholesky(kernel: Kernel, points: np.ndarray) -> np.ndarray:
 def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
     """Predictive means and variances at (C, D) queries (Rasmussen & Williams 2006, Alg. 2.1) by
     GEMMs over blocks of POSTERIOR_BLOCK queries: with the unit kernel k~ = k*/eta0, the mean
-    is k~'(eta0 K^-1 y) and the variance eta0 - |eta0 L^-1 k~|^2, L^-1 formed once per fit."""
+    is k~'(eta0 K^-1 y) and the variance eta0 - |eta0 L^-1 k~|^2, L^-1 formed once per fit.
+    The points are lifted, and the queries' features built, once per fit."""
     if queries.shape[1] != data.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != data dimension {data.dim}")
-    inverse = np.linalg.inv(_gram_cholesky(kernel, data.points))
+    lifted = _lift(kernel, data.points)
+    _, inverse = _gram_cholesky(kernel, lifted, data.points)
     # rows eta0 K^-1 y = eta0 L^-T L^-1 y (for the means) and eta0 L^-1
     project = kernel.eta0 * np.vstack([inverse.T @ (inverse @ data.values), inverse])
-    lifted = _lift(kernel, data.points)
+    features = _features(queries)
     mean, variance = np.empty(len(queries)), np.empty(len(queries))
     for start in range(0, len(queries), POSTERIOR_BLOCK):
         block = slice(start, start + POSTERIOR_BLOCK)
-        rows = project @ _unit_kernel(lifted, queries[block])
+        rows = project @ _unit_kernel(lifted, features[:, block])
         mean[block] = rows[0]
         variance[block] = kernel.eta0 - np.einsum("ij,ij->j", rows[1:], rows[1:])
     return mean, np.clip(variance, 0.0, None)

@@ -111,11 +111,14 @@ def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):
 
 
 def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
-    """The channel from :func:`_path_factors` and the flexed columns, (..., N) or (G, N)."""
+    """The channel from :func:`_path_factors` and the flexed columns, (..., N). G shapes give
+    (G, ..., N): shape g meets every path, or entry g of a factor's extra leading axis (the
+    three mounts' azimuths of :func:`array_blocks`)."""
     sin_theta, cos_phi, sin_phi, phase, rows = factors
     x, y, offsets = geometry.column_x, geometry.column_y, geometry.column_offsets
-    if x.ndim == 2:  # G shapes of one link: (G, 1, N_h) columns against the (L, 1) paths
-        x, y, offsets = x[:, None], y[:, None], offsets[:, None]
+    if x.ndim == 2:  # (G, 1, ..., 1, N_h) columns against the (..., L, 1) paths
+        x, y, offsets = (c.reshape(len(c), *(1,) * (sin_theta.ndim - 1), -1)
+                         for c in (x, y, offsets))
     columns = np.exp(phase * (x * cos_phi + y * sin_phi))
     columns *= column_amplitudes(spec, sin_theta, cos_phi, sin_phi, offsets)
     grid = rows @ columns  # (..., N_v, N_h)
@@ -151,3 +154,17 @@ def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sector
         wavelength))
     block = _combine(geometry, scenario.pattern, factors)
     return block.reshape(-1, block.shape[-1]).T
+
+
+def array_blocks(scenario: "Scenario", geometry: ArrayGeometry) -> np.ndarray:
+    """Channels from the three arrays, built as one batch ``geometry`` of three shapes at zero
+    mount (array m flexed to shape m), to all 3K users, (3, N, 3K): block m is bit for bit
+    ``sector_block(scenario, <shape m>, m, slice(None))``, from one :func:`_combine` over
+    the three mounts' factors, derived once per path set."""
+    paths, heights, wavelength = scenario.paths, geometry.heights, scenario.cfg.wavelength
+    key = (array_blocks, heights.tobytes(), wavelength)
+    factors = paths.derived(key, lambda: _path_factors(
+        paths.theta, paths.phi - np.reshape(MOUNTS, (3, 1, 1, 1)), paths.beta, heights,
+        wavelength))
+    blocks = _combine(geometry, scenario.pattern, factors)  # (3, 3, K, N)
+    return np.swapaxes(blocks.reshape(3, -1, blocks.shape[-1]), -1, -2)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import sector_block
+from .channel import array_blocks, sector_block
 from .errors import RankDeficiencyError, guarded_inverse
 from .geometry import flex_geometry
 
@@ -57,19 +57,18 @@ def single_sector_sumrate(channel: np.ndarray, p_total: float, sigma2: float) ->
     return float(np.sum(np.log2(1.0 + p_total * gains / (k * sigma2))))
 
 
-def _array_responses(scenario: "Scenario", psi: Sequence[float]) -> list:
-    """Channel from each array, deformed to its flex angle, to all 3K users:
-    three (N, 3K) blocks whose column block m' holds sector m' users."""
+def _array_responses(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
+    """Channel from each array, deformed to its flex angle, to all 3K users: three (N, 3K)
+    blocks whose column block m' holds sector m' users, from one geometry batch."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (3,):
         raise ValueError("psi must hold one flex angle per array (3 values)")
-    return [sector_block(scenario, flex_geometry(scenario.flex_model, scenario.cfg, p), m,
-                         slice(None)) for m, p in enumerate(psi)]
+    return array_blocks(scenario, flex_geometry(scenario.flex_model, scenario.cfg, psi))
 
 
 def _sector_state(scenario: "Scenario", psi: Sequence[float]):
     """Per-sector gains, scaled ZF precoders, and cross leakage from one
-    channel build per array and one stacked ZF of the three own-sector blocks."""
+    channel build of the three arrays and one stacked ZF of the three own-sector blocks."""
     k = scenario.k_users
     stream_power = scenario.p_total / (3.0 * k)
     responses = _array_responses(scenario, psi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flexarray.bayesopt import (GpDataset, Kernel, _expected_improvement_batch, _lift,
+from flexarray.bayesopt import (GpDataset, Kernel, _expected_improvement_batch, _features, _lift,
                                 _posterior_batch, _unit_kernel)
 from flexarray.channel import PathSet
 from flexarray.errors import COND_MAX, PatternBoundaryError, SingularFisherError, condition_number
@@ -39,7 +39,7 @@ def kernel_eval(kernel: Kernel, a, b) -> float:
     a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return float(kernel.eta0 * _unit_kernel(_lift(kernel, a), b)[0, 0])
+    return float(kernel.eta0 * _unit_kernel(_lift(kernel, a), _features(b))[0, 0])
 
 
 def gp_posterior(kernel: Kernel, data: GpDataset, query) -> GpPosterior:

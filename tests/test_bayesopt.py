@@ -10,16 +10,27 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from flexarray import bayesopt, harness
-from flexarray.bayesopt import (POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kernel,
-                                OptimizeResult, SobolStream, _expected_improvement_batch,
-                                _gram_cholesky, _lift, _posterior_batch, _unit_kernel, optimize,
-                                propose_next)
-from flexarray.errors import COND_MAX, GramConditionError, OptimizationError
+from flexarray.bayesopt import (JITTER_MAX, POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM,
+                                GpDataset, Kernel, OptimizeResult, SobolStream,
+                                _expected_improvement_batch, _features, _gram_cholesky, _lift,
+                                _posterior_batch, _unit_kernel, optimize, propose_next)
+from flexarray.errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError,
+                              condition_number)
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import expected_improvement, gp_posterior, kernel_eval
 
 UNIT = Kernel(eta0=1.0, eta1=1.0, jitter=0.0)
+
+
+def unit_gram(kernel, points):
+    """k / eta0 among (T, D) points, as the library builds it."""
+    return _unit_kernel(_lift(kernel, points), _features(points))
+
+
+def gram_factor(kernel, points):
+    """The lower Cholesky factor the library accepts for the gram of (T, D) points."""
+    return _gram_cholesky(kernel, _lift(kernel, points), points)[0]
 
 
 class TestKernel:
@@ -68,7 +79,7 @@ class TestCrossKernel:
         queries = np.vstack([rng.uniform(-np.pi / 2, np.pi / 2, size=(300, dim)),
                              points, points + 1e-9, points - 1e-15])
         kernel = Kernel(eta0=2.5, eta1=1.7)
-        got = kernel.eta0 * _unit_kernel(_lift(kernel, points), queries)
+        got = kernel.eta0 * _unit_kernel(_lift(kernel, points), _features(queries))
         np.testing.assert_allclose(got, difference_form_kernel(kernel, points, queries),
                                    rtol=0, atol=1e-12)
         assert np.all(got <= kernel.eta0)
@@ -81,7 +92,7 @@ class TestCrossKernel:
         kernel = Kernel()
         _, variance = _posterior_batch(kernel, data, queries)
         k_star = difference_form_kernel(kernel, data.points, queries)
-        factor = _gram_cholesky(kernel, data.points)
+        factor = gram_factor(kernel, data.points)
         reference = kernel.eta0 - np.sum(k_star * cho_solve((factor, True), k_star), axis=0)
         np.testing.assert_allclose(variance, np.clip(reference, 0.0, None), rtol=0, atol=1e-10)
         assert np.all(variance >= 0.0) and np.all(variance <= kernel.eta0)
@@ -94,7 +105,7 @@ def one_shot_posterior(kernel, data, queries):
     dist2 = (np.sum(points**2, axis=1)[:, None] + np.sum(queries**2, axis=1)[None, :]
              - 2.0 * points @ queries.T)
     k_star = kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.clip(dist2, 0.0, None))
-    factor = _gram_cholesky(kernel, points)
+    factor = gram_factor(kernel, points)
     mean = k_star.T @ cho_solve((factor, True), data.values)
     v = solve_triangular(factor, k_star, lower=True)
     return mean, np.clip(kernel.eta0 - np.sum(v * v, axis=0), 0.0, None)
@@ -122,7 +133,7 @@ class TestPosteriorBlocks:
         assert (np.argmax(_expected_improvement_batch(got_mean, np.sqrt(got_variance), best))
                 == np.argmax(_expected_improvement_batch(mean, np.sqrt(variance), best)))
         np.testing.assert_allclose(got_variance, variance, rtol=0, atol=1e-11)
-        weights = cho_solve((_gram_cholesky(kernel, data.points), True), data.values)
+        weights = cho_solve((gram_factor(kernel, data.points), True), data.values)
         bound = 16 * kernel.eta0 * np.sum(np.abs(weights)) * np.finfo(float).eps
         np.testing.assert_allclose(got_mean, mean, rtol=0, atol=bound)
 
@@ -184,14 +195,27 @@ class TestPosterior:
         assert np.isfinite(post.mean)
 
     def test_a_gram_at_exactly_cond_max_is_factored_without_jitter(self, monkeypatch):
-        # the condition rule accepts cond <= COND_MAX, as for the Fisher and ZF grams
+        # the condition rule accepts cond <= COND_MAX, as for the Fisher and ZF grams; the
+        # factor cannot certify this cluster (cond 3e13 without the patch), so eigvalsh decides
         seen = []
         monkeypatch.setattr(bayesopt, "condition_number", lambda gram: seen.append(gram) or COND_MAX)
-        kernel, points = Kernel(jitter=1e-10), np.array([[0.0], [0.4], [1.0]])
-        factor = _gram_cholesky(kernel, points)
-        gram = kernel.eta0 * _unit_kernel(_lift(kernel, points), points) + 1e-10 * np.eye(3)
+        kernel, points = Kernel(eta0=1e3, jitter=1e-10), np.array([[0.0], [1e-9], [1.0]])
+        factor, inverse = _gram_cholesky(kernel, _lift(kernel, points), points)
+        gram = kernel.eta0 * unit_gram(kernel, points) + 1e-10 * np.eye(3)
+        assert condition_number(gram) > COND_MAX
         assert len(seen) == 1 and np.array_equal(seen[0], gram)
         assert np.array_equal(factor, np.linalg.cholesky(gram))
+        assert np.array_equal(inverse, np.linalg.inv(factor))
+
+    def test_a_gram_the_factor_certifies_makes_no_condition_number_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(bayesopt, "condition_number", lambda gram: seen.append(gram) or 1.0)
+        kernel, points = Kernel(jitter=1e-10), np.array([[0.0], [0.4], [1.0]])
+        factor, inverse = _gram_cholesky(kernel, _lift(kernel, points), points)
+        gram = kernel.eta0 * unit_gram(kernel, points) + 1e-10 * np.eye(3)
+        assert seen == []
+        assert np.array_equal(factor, np.linalg.cholesky(gram))
+        assert np.array_equal(inverse, np.linalg.inv(factor))
 
     def test_pathological_cluster_raises(self):
         # with a large output scale the clustered gram stays above the
@@ -205,6 +229,74 @@ class TestPosterior:
         data = GpDataset(points=np.array([[0.0, 0.0]]), values=np.array([1.0]))
         with pytest.raises(ValueError):
             gp_posterior(UNIT, data, [0.0])
+
+
+def eigvalsh_rule(kernel, points):
+    """Reference: the jitter escalation with ``condition_number`` deciding every gram; its
+    accept (True) and escalate or raise (False) decisions, and numpy's Cholesky factor and
+    inverse of the gram it accepts (None where it raises)."""
+    base = kernel.eta0 * unit_gram(kernel, points)
+    jitter, decisions = kernel.jitter, []
+    while True:
+        gram = base + jitter * np.eye(len(points))
+        decisions.append(bool(condition_number(gram) <= COND_MAX))
+        if decisions[-1]:
+            factor = np.linalg.cholesky(gram)
+            return decisions, factor, np.linalg.inv(factor)
+        jitter = max(jitter, 1e-10) * 10.0
+        if jitter > JITTER_MAX:
+            return decisions, None, None
+
+
+class TestGramCertificate:
+    """The Cholesky factor certifies a gram with ||K||_F ||L^-1||_F^2 <= COND_MAX / SCREEN_MARGIN
+    and ``condition_number`` decides the rest, so every decision is the eigvalsh rule's: on
+    clusters of four points in 1-D and 3-D, whose first grams' conditions run from below 1e8
+    to above 1e13, through jitter escalation up to the GramConditionError cap."""
+
+    def test_decisions_and_bits_are_the_eigvalsh_rules(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(bayesopt, "condition_number",
+                            lambda gram: asked.append(condition_number(gram)) or asked[-1])
+        rng = np.random.default_rng(5)
+        first, seen = [], set()
+        for dim in (1, 3):
+            for eta0 in (1.0, 1e2, 1e4, 1e6, 1e8):
+                for delta in np.logspace(-7, -2, 21):
+                    kernel, points = Kernel(eta0=eta0), rng.uniform(-1.5, 1.5, (12, dim))
+                    points[1:4] = points[0] + delta * rng.normal(size=(3, dim))
+                    first.append(condition_number(kernel.eta0 * unit_gram(kernel, points)
+                                                  + kernel.jitter * np.eye(12)))
+                    decisions, factor, inverse = eigvalsh_rule(kernel, points)
+                    asked.clear()
+                    if factor is None:
+                        with pytest.raises(GramConditionError):
+                            _gram_cholesky(kernel, _lift(kernel, points), points)
+                        seen.add("raise")
+                    else:
+                        got_factor, got_inverse = _gram_cholesky(kernel, _lift(kernel, points),
+                                                                 points)
+                        assert np.array_equal(got_factor, factor)
+                        assert np.array_equal(got_inverse, inverse)
+                        seen.add("eigvalsh" if len(asked) == len(decisions) else "certified")
+                    # every refused gram went to eigvalsh, and it decided as the rule did
+                    assert len(decisions) - 1 <= len(asked) <= len(decisions)
+                    assert [c <= COND_MAX for c in asked] == decisions[:len(asked)]
+                    if len(decisions) > 1:
+                        seen.add("escalate")
+        assert seen == {"certified", "eigvalsh", "escalate", "raise"}
+        assert min(first) < 1e8 and max(first) > 1e13
+
+    def test_the_certificate_bound_covers_the_condition(self):
+        # cond_2(K) <= ||K||_F ||L^-1||_F^2 on every certified gram of a spread 3-D design
+        rng = np.random.default_rng(6)
+        for n_points in (5, 35, 65):
+            points = rng.uniform(-np.pi / 2, np.pi / 2, (n_points, 3))
+            kernel = Kernel()
+            _, inverse = _gram_cholesky(kernel, _lift(kernel, points), points)
+            gram = kernel.eta0 * unit_gram(kernel, points) + kernel.jitter * np.eye(n_points)
+            bound = np.linalg.norm(gram) * np.linalg.norm(inverse) ** 2
+            assert condition_number(gram) <= bound <= COND_MAX / SCREEN_MARGIN
 
 
 class TestExpectedImprovement:

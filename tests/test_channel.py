@@ -3,9 +3,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, channel_power,
-                               flexible_channel, sector_block)
-from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
+from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, array_blocks,
+                               channel_power, flexible_channel, sector_block)
+from flexarray.geometry import BEND_EPS, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import Scenario, generate_scenario
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import array_manifold, pattern_coefficient
@@ -338,6 +338,26 @@ class TestSectorAssembly:
         geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi[1])
         np.testing.assert_array_equal(sector_block(scenario, geometry, 1, slice(None)),
                                       np.hstack(blocks[1]))
+
+
+class TestArrayBlocks:
+    """One build of the three arrays from a batch geometry equals three per-array
+    ``sector_block`` builds bit for bit."""
+
+    @pytest.mark.parametrize("model", [FlexModel.ROTATABLE, FlexModel.BENDABLE,
+                                       FlexModel.FOLDABLE])
+    @pytest.mark.parametrize("spec", [OMNI, COS1, COS2])
+    def test_equals_three_sector_blocks(self, model, spec):
+        scenario = generate_scenario(ArrayConfig(8, 2, wavelength=WAVELENGTH), spec, model,
+                                     k_users=3, n_paths=4, snr_db=10.0, seed=19)
+        rng = np.random.default_rng(19)
+        lo, hi = scenario.psi_bounds
+        for psi in ([0.0, 0.0, 0.0], [0.3, 0.5 * BEND_EPS, -0.2], *rng.uniform(lo, hi, (4, 3))):
+            blocks = array_blocks(scenario, flex_geometry(model, scenario.cfg, np.array(psi)))
+            assert blocks.shape == (3, scenario.cfg.n_elements, 3 * scenario.k_users)
+            for m, p in enumerate(psi):
+                geometry = flex_geometry(model, scenario.cfg, p)
+                assert np.array_equal(blocks[m], sector_block(scenario, geometry, m, slice(None)))
 
 
 class TestPathFactors:
