@@ -17,6 +17,8 @@ with the bits of ``scipy.stats.qmc.Sobol``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -53,9 +55,24 @@ class Kernel:
             raise ValueError("need finite eta0 > 0, eta1 > 0 and jitter >= 0")
 
 
+def _row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared norm of each row of a (T, D) array, into ``out`` if given, bit for bit
+    ``np.sum(x**2, axis=1)``: numpy adds fewer than eight terms left to right, and the column
+    sum skips its reduction set-up."""
+    if out is None:
+        out = np.empty(len(x))
+    if x.shape[1] >= 8:  # numpy sums eight or more terms pairwise
+        out[...] = np.sum(x**2, axis=1)
+        return out
+    np.square(x[:, 0], out=out)
+    for j in range(1, x.shape[1]):
+        out += x[:, j] ** 2
+    return out
+
+
 def _is_duplicate(point: np.ndarray, existing: np.ndarray) -> bool:
     """Whether ``point`` lies within DUPLICATE_TOL of any row of ``existing``, (T, D)."""
-    return bool(np.any(np.sum((existing - point) ** 2, axis=1) < DUPLICATE_TOL**2))
+    return bool(np.any(_row_norms(existing - point) < DUPLICATE_TOL**2))
 
 
 @dataclass
@@ -100,13 +117,23 @@ class GpDataset:
 def _lift(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     """Rows h [-2x, |x|^2, 1] of (T, D) points, shape (T, D+2), with h = -eta1/2: a row times
     a :func:`_features` column [q, 1, |q|^2] is h |x - q|^2, the exponent of the kernel."""
-    return -0.5 * kernel.eta1 * np.column_stack([-2.0 * points, np.sum(points**2, axis=1),
-                                                 np.ones(len(points))])
+    size, dim = points.shape
+    lifted = np.empty((size, dim + 2))
+    np.multiply(points, -2.0, out=lifted[:, :dim])
+    _row_norms(points, out=lifted[:, dim])
+    lifted[:, dim + 1] = 1.0
+    lifted *= -0.5 * kernel.eta1
+    return lifted
 
 
 def _features(queries: np.ndarray) -> np.ndarray:
     """Columns [q, 1, |q|^2] of (C, D) queries, shape (D+2, C)."""
-    return np.vstack([queries.T, np.ones(len(queries)), np.sum(queries**2, axis=1)])
+    size, dim = queries.shape
+    features = np.empty((dim + 2, size))
+    features[:dim] = queries.T
+    features[dim] = 1.0
+    _row_norms(queries, out=features[dim + 1])
+    return features
 
 
 def _unit_kernel(lifted: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -123,10 +150,11 @@ def _gram_cholesky(kernel: Kernel, lifted: np.ndarray, points: np.ndarray):
     conditioned. cond_2(K) <= ||K||_F ||K^-1||_F <= ||K||_F ||L^-1||_F^2, so the factor
     certifies a gram where that bound is at most COND_MAX / SCREEN_MARGIN; ``eigvalsh``
     (:func:`condition_number`) decides a gram it does not certify or that the Cholesky refuses."""
-    base = kernel.eta0 * _unit_kernel(lifted, _features(points))
+    gram = kernel.eta0 * _unit_kernel(lifted, _features(points))
+    base, diagonal = gram.diagonal().copy(), gram.reshape(-1)[::len(gram) + 1]
     jitter = kernel.jitter
     while True:
-        gram = base + jitter * np.eye(points.shape[0])
+        np.add(base, jitter, out=diagonal)  # base + jitter I: the off-diagonal entries are kept
         try:
             factor = np.linalg.cholesky(gram)
             inverse = np.linalg.inv(factor)
@@ -154,7 +182,9 @@ def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
     lifted = _lift(kernel, data.points)
     _, inverse = _gram_cholesky(kernel, lifted, data.points)
     # rows eta0 K^-1 y = eta0 L^-T L^-1 y (for the means) and eta0 L^-1
-    project = kernel.eta0 * np.vstack([inverse.T @ (inverse @ data.values), inverse])
+    project = np.empty((data.size + 1, data.size))
+    project[0], project[1:] = inverse.T @ (inverse @ data.values), inverse
+    project *= kernel.eta0
     features = _features(queries)
     mean, variance = np.empty(len(queries)), np.empty(len(queries))
     for start in range(0, len(queries), POSTERIOR_BLOCK):
@@ -162,7 +192,7 @@ def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
         rows = project @ _unit_kernel(lifted, features[:, block])
         mean[block] = rows[0]
         variance[block] = kernel.eta0 - np.einsum("ij,ij->j", rows[1:], rows[1:])
-    return mean, np.clip(variance, 0.0, None)
+    return mean, np.maximum(variance, 0.0, out=variance)  # eta0 - s is never -0.0
 
 
 def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:
@@ -173,7 +203,8 @@ def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: flo
     with np.errstate(all="ignore"):  # extreme z only saturates cdf/pdf; sigma 0 is zeroed below
         z = gap / sigma
         ei = gap * ndtr(z) + sigma * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
-    return np.clip(np.where(sigma > 0.0, ei, 0.0), 0.0, None)
+    ei[~(sigma > 0.0)] = 0.0
+    return np.maximum(ei, 0.0, out=ei)  # as the clip: ei is never -0.0 where sigma > 0
 
 
 def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
@@ -223,6 +254,8 @@ class SobolStream:
     def random(self, n: int) -> np.ndarray:
         """The next ``n`` > 0 points, shape (n, dim), in Gray-code order: point 0 is the shift,
         point k the point before it XOR the direction number at the lowest zero bit of k - 1."""
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"n must be an integer of at least 1, got {n!r}")
         prev = np.arange(self._count - 1, self._count + n - 1)
         steps = np.take(self._directions, np.frexp((prev + 1) & ~prev)[1] - 1, axis=0)
         steps[0] = self._point if self._count == 0 else self._point ^ steps[0]
@@ -266,7 +299,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim == 1:
         bounds = bounds[None, :]
-    if (bounds.shape[1] != 2 or not np.isfinite(bounds).all()
+    if (bounds.shape[1] != 2 or len(bounds) == 0 or not np.isfinite(bounds).all()
             or np.any(bounds[:, 0] > bounds[:, 1])):
         raise ValueError("bounds must be finite (D, 2) intervals")
     dim = bounds.shape[0]
@@ -286,7 +319,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     def measure(point: np.ndarray) -> bool:
         nonlocal count
         value = float(objective(point))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise OptimizationError(f"objective returned {value} at {point.tolist()}")
         trace.append((point.copy(), value))
         if _is_duplicate(point, points[:count]):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import ArrayConfig, ArrayGeometry, FlexModel, _check_mount, flex_geometry
+from .geometry import ArrayConfig, ArrayGeometry, FlexModel, _finite_scalar, flex_geometry
 from .radiation import PatternSpec, column_amplitudes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,7 +129,7 @@ def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
                      paths: PathSet, psi: float, mount: float = 0.0) -> np.ndarray:
     """Channel vector of one link for an array flexed to ``psi`` (N,), or to each angle of a
     1-D ``psi`` (G, N), and mounted at ``mount``."""
-    mount, paths = _check_mount(mount), paths.link()
+    mount, paths = _finite_scalar(mount, "mount"), paths.link()
     geometry = flex_geometry(model, cfg, psi)
     return _combine(geometry, spec, _path_factors(paths.theta, paths.phi - mount, paths.beta,
                                                   geometry.heights, cfg.wavelength))

@@ -56,15 +56,19 @@ def guarded_inverse(hermitian):
         inverses = np.linalg.inv(stack)
         bound = np.linalg.norm(stack, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
         uncertain = ~(bound <= COND_MAX / SCREEN_MARGIN)
-        np.linalg.cholesky(stack[~(uncertain | refused)])  # the bound sees |lambda|, this the sign
+        bounded = ~(uncertain | refused)
+        # the bound sees |lambda|, the Cholesky the sign: of the whole stack when it is all bounded
+        np.linalg.cholesky(stack if bounded.all() else stack[bounded])
     except np.linalg.LinAlgError:
         inverses, uncertain = None, ~refused
     if uncertain.any():
         conditions = condition_number(stack[uncertain])
         refusals[uncertain] = np.where(conditions <= COND_MAX, 0.0, conditions)
+    rejected = refusals > 0
     if inverses is None:
-        inverses = np.linalg.inv(_stand_in(stack, refusals > 0))
-    inverses[refusals > 0] = np.nan
+        inverses = np.linalg.inv(_stand_in(stack, rejected))
+    if rejected.any():
+        inverses[rejected] = np.nan
     return inverses.reshape(hermitian.shape), refusals.reshape(hermitian.shape[:-2])
 
 

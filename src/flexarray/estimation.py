@@ -18,6 +18,7 @@ grid is one batch whose grams are bit for bit the one-angle builds.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .channel import PathSet
 from .errors import OptimizationError, PatternBoundaryError, SingularFisherError, guarded_inverse
-from .geometry import ArrayConfig, FlexModel, _check_mount, flex_geometry
+from .geometry import ArrayConfig, FlexModel, _finite_scalar, flex_geometry
 from .radiation import PatternSpec, pattern_and_derivatives, support_edges
 
 _FAMILIES = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1j]])  # pairs -> params
@@ -49,7 +50,7 @@ def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet
     atom m); the parameter columns are theta = pairs 0 + 1, phi = 2, beta_R = 3 and
     beta_I = j 3 (``_FAMILIES``). ``edges`` (G, L) marks the paths on a support edge, whose
     pattern is taken from behind the array (azimuth pi), where it is 0."""
-    n, mount = paths.link().n_paths, _check_mount(mount)
+    n, mount = paths.link().n_paths, _finite_scalar(mount, "mount")
     geometry = flex_geometry(model, cfg, psi)
     theta, phi = paths.theta[:, None], (paths.phi - mount)[:, None]
     azimuths = phi - geometry.column_offsets[:, None]  # (G, L, N_h)
@@ -86,10 +87,11 @@ def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     is the (m/n)-scaled block of their root's kept gram (a set of its own reads a private
     root's), refused when one of the n paths meets a support edge at ``psi``."""
     _check_sigma2(sigma2)
+    psi = _finite_scalar(psi, "psi")
     if paths.link()._root is None:
         paths = PathSet(paths.theta, paths.phi, paths.beta)[:]
     root, n, m = paths._root, paths.n_paths, paths._root.n_paths
-    gram, first_edge = _kept_grams(model, cfg, spec, root, (psi,), mount)[float(psi).hex()]
+    gram, first_edge = _kept_grams(model, cfg, spec, root, (psi,), mount)[psi.hex()]
     if first_edge < n:
         raise PatternBoundaryError("a path within 1e-6 of the cosine support edge")
     j = (2.0 / sigma2) * ((m / n) * gram.reshape(4, m, 4, m)[:, :n, :, :n].reshape(4 * n, 4 * n))
@@ -98,15 +100,17 @@ def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
 
 
 def _check_sigma2(sigma2) -> None:
-    if not 0.0 < sigma2 < np.inf:
-        raise ValueError(f"noise power sigma2 must be positive and finite, got {sigma2!r}")
+    """ValueError naming ``sigma2`` unless it is positive with a finite Fisher scale 2 / sigma2."""
+    if not (0.0 < sigma2 < np.inf and math.isfinite(2.0 / float(sigma2))):
+        raise ValueError(f"noise power sigma2 must be positive with a finite 2 / sigma2, "
+                         f"got {sigma2!r}")
 
 
 def _kept_grams(model, cfg, spec, root: PathSet, psis, mount) -> dict:
     """The root's grams and first edge paths (:func:`_grams`) by flex angle (its float hex):
     one dict per (model, array, pattern, mount), the missing ``psis`` built as a batch. A
     mount that is no finite scalar is refused before anything is looked up or kept."""
-    mount = _check_mount(mount)
+    mount = _finite_scalar(mount, "mount")
     key = (_kept_grams, model, cfg, spec, mount.hex())
     grams = root._derived.get(key, {})
     missing = {angle: psi for psi in psis if (angle := float(psi).hex()) not in grams}

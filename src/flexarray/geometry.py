@@ -188,15 +188,18 @@ def folded_geometry(cfg: ArrayConfig, psi) -> ArrayGeometry:
     return _grid(cfg, -np.abs(half) * np.sin(psi), half * np.cos(psi), np.sign(half) * psi, psi)
 
 
-def _check_mount(mount) -> float:
-    """``mount`` as a float; ValueError naming it unless it is one finite number. A finite
-    float passes without an array: the rule runs at every Fisher matrix of a grid search."""
-    if isinstance(mount, float) and math.isfinite(mount):
-        return mount
-    value = np.asarray(mount, dtype=float)
-    if value.ndim or not math.isfinite(value):
-        raise ValueError(f"mount must be a finite scalar, got {value.tolist()!r}")
-    return float(value)
+def _finite_scalar(value, name: str) -> float:
+    """``value`` as a float; ValueError naming it ``name`` unless it is one finite number. A
+    finite float passes without an array: the rule runs at every Fisher matrix of a grid search."""
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    try:
+        number = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # neither a number nor an array of numbers
+        number = None
+    if number is None or number.ndim or not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite scalar, got {value!r}")
+    return float(number)
 
 
 def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeometry:
@@ -205,7 +208,7 @@ def mounted_geometry(geometry: ArrayGeometry, mount_azimuth: float) -> ArrayGeom
     Positions rotate by ``mount_azimuth`` and every boresight offset is
     incremented by it, so mounting commutes with any flex deformation.
     """
-    mount = _check_mount(mount_azimuth)
+    mount = _finite_scalar(mount_azimuth, "mount")
     c, s = np.cos(mount), np.sin(mount)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     # first row of the element list: its 0 * z term sets the sign of a zero x or y

@@ -33,6 +33,7 @@ ELEVATION_RANGE = (np.pi / 3, 2 * np.pi / 3)
 STRATEGIES = ("single-sector", "sfp", "jfp", "sjfp")
 SNR_DB_MAX = 300.0  # a linear 1e30 keeps SINR products far from float overflow (at 3082 dB)
 SIGMA2_MAX = 1e30  # a path SNR of at least -300 dB; near 1e307 the CRB's inverse overflows
+SIGMA2_MIN = 1e-30  # a path SNR of at most 300 dB; near 1e-308 the Fisher scale overflows
 CRB_PSI_RANGE = (-np.pi / 2, np.pi / 2)  # flex angles searched by experiment_crb_sweep
 CRB_MAX_RESAMPLES = 100  # redraws of one experiment_crb_sweep draw before it fails
 
@@ -602,8 +603,8 @@ def run_experiment(config: dict) -> ExperimentResult:
         names = _FLEX_MODELS if s["model"] == "all" else [s["model"]]
         if s["l_max"] < s["l_min"]:
             raise ConfigError(f"l_max: need l_min <= l_max, got {s['l_min']}..{s['l_max']}")
-        if s["sigma2"] > SIGMA2_MAX:
-            raise ConfigError(f"sigma2: need <= {SIGMA2_MAX:g}, got {s['sigma2']}")
+        if not SIGMA2_MIN <= s["sigma2"] <= SIGMA2_MAX:
+            raise ConfigError(f"sigma2: need {SIGMA2_MIN:g} to {SIGMA2_MAX:g}, got {s['sigma2']}")
         header, rows = experiment_crb_sweep(
             [FlexModel(name) for name in names], spec, cfg,
             list(range(s["l_min"], s["l_max"] + 1)), draws=s["draws"], seed=s["seed"],

@@ -22,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
 
 NOISE_POWER = 1.0  # every rate depends on P / sigma2 only, so sigma2 is the unit of power
+# (sector m, array m') of each cross link, m' != m, in the order the leakage adds them
+_CROSS_SECTORS, _CROSS_ARRAYS = np.array(list(permutations(range(3), 2))).T
 
 
 def _zero_forcing(channel: np.ndarray, precoder: bool = False):
@@ -68,18 +70,20 @@ def _array_responses(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
 
 def _sector_state(scenario: "Scenario", psi: Sequence[float]):
     """Per-sector gains, scaled ZF precoders, and cross leakage from one
-    channel build of the three arrays and one stacked ZF of the three own-sector blocks."""
+    channel build of the three arrays, one stacked ZF of the three own-sector blocks and one
+    stacked product of the six cross links."""
     k = scenario.k_users
     stream_power = scenario.p_total / (3.0 * k)
-    responses = _array_responses(scenario, psi)
-    users = [slice(m * k, (m + 1) * k) for m in range(3)]
-    f, gains = _zero_forcing(np.stack([responses[m][:, users[m]] for m in range(3)]), precoder=True)
+    # (array, sector, K, N): the transposed channel blocks, each (K, N) block contiguous
+    rows = np.swapaxes(_array_responses(scenario, psi), -1, -2).reshape(3, 3, k, -1)
+    own = np.arange(3)
+    # C-ordered (N, K) own blocks: the layout, and so the BLAS calls, of one stacked copy each
+    f, gains = _zero_forcing(np.ascontiguousarray(np.swapaxes(rows[own, own], -1, -2)),
+                             precoder=True)
     precoders = np.sqrt(stream_power) * (f / np.linalg.norm(f, axis=-2, keepdims=True))
-    leakage = np.zeros((3, k))
-    for m, mp in permutations(range(3), 2):
-        cross = responses[mp][:, users[m]]  # array mp -> sector m users
-        leakage[m] += np.sum(np.abs(cross.conj().T @ precoders[mp]) ** 2, axis=1)
-    return gains, leakage, stream_power
+    received = rows[_CROSS_ARRAYS, _CROSS_SECTORS].conj() @ precoders[_CROSS_ARRAYS]
+    power = np.sum(np.abs(received) ** 2, axis=-1)  # (6, K), the cross links in order
+    return gains, power[0::2] + power[1::2], stream_power
 
 
 def sfp_leakage(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
@@ -105,7 +109,8 @@ def sector_rate_given_leakage(scenario: "Scenario", sector: int, psi_m: float,
 
 def jfp_sumrate(scenario: "Scenario", psi: Sequence[float]) -> float:
     """Fully joint ZF over the stacked (3N, 3K) channel with equal power."""
-    stacked = np.vstack(_array_responses(scenario, psi))
+    responses = _array_responses(scenario, psi)
+    stacked = responses.reshape(-1, responses.shape[-1])  # a copy: (3N, 3K) in row order
     return single_sector_sumrate(stacked, scenario.p_total, NOISE_POWER)
 
 

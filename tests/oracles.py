@@ -53,6 +53,18 @@ def expected_improvement(mean: float, sigma: float, f_best: float) -> float:
     return float(_expected_improvement_batch(*np.array([[mean], [sigma]], dtype=float), f_best)[0])
 
 
+def expected_improvement_copies(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:
+    """Reference for ``_expected_improvement_batch``: the same EI formula, 0 where sigma is not
+    positive by ``np.where`` and clamped at 0 by ``np.clip``, each on a copy."""
+    from scipy.special import ndtr
+
+    gap = mean - f_best
+    with np.errstate(all="ignore"):
+        z = gap / sigma
+        ei = gap * ndtr(z) + sigma * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
+    return np.clip(np.where(sigma > 0.0, ei, 0.0), 0.0, None)
+
+
 # -- estimation -------------------------------------------------------------
 
 def stack_parameters(paths: PathSet) -> np.ndarray:

@@ -13,12 +13,13 @@ from flexarray import bayesopt, harness
 from flexarray.bayesopt import (JITTER_MAX, POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM,
                                 GpDataset, Kernel, OptimizeResult, SobolStream,
                                 _expected_improvement_batch, _features, _gram_cholesky, _lift,
-                                _posterior_batch, _unit_kernel, optimize, propose_next)
+                                _posterior_batch, _row_norms, _unit_kernel, optimize,
+                                propose_next)
 from flexarray.errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError,
                               condition_number)
 from flexarray.geometry import ArrayConfig, FlexModel
 from flexarray.radiation import PatternKind, PatternSpec
-from oracles import expected_improvement, gp_posterior, kernel_eval
+from oracles import expected_improvement, expected_improvement_copies, gp_posterior, kernel_eval
 
 UNIT = Kernel(eta0=1.0, eta1=1.0, jitter=0.0)
 
@@ -66,6 +67,28 @@ def difference_form_kernel(kernel, points, queries):
     """Reference: the kernel from the (T, C, D) difference tensor."""
     diff = points[:, None, :] - queries[None, :, :]
     return kernel.eta0 * np.exp(-0.5 * kernel.eta1 * np.sum(diff**2, axis=-1))
+
+
+class TestRowNorms:
+    """The column sum of squares is ``np.sum(x**2, axis=1)`` bit for bit: at the 1-D grid, the
+    3-D Sobol candidates and the measured points of a 3-D run, and at every Sobol dimension;
+    the lifted points and query features filled in place keep the stacked forms' bits."""
+
+    @pytest.mark.parametrize("shape", [(361, 1), (2048, 3), (1, 3), (5, 3), (35, 3), (65, 3)]
+                             + [(65, dim) for dim in range(1, SOBOL_MAX_DIM + 1)])
+    def test_equals_the_reduction_bit_for_bit(self, shape):
+        rng = np.random.default_rng(list(shape))
+        x = rng.uniform(-2.0, 2.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+        assert _row_norms(x).tobytes() == np.sum(x**2, axis=1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(361, 1), (2048, 3), (35, 3)])
+    def test_lift_and_features_keep_the_stacked_forms_bits(self, shape):
+        rng, kernel = np.random.default_rng(list(shape)), Kernel(eta1=0.7)
+        x = rng.uniform(-np.pi / 2, np.pi / 2, shape)
+        norms = np.sum(x**2, axis=1)
+        lifted = -0.5 * kernel.eta1 * np.column_stack([-2.0 * x, norms, np.ones(len(x))])
+        assert _lift(kernel, x).tobytes() == lifted.tobytes()
+        assert _features(x).tobytes() == np.vstack([x.T, np.ones(len(x)), norms]).tobytes()
 
 
 class TestCrossKernel:
@@ -287,6 +310,19 @@ class TestGramCertificate:
         assert seen == {"certified", "eigvalsh", "escalate", "raise"}
         assert min(first) < 1e8 and max(first) > 1e13
 
+    @pytest.mark.parametrize("n_points", [35, 65])
+    def test_an_escalating_3d_design_keeps_the_eigvalsh_rules_bits(self, n_points):
+        # a near-duplicate pair at eta0 = 100: jitter escalates once (T = 35) or twice (T = 65)
+        # on the diagonal of the one gram array, and the accepted factor keeps its bits
+        kernel, rng = Kernel(eta0=1e2), np.random.default_rng(0)
+        points = rng.uniform(-np.pi / 2, np.pi / 2, (n_points, 3))
+        points[1] = points[0] + 1e-7 * rng.normal(size=3)
+        decisions, factor, inverse = eigvalsh_rule(kernel, points)
+        assert decisions == [False] * (n_points // 30) + [True]
+        got_factor, got_inverse = _gram_cholesky(kernel, _lift(kernel, points), points)
+        assert got_factor.tobytes() == factor.tobytes()
+        assert got_inverse.tobytes() == inverse.tobytes()
+
     def test_the_certificate_bound_covers_the_condition(self):
         # cond_2(K) <= ||K||_F ||L^-1||_F^2 on every certified gram of a spread 3-D design
         rng = np.random.default_rng(6)
@@ -322,6 +358,18 @@ class TestExpectedImprovement:
         z = (mean - 0.7) / np.where(sigma > 0, sigma, 1.0)
         reference = np.where(sigma > 0, (mean - 0.7) * norm.cdf(z) + sigma * norm.pdf(z), 0.0)
         assert np.array_equal(ei, np.clip(reference, 0.0, None))
+
+    def test_in_place_zeroing_keeps_the_copying_forms_bits(self):
+        # sigma 0 (z = +-inf or nan), tiny sigma (|z| > 40, z overflowing) and the bulk
+        rng = np.random.default_rng(14)
+        mean = np.concatenate([rng.normal(scale=3.0, size=2000), [0.7, 1.7, -0.3] * 4])
+        sigma = np.concatenate([np.abs(rng.normal(size=2000)),
+                                np.repeat([0.0, 0.02, 1e-12, 1e-300], 3)])
+        with np.errstate(all="ignore"):
+            z = (mean - 0.7) / sigma
+        assert np.isnan(z).any() and np.isinf(z).any() and (np.abs(z[np.isfinite(z)]) > 40).any()
+        ei = _expected_improvement_batch(mean, sigma, 0.7)
+        assert ei.tobytes() == expected_improvement_copies(mean, sigma, 0.7).tobytes()
 
     def test_monotone_in_sigma_below_incumbent(self):
         sigmas = np.linspace(0.0, 3.0, 31)
@@ -382,6 +430,12 @@ class TestSobolStream:
     def test_dimension_outside_the_table_rejected(self, dim):
         with pytest.raises(ValueError, match="dimensions"):
             SobolStream(dim, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_a_count_that_is_no_positive_integer_is_named(self, n):
+        # 0 and -1 used to raise IndexError from the Gray-code step
+        with pytest.raises(ValueError, match="^n must be an integer of at least 1, got"):
+            SobolStream(3, np.random.default_rng(0)).random(n)
 
 
 class TestOptimize:
@@ -455,6 +509,13 @@ class TestOptimize:
             for bounds in ([(-1.0, bad)], [(bad, 1.0)], [(-1.0, 1.0), (0.0, bad), (-1.0, 1.0)]):
                 with pytest.raises(ValueError, match="^bounds must be finite"):
                     optimize(objective, bounds, budget=1)
+        assert calls == []
+
+    def test_a_box_without_dimensions_fails_before_any_call(self):
+        # it used to measure five 0-length points, then raise IndexError
+        calls = []
+        with pytest.raises(ValueError, match="^bounds must be finite"):
+            optimize(lambda p: calls.append(p) or 0.0, np.zeros((0, 2)), budget=2)
         assert calls == []
 
     def test_dimension_beyond_the_sobol_table_fails_before_any_call(self):

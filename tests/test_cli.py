@@ -225,6 +225,12 @@ class TestBadSettingsExitTwo:
         result = runner.invoke(main, [*args, "--model", "rotate"])
         self.assert_usage_error(result, "snr_db")
 
+    @pytest.mark.parametrize("sigma2", ["1e-320", "1e-31"])
+    def test_crb_sweep_noise_below_the_limit(self, runner, sigma2):
+        # at 1e-320 the Fisher scale 2 / sigma2 overflowed, and all 100 redraws failed
+        result = runner.invoke(main, ["crb-sweep", "--draws", "1", "--sigma2", sigma2])
+        self.assert_usage_error(result, "sigma2")
+
     def test_crb_sweep_noise_above_the_limit(self, runner):
         # at sigma2 near 1e308 the inverse of the Fisher matrix overflows
         result = runner.invoke(main, ["crb-sweep", "--draws", "1", "--sigma2", "1e31"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -613,7 +615,17 @@ class TestInputChecks:
             calls[name](self.CFG, self.PATHS, mount, 1.0)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("psi", [np.array([0.1]), [0.1], None, "north", np.nan, np.inf],
+                             ids=["array", "list", "none", "text", "nan", "inf"])
+    def test_a_psi_that_is_no_finite_scalar_is_named(self, monkeypatch, psi):
+        # the mount rule: numpy's or float()'s message named no argument, and nan read [nan]
+        monkeypatch.setattr(estimation, "_grams", lambda *args: pytest.fail("built a gram"))
+        message = re.escape(f"psi must be a finite scalar, got {psi!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fisher_matrix(FlexModel.BENDABLE, self.CFG, COS2, self.PATHS, psi, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 0.0, -1.0, 1e-320])
     @pytest.mark.parametrize("name", ["fisher_matrix", "optimal_psi_for_crb"])
     def test_non_finite_or_non_positive_sigma2_is_named(self, monkeypatch, name, sigma2):
         monkeypatch.setattr(estimation, "_grams", lambda *args: pytest.fail("built a gram"))

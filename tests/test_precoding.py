@@ -296,7 +296,8 @@ def per_sector_state(scenario, psi):
 class TestBatchedZf:
     """``_sector_state`` zero-forces the three own-sector blocks as one stack:
     one Gram product and one ``guarded_inverse``, with the bits
-    of three separate ``_zero_forcing`` calls."""
+    of three separate ``_zero_forcing`` calls; the six cross links' leakage,
+    one batched product, has the bits of one product per link."""
 
     @pytest.mark.parametrize("pattern, model, k_users", [
         (OMNI, FlexModel.ROTATABLE, 3), (COS1, FlexModel.FOLDABLE, 8),
