@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError,
                      condition_number)
 
+BUDGET_1D, BUDGET_3D, N_INIT = 30, 60, 4  # default GP rounds (1-D, 3-D), random first points
 DUPLICATE_TOL = 1e-12
 JITTER_MAX = 1e-6
 GRID_CANDIDATES_1D = 361
@@ -281,7 +282,7 @@ class OptimizeResult:
 
 
 def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget: int,
-             n_init: int = 4, seed=0) -> OptimizeResult:
+             n_init: int = N_INIT, seed=0) -> OptimizeResult:
     """Maximize a black-box objective over a box via GP regression plus EI.
 
     Seeds the design with ``n_init`` uniform random points plus the box point

@@ -43,7 +43,7 @@ class PathSet:
     sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
     gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths
     as a prefix view that shares its root's kept Fisher grams (both turn read-only). A
-    scenario's sector blocks and a root's Fisher grams read only the paths, so they are
+    scenario's channel factors and a root's Fisher grams read only the paths, so they are
     derived once per set and kept (:meth:`derived`); a set is frozen and copies its arrays, so
     nothing else can change them.
     """
@@ -113,7 +113,7 @@ def _path_factors(theta, phi, beta, heights: np.ndarray, wavelength: float):
 def _combine(geometry: ArrayGeometry, spec: PatternSpec, factors) -> np.ndarray:
     """The channel from :func:`_path_factors` and the flexed columns, (..., N). G shapes give
     (G, ..., N): shape g meets every path, or entry g of a factor's extra leading axis (the
-    three mounts' azimuths of :func:`array_blocks`)."""
+    mount axis of :func:`_scenario_factors`' azimuths)."""
     sin_theta, cos_phi, sin_phi, phase, rows = factors
     x, y, offsets = geometry.column_x, geometry.column_y, geometry.column_offsets
     if x.ndim == 2:  # (G, 1, ..., 1, N_h) columns against the (..., L, 1) paths
@@ -137,34 +137,27 @@ def flexible_channel(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
 
 def channel_power(h: np.ndarray) -> float:
     """Squared Euclidean norm h^H h of a channel vector."""
-    h = np.asarray(h)
     return float(np.vdot(h, h).real)
 
 
-def sector_block(scenario: "Scenario", geometry: ArrayGeometry, faa: int, sectors) -> np.ndarray:
-    """Channels from array ``faa``, already built as ``geometry`` at zero mount, to the users
-    of ``sectors``: one sector index gives (N, K), a slice of sectors (N, S*K) in sector order.
-    Vectorized over users and paths; the array's local azimuths subtract its mount, and the
-    factors no flex angle changes are derived once per path set, keyed by the sectors' repr
-    (a slice is unhashable before Python 3.12)."""
-    paths, heights, wavelength = scenario.paths, geometry.heights, scenario.cfg.wavelength
-    key = (_path_factors, faa, repr(sectors), heights.tobytes(), wavelength)
-    factors = paths.derived(key, lambda: _path_factors(
-        paths.theta[sectors], paths.phi[sectors] - MOUNTS[faa], paths.beta[sectors], heights,
-        wavelength))
-    block = _combine(geometry, scenario.pattern, factors)
-    return block.reshape(-1, block.shape[-1]).T
+def _scenario_factors(scenario: "Scenario", heights: np.ndarray):
+    """:func:`_path_factors` of the scenario's paths from the three mounts at ``heights``, the
+    azimuths' (3 mounts, 3 sectors, K, L, 1), the rest (3 sectors, ...); kept on the paths."""
+    paths, wavelength = scenario.paths, scenario.cfg.wavelength
+    return paths.derived((_scenario_factors, heights.tobytes(), wavelength), lambda: _path_factors(
+        paths.theta, paths.phi - np.reshape(MOUNTS, (3, 1, 1, 1)), paths.beta, heights, wavelength))
+
+
+def sector_block(scenario: "Scenario", geometry: ArrayGeometry, sector: int) -> np.ndarray:
+    """Channels from array ``sector``, built as ``geometry`` at zero mount, to its own sector's
+    users, (N, K): entry [m] of the sector-indexed factors, [m, m] of the mount-indexed ones."""
+    sin_theta, cos_phi, sin_phi, phase, rows = _scenario_factors(scenario, geometry.heights)
+    own = [f[sector] for f in (sin_theta, cos_phi[sector], sin_phi[sector], phase, rows)]
+    return _combine(geometry, scenario.pattern, own).T
 
 
 def array_blocks(scenario: "Scenario", geometry: ArrayGeometry) -> np.ndarray:
     """Channels from the three arrays, built as one batch ``geometry`` of three shapes at zero
-    mount (array m flexed to shape m), to all 3K users, (3, N, 3K): block m is bit for bit
-    ``sector_block(scenario, <shape m>, m, slice(None))``, from one :func:`_combine` over
-    the three mounts' factors, derived once per path set."""
-    paths, heights, wavelength = scenario.paths, geometry.heights, scenario.cfg.wavelength
-    key = (array_blocks, heights.tobytes(), wavelength)
-    factors = paths.derived(key, lambda: _path_factors(
-        paths.theta, paths.phi - np.reshape(MOUNTS, (3, 1, 1, 1)), paths.beta, heights,
-        wavelength))
-    blocks = _combine(geometry, scenario.pattern, factors)  # (3, 3, K, N)
+    mount (array m flexed to shape m), to all 3K users in sector order, (3, N, 3K)."""
+    blocks = _combine(geometry, scenario.pattern, _scenario_factors(scenario, geometry.heights))
     return np.swapaxes(blocks.reshape(3, -1, blocks.shape[-1]), -1, -2)

@@ -80,20 +80,22 @@ class PatternBoundaryError(FlexArrayError, ValueError):
     """Derivative requested within the exclusion band of a pattern support edge."""
 
 
-class RankDeficiencyError(FlexArrayError, ValueError):
+class _ConditionError(FlexArrayError, ValueError):
+    """A matrix refused by the condition rule; ``condition`` is the number that refused it."""
+
+    def __init__(self, condition: float, message: str | None = None):
+        self.condition = condition
+        super().__init__(message or f"{self.WHAT} condition {condition:.3e} exceeds limit")
+
+
+class RankDeficiencyError(_ConditionError):
     """Channel matrix too ill conditioned for zero-forcing."""
-
-    def __init__(self, condition: float, message: str | None = None):
-        self.condition = condition
-        super().__init__(message or f"channel gram condition {condition:.3e} exceeds limit")
+    WHAT = "channel gram"
 
 
-class SingularFisherError(FlexArrayError, ValueError):
+class SingularFisherError(_ConditionError):
     """Fisher matrix not invertible at the requested tolerance."""
-
-    def __init__(self, condition: float, message: str | None = None):
-        self.condition = condition
-        super().__init__(message or f"fisher condition {condition:.3e} exceeds limit")
+    WHAT = "fisher"
 
 
 class GramConditionError(FlexArrayError, ValueError):

@@ -73,8 +73,10 @@ class ArrayConfig:
             raise ValueError(f"wavelength must be finite and positive, got {self.wavelength!r}")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
-        if not math.isfinite(self.spacing) or self.spacing <= 0:
-            raise ValueError(f"spacing must be finite and positive, got {self.spacing!r}")
+        # twice the largest bend radius bounds every coordinate, and twice that any sum of two
+        reach = 2.0 * (max(self.n_h, self.n_v) - 1) * float(self.spacing) / BEND_EPS
+        if not (self.spacing > 0 and math.isfinite(reach)):  # a 0 * inf reach is nan
+            raise ValueError(f"spacing must be > 0 with finite coordinates, got {self.spacing!r}")
 
     @property
     def n_elements(self) -> int:

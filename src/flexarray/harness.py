@@ -20,6 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import bayesopt, precoding
+from .bayesopt import BUDGET_1D, BUDGET_3D, N_INIT
 from .channel import PathSet, channel_power, flexible_channel, sector_block
 from .errors import (ConfigError, FlexArrayError, OptimizationError, PatternBoundaryError,
                      RankDeficiencyError, SingularFisherError)
@@ -43,10 +44,9 @@ class Scenario:
     """One realization of the three-sector system.
 
     ``paths`` holds the paths of every user, shape (3 sectors, K, L), with
-    global azimuths. Every array sees the same paths:
-    :func:`~flexarray.channel.sector_block` subtracts its mount. The path set
-    keeps the channel's flex-independent factors, and its arrays are
-    read-only from the first channel build on.
+    global azimuths; every array sees them less its mount. The path set keeps
+    one set of the channel's flex-independent factors per heights and wavelength,
+    read by both channel builders, and is read-only from their first build on.
     """
 
     cfg: ArrayConfig
@@ -117,7 +117,7 @@ def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None)
     if strategy == "single-sector":
         def rate(psi):
             geometry = flex_geometry(scenario.flex_model, scenario.cfg, float(psi[0]))
-            own = sector_block(scenario, geometry, sector, sector)
+            own = sector_block(scenario, geometry, sector)
             return precoding.single_sector_sumrate(own, scenario.p_total, precoding.NOISE_POWER)
     elif strategy == "sfp":
         if leakage is None:
@@ -157,8 +157,8 @@ class StrategyResult:
                 and np.array_equal(self.psi_star, other.psi_star))
 
 
-def optimize_strategy(scenario: Scenario, strategy: str, seed=0,
-                      budget_1d: int = 30, budget_3d: int = 60, n_init: int = 4) -> StrategyResult:
+def optimize_strategy(scenario: Scenario, strategy: str, seed=0, budget_1d: int = BUDGET_1D,
+                      budget_3d: int = BUDGET_3D, n_init: int = N_INIT) -> StrategyResult:
     """Optimize the flex angles for one strategy on one scenario.
 
     SFP runs one 1-D optimization per sector, each against the leakage of the
@@ -283,7 +283,8 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
 
 def experiment_sumrate(strategy: str, model: FlexModel, spec: PatternSpec, cfg: ArrayConfig,
                        k_users: int, n_paths: int, snr_values: Sequence[float], trials: int,
-                       seed: int, budget_1d: int = 30, budget_3d: int = 60, n_init: int = 4):
+                       seed: int, budget_1d: int = BUDGET_1D, budget_3d: int = BUDGET_3D,
+                       n_init: int = N_INIT):
     """Monte Carlo sum-rate of one strategy: fixed baseline vs optimized flex."""
     if len(snr_values) == 0:
         raise ValueError("snr_values: need at least one SNR")
@@ -309,12 +310,11 @@ def _mix(*parts: int) -> int:
 
 
 def experiment_bo_trace(objective_name: str, scenario: Scenario, seed: int,
-                        budget: int | None = None, n_init: int = 4, sector: int = 0):
+                        budget: int | None = None, n_init: int = N_INIT, sector: int = 0):
     """Measurement-by-measurement record of one optimization run."""
     lo, hi = scenario.psi_bounds
     objective, dim = _objective(scenario, objective_name, sector)
-    if budget is None:
-        budget = 30 if dim == 1 else 60
+    budget = (BUDGET_1D if dim == 1 else BUDGET_3D) if budget is None else budget
     result = bayesopt.optimize(objective, [(lo, hi)] * dim, budget, n_init=n_init,
                                seed=np.random.default_rng([6, _entropy(seed)]))
     header = ["iter"] + [f"psi{i + 1}" for i in range(dim)] + ["value", "incumbent"]
@@ -438,7 +438,7 @@ _PATTERN = (Setting("pattern", str, "omni", ("omni", "cosine"), help="Element pa
 _MOUNT = Setting("mount", _real, 0.0, help="Mount azimuth in radians.")
 _WAVELENGTH = Setting("wavelength", _positive, 0.03, help="Carrier wavelength in metres.")
 _SEED = Setting("seed", int, 0, low=0)
-_N_INIT = Setting("n_init", int, 4, low=1, help="Random points before the GP rounds.")
+_N_INIT = Setting("n_init", int, N_INIT, low=1, help="Random points before the GP rounds.")
 _USERS = (Setting("k_users", int, 4, low=1, help="Users per sector."),
           Setting("paths", int, 5, low=1, help="Paths per user."))
 
@@ -482,15 +482,15 @@ EXPERIMENTS = {
         Setting("full_load", _flag, False,
                 help="Serve as many users per sector as there are elements."),
         *_array(2),
-        Setting("budget_1d", int, 30, low=0, help="BO rounds per sector angle."),
-        Setting("budget_3d", int, 60, low=0, help="BO rounds for the three joint angles."),
+        Setting("budget_1d", int, BUDGET_1D, low=0, help="BO rounds per sector angle."),
+        Setting("budget_3d", int, BUDGET_3D, low=0, help="BO rounds for the three joint angles."),
         _N_INIT),
     "bo-trace": (
         Setting("objective", choices=STRATEGIES),
         _MODEL, *_PATTERN,
         Setting("snr_db", _real, 15.0), _SEED,
-        Setting("budget", int, 0, low=0,
-                help="Rounds after the initial design; 0 picks 30 (1-D) or 60 (3-D)."),
+        Setting("budget", int, 0, low=0, help=f"Rounds after the initial design; 0 picks "
+                f"{BUDGET_1D} (1-D) or {BUDGET_3D} (3-D)."),
         _N_INIT, Setting("sector", int, 0, help="Sector index for the 1-D objectives."),
         *_USERS, *_array(2)),
 }
@@ -537,11 +537,11 @@ class ExperimentResult:
 
 def _array_config(s: dict) -> ArrayConfig:
     """The array of resolved settings ``s``; the bend model needs two columns."""
-    try:  # a subnormal wavelength halves to a zero spacing
+    try:  # a subnormal wavelength halves to a zero spacing, a huge one overflows
         cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"],
                           spacing=s.get("spacing"))
     except ValueError as exc:
-        raise ConfigError(f"wavelength: {exc}") from None
+        raise ConfigError(f"{'spacing' if s.get('spacing') else 'wavelength'}: {exc}") from None
     if s["model"] in ("bend", "all") and cfg.n_h < 2:
         raise ConfigError(f"nh: the bend model needs nh >= 2, got {cfg.n_h}")
     return cfg
@@ -595,6 +595,8 @@ def run_experiment(config: dict) -> ExperimentResult:
                 for theta in np.linspace(0.0, np.pi, grid) for phi in phis]
     elif experiment == "power-sweep":
         _check_shape_range(s, "psi_min", "psi_max")
+        if not np.isfinite(s["psi_max"] - s["psi_min"]):
+            raise ConfigError("psi_min/psi_max: psi_max - psi_min overflows a float")
         paths = _scenario_paths(s["scenario_file"]) if s["scenario_file"] else None
         header, rows = experiment_power_sweep(
             FlexModel(s["model"]), spec, cfg=cfg, paths=paths, psi_min=s["psi_min"],

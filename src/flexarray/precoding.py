@@ -101,9 +101,8 @@ def sector_rate_given_leakage(scenario: "Scenario", sector: int, psi_m: float,
                               leakage: np.ndarray) -> float:
     """Sum-rate of one sector under per-sector ZF and fixed received leakage."""
     geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
-    gains = effective_gain(sector_block(scenario, geometry, sector, sector))
-    stream_power = scenario.p_total / (3.0 * scenario.k_users)
-    sinr = stream_power * gains / (leakage + NOISE_POWER)
+    gains = effective_gain(sector_block(scenario, geometry, sector))
+    sinr = scenario.p_total / (3.0 * scenario.k_users) * gains / (leakage + NOISE_POWER)
     return float(np.sum(np.log2(1.0 + sinr)))
 
 

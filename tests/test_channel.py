@@ -6,7 +6,7 @@ import pytest
 from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, array_blocks,
                                channel_power, flexible_channel, sector_block)
 from flexarray.geometry import BEND_EPS, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
-from flexarray.harness import Scenario, generate_scenario
+from flexarray.harness import Scenario, generate_scenario, optimize_strategy
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import array_manifold, pattern_coefficient
 
@@ -194,16 +194,15 @@ class TestSeparableKernel:
 
     @pytest.mark.parametrize("model", list(FlexModel))
     @pytest.mark.parametrize("spec", [OMNI, COS1, COS15, COS2])
-    def test_sector_block_matches_the_reference(self, model, spec):
+    def test_array_blocks_match_the_reference(self, model, spec):
         scenario = Scenario(self.CFG, spec, model, 10.0,
                             self.paths(np.random.default_rng(29), shape=(3, 2)))
-        psi = 0.0 if model is FlexModel.PLANAR else 0.45
-        geometry = flex_geometry(model, self.CFG, psi)
+        psi = np.zeros(3) if model is FlexModel.PLANAR else np.array([0.45, -0.3, 0.2])
+        blocks = array_blocks(scenario, flex_geometry(model, self.CFG, psi))
         for faa, mount in enumerate(MOUNTS):
-            block = sector_block(scenario, geometry, faa, slice(None))
             for column, (sector, k) in enumerate(np.ndindex(3, 2)):
-                self.assert_close(block[:, column], reference_channel(
-                    model, self.CFG, spec, scenario.paths[sector, k], psi, mount))
+                self.assert_close(blocks[faa][:, column], reference_channel(
+                    model, self.CFG, spec, scenario.paths[sector, k], psi[faa], mount))
 
 
 class TestChannelPower:
@@ -294,15 +293,13 @@ class TestSectorAssembly:
 
     def blocks(self, scenario, psi):
         """block[m][m']: array m, flexed to psi[m], to the users of sector m'."""
-        geometries = [flex_geometry(scenario.flex_model, scenario.cfg, p) for p in psi]
-        return [[sector_block(scenario, geometries[m], m, mp) for mp in range(3)]
-                for m in range(3)]
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, np.asarray(psi))
+        return [np.split(block, 3, axis=-1) for block in array_blocks(scenario, geometry)]
 
     def test_full_channel_shape(self):
         scenario = self.make_scenario(k_users=1)
-        geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.0)
-        stacked = np.vstack([sector_block(scenario, geometry, m, slice(None))
-                             for m in range(3)])
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, np.zeros(3))
+        stacked = array_blocks(scenario, geometry).reshape(-1, 3)
         assert stacked.shape == (3 * scenario.cfg.n_elements, 3)
 
     def test_zero_cross_gains_zero_blocks(self):
@@ -335,35 +332,34 @@ class TestSectorAssembly:
                                                 mount=MOUNTS[m])
                     np.testing.assert_allclose(blocks[m][mp][:, k], expected,
                                                rtol=1e-10, atol=1e-12)
-        geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi[1])
-        np.testing.assert_array_equal(sector_block(scenario, geometry, 1, slice(None)),
-                                      np.hstack(blocks[1]))
 
 
 class TestArrayBlocks:
-    """One build of the three arrays from a batch geometry equals three per-array
-    ``sector_block`` builds bit for bit."""
+    """The own-sector columns of each array's block, from one build of the three arrays
+    from a batch geometry, equal that array's ``sector_block`` bit for bit."""
 
     @pytest.mark.parametrize("model", [FlexModel.ROTATABLE, FlexModel.BENDABLE,
                                        FlexModel.FOLDABLE])
     @pytest.mark.parametrize("spec", [OMNI, COS1, COS2])
-    def test_equals_three_sector_blocks(self, model, spec):
+    def test_own_columns_equal_sector_block(self, model, spec):
         scenario = generate_scenario(ArrayConfig(8, 2, wavelength=WAVELENGTH), spec, model,
                                      k_users=3, n_paths=4, snr_db=10.0, seed=19)
         rng = np.random.default_rng(19)
         lo, hi = scenario.psi_bounds
+        k = scenario.k_users
         for psi in ([0.0, 0.0, 0.0], [0.3, 0.5 * BEND_EPS, -0.2], *rng.uniform(lo, hi, (4, 3))):
             blocks = array_blocks(scenario, flex_geometry(model, scenario.cfg, np.array(psi)))
-            assert blocks.shape == (3, scenario.cfg.n_elements, 3 * scenario.k_users)
+            assert blocks.shape == (3, scenario.cfg.n_elements, 3 * k)
             for m, p in enumerate(psi):
                 geometry = flex_geometry(model, scenario.cfg, p)
-                assert np.array_equal(blocks[m], sector_block(scenario, geometry, m, slice(None)))
+                assert np.array_equal(blocks[m][:, m * k:(m + 1) * k],
+                                      sector_block(scenario, geometry, m))
 
 
 class TestPathFactors:
-    """``sector_block`` reuses the flex-independent factors a scenario derived
-    at its first build for that array and those sectors; every block has the
-    bits of one built from scratch."""
+    """``sector_block`` and ``array_blocks`` share the flex-independent factors a
+    scenario derived at its first build for those heights and that wavelength; every
+    block has the bits of one built from scratch."""
 
     @staticmethod
     def fresh_block(scenario, geometry, faa, sectors):
@@ -380,21 +376,23 @@ class TestPathFactors:
                                      k_users=4, n_paths=5, seed=31)
         rng = np.random.default_rng(37)
         lo, hi = scenario.psi_bounds
-        for psi in [0.0, *rng.uniform(lo, hi, 3)]:
-            geometry = flex_geometry(model, scenario.cfg, psi)
+        for psi in [np.zeros(3), *rng.uniform(lo, hi, (3, 3))]:
+            blocks = array_blocks(scenario, flex_geometry(model, scenario.cfg, psi))
             for faa in range(3):
-                for sectors in (0, 1, 2, slice(None)):
-                    assert np.array_equal(sector_block(scenario, geometry, faa, sectors),
-                                          self.fresh_block(scenario, geometry, faa, sectors))
-        assert len(scenario.paths._derived) == 3 * 4
+                geometry = flex_geometry(model, scenario.cfg, psi[faa])
+                assert np.array_equal(sector_block(scenario, geometry, faa),
+                                      self.fresh_block(scenario, geometry, faa, faa))
+                assert np.array_equal(blocks[faa],
+                                      self.fresh_block(scenario, geometry, faa, slice(None)))
+        assert len(scenario.paths._derived) == 1  # one kept entry serves both builders
 
     def test_geometry_of_other_heights_gets_its_own_factors(self):
         scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), OMNI,
                                      FlexModel.BENDABLE, k_users=2, n_paths=3, seed=41)
         geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.2)
-        sector_block(scenario, geometry, 1, 1)
+        sector_block(scenario, geometry, 1)
         raised = replace(geometry, heights=geometry.heights + 0.01)
-        assert np.array_equal(sector_block(scenario, raised, 1, 1),
+        assert np.array_equal(sector_block(scenario, raised, 1),
                               self.fresh_block(scenario, raised, 1, 1))
         assert len(scenario.paths._derived) == 2
 
@@ -403,24 +401,24 @@ class TestPathFactors:
                                      FlexModel.ROTATABLE, k_users=2, n_paths=3, seed=43)
         scenario.paths.phi[0, 0, 0] = 0.1  # before the first build the paths may change
         geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.3)
-        before = sector_block(scenario, geometry, 0, slice(None))
+        before = sector_block(scenario, geometry, 0)
         for values in (scenario.paths.theta, scenario.paths.phi, scenario.paths.beta):
             with pytest.raises(ValueError, match="read-only"):
                 values[0, 0, 0] = 1.0
         with pytest.raises(FrozenInstanceError):
             scenario.paths = scenario.paths[:, :1]
         assert scenario.paths.phi[0, 0, 0] == 0.1
-        assert np.array_equal(sector_block(scenario, geometry, 0, slice(None)), before)
+        assert np.array_equal(sector_block(scenario, geometry, 0), before)
 
     def test_scenarios_that_share_the_paths_share_their_factors(self):
         scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), COS2,
                                      FlexModel.BENDABLE, k_users=2, n_paths=3, seed=47)
         geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.4)
-        sector_block(scenario, geometry, 2, 0)
+        sector_block(scenario, geometry, 2)
         louder = replace(scenario, snr_db=30.0)
         assert louder.paths._derived is scenario.paths._derived
-        assert np.array_equal(sector_block(louder, geometry, 2, 0),
-                              self.fresh_block(scenario, geometry, 2, 0))
+        assert np.array_equal(sector_block(louder, geometry, 2),
+                              self.fresh_block(scenario, geometry, 2, 2))
         assert len(scenario.paths._derived) == 1
         assert scenario.paths[:, :, :2]._derived == {}
 
@@ -428,11 +426,18 @@ class TestPathFactors:
         scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), OMNI,
                                      FlexModel.ROTATABLE, k_users=2, n_paths=3, seed=53)
         geometry = flex_geometry(scenario.flex_model, scenario.cfg, 0.1)
-        sector_block(scenario, geometry, 0, 0)
+        sector_block(scenario, geometry, 0)
         longer = replace(scenario, cfg=replace(scenario.cfg, wavelength=2 * WAVELENGTH))
-        assert np.array_equal(sector_block(longer, geometry, 0, 0),
+        assert np.array_equal(sector_block(longer, geometry, 0),
                               self.fresh_block(longer, geometry, 0, 0))
         assert len(scenario.paths._derived) == 2
+
+    def test_the_three_strategies_keep_one_entry(self):
+        scenario = generate_scenario(ArrayConfig(4, 2, wavelength=WAVELENGTH), COS2,
+                                     FlexModel.BENDABLE, k_users=2, n_paths=3, seed=59)
+        for strategy in ("sfp", "jfp", "sjfp"):
+            optimize_strategy(scenario, strategy, budget_1d=1, budget_3d=1, n_init=1)
+        assert len(scenario.paths._derived) == 1
 
 
 class TestLinkFactors:

@@ -236,6 +236,24 @@ class TestBadSettingsExitTwo:
         result = runner.invoke(main, ["crb-sweep", "--draws", "1", "--sigma2", "1e31"])
         self.assert_usage_error(result, "sigma2")
 
+    def test_a_psi_range_wider_than_a_float_holds(self, runner):
+        # psi_max - psi_min overflowed, and np.linspace filled the grid with nan and inf
+        result = runner.invoke(main, ["power-sweep", "--model", "rotate", "--psi-min=-1e308",
+                                      "--psi-max=1e308", "--steps", "3"])
+        self.assert_usage_error(result, "psi_min/psi_max")
+
+    @pytest.mark.parametrize("args, setting", [
+        (["--model", "rotate", "--nh", "8", "--nv", "1", "--spacing", "1e308"], "spacing"),
+        (["--model", "bend", "--nh", "3", "--nv", "1", "--spacing", "1e303", "--psi", "1e-6"],
+         "spacing"),
+        (["--model", "bend", "--nh", "3", "--nv", "1", "--wavelength", "1e303",
+          "--psi", "1e-6"], "wavelength"),
+        (["--model", "planar", "--nh", "1", "--nv", "3", "--spacing", "1e308"], "spacing"),
+    ], ids=["rotate", "bend", "bend-default-spacing", "planar-column"])
+    def test_coordinates_that_overflow(self, runner, args, setting):
+        # these printed inf and nan coordinates with exit 0
+        self.assert_usage_error(runner.invoke(main, ["geometry", *args]), f"{setting}: spacing")
+
     @pytest.mark.parametrize("command", sorted(set(EXPERIMENTS) - {"pattern"}))
     def test_wavelength_too_small_for_a_spacing(self, runner, command):
         required = {"sumrate": ["--strategy", "sfp"], "bo-trace": ["--objective", "sfp"],

@@ -211,3 +211,16 @@ class TestGuardedInverse:
         inverse, refusal = guarded_inverse(stack[0])
         assert refusal.shape == () and refusal == 0
         assert np.array_equal(inverse, np.linalg.inv(stack[0]))
+
+
+@pytest.mark.parametrize("error, message", [
+    (errors.RankDeficiencyError, "channel gram condition 2.500e+12 exceeds limit"),
+    (errors.SingularFisherError, "fisher condition 2.500e+12 exceeds limit"),
+], ids=["rank", "fisher"])
+def test_condition_errors_keep_their_types_and_default_messages(error, message):
+    raised = error(2.5e12)
+    assert isinstance(raised, errors.FlexArrayError) and isinstance(raised, ValueError)
+    assert (raised.condition, str(raised)) == (2.5e12, message)
+    assert str(error(np.inf, "named")) == "named" and error(np.inf, "named").condition == np.inf
+    other = ({errors.RankDeficiencyError, errors.SingularFisherError} - {error}).pop()
+    assert not isinstance(raised, other)

@@ -41,6 +41,17 @@ class TestPlanar:
             with pytest.raises(ValueError):
                 ArrayConfig(*args, **kwargs)
 
+    @pytest.mark.parametrize("n_h, n_v", [(8, 1), (3, 1), (1, 3)])
+    def test_spacing_whose_coordinates_overflow_rejected(self, n_h, n_v):
+        largest = 0.999 * np.finfo(float).max * BEND_EPS / (2.0 * (max(n_h, n_v) - 1))
+        for model in (FlexModel.ROTATABLE, FlexModel.BENDABLE)[:n_h]:
+            for psi in (-np.pi / 3, 1.5 * BEND_EPS):
+                geometry = flex_geometry(model, ArrayConfig(n_h, n_v, spacing=largest), psi)
+                positions = mounted_geometry(geometry, 2.0).positions
+                assert np.isfinite(positions).all()
+        with pytest.raises(ValueError, match="spacing must be > 0 with finite coordinates"):
+            ArrayConfig(n_h, n_v, spacing=4.0 * largest)
+
     @pytest.mark.parametrize("field", ["wavelength", "spacing"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_length_rejected(self, field, value):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flexarray import bayesopt, harness
-from flexarray.channel import MOUNTS, PathSet, channel_power, flexible_channel, sector_block
+from flexarray.channel import MOUNTS, PathSet, array_blocks, channel_power, flexible_channel
 from flexarray.errors import ConfigError
 from flexarray.geometry import PSI_RANGES, ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import (DEFAULT_SWEEP_CFG, SECTOR_RANGES, config_hash, default_sweep_paths,
@@ -52,10 +52,11 @@ class TestGenerateScenario:
     def test_local_angles_subtract_mount(self):
         scenario = small_scenario(seed=9)
         psi = 0.2
-        geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi)
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, np.full(3, psi))
+        blocks = array_blocks(scenario, geometry).reshape(3, -1, 3, scenario.k_users)
         for m in range(3):
             for sector in range(3):
-                block = sector_block(scenario, geometry, m, sector)
+                block = blocks[m, :, sector]
                 for k in range(scenario.k_users):
                     link = scenario.paths[sector, k]
                     local = replace(link, phi=wrap_angle(link.phi - MOUNTS[m]))

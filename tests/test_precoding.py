@@ -50,7 +50,7 @@ def uncoupled_scenario(seed):
 
 def own_block(scenario, sector, psi_m):
     geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
-    return sector_block(scenario, geometry, sector, sector)
+    return sector_block(scenario, geometry, sector)
 
 
 class TestZfPrecoder:
