@@ -8,11 +8,12 @@ The gram and the posterior blocks share one kernel formula, a product of lifted 
 numpy's Cholesky factor, inverted once per fit, bounds the gram's condition number and
 gives the variances by GEMMs.
 
-scipy is imported inside the one function that uses it, not with this module:
-``import flexarray`` and the experiments that never fit a GP load numpy only. The first
-acquisition loads ``scipy.special`` for the normal cdf ``ndtr``, and nothing else of scipy:
-the linear algebra is numpy's, and the Sobol stream is numpy code (:class:`SobolStream`)
-with the bits of ``scipy.stats.qmc.Sobol``.
+Expected improvement needs no scipy: Birnbaum's (1942) and Sampford's (1953) Mills-ratio
+bounds bracket every candidate's EI with numpy ops, and only the few candidates whose upper
+bound reaches the largest lower bound get the exact EI, its normal cdf from ``math.erfc``. The
+argmax is the one the normal cdf of scipy's ``ndtr`` gives. The linear algebra is numpy's, and
+the Sobol stream is numpy code (:class:`SobolStream`) with the bits of
+``scipy.stats.qmc.Sobol``, so no run of the package loads any scipy module.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ SOBOL_BITS = 30
 _SOBOL_TABLE = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
                 (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)))
 SOBOL_MAX_DIM = 1 + len(_SOBOL_TABLE)
+_SQRT_2PI, _SQRT_HALF = math.sqrt(2.0 * math.pi), math.sqrt(0.5)
+# Cephes' erfc, and so scipy's ndtr, underflows to 0 once (z / sqrt 2)^2 > MAXLOG: Phi(z) reads
+# 0 below z = -37.677. The EI bounds take z^2 > 1419, just below 2 MAXLOG, as that band.
+_ERFC_MAXLOG = 709.782712893384
+_PHI_ZERO_Z2 = 1419.0
+_EI_SLACK, _EI_FLOOR = 1e-9, 1e-320  # relative and absolute slack of the EI bounds
 
 
 @dataclass(frozen=True)
@@ -196,16 +203,71 @@ def _posterior_batch(kernel: Kernel, data: GpDataset, queries: np.ndarray):
     return mean, np.maximum(variance, 0.0, out=variance)  # eta0 - s is never -0.0
 
 
-def _expected_improvement_batch(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:
-    """EI (Jones, Schonlau & Welch 1998); 0 where sigma is not positive."""
-    from scipy.special import ndtr
+def _ei_bounds(gap: np.ndarray, sigma: np.ndarray):
+    """Lower and upper bounds on the EI (Jones, Schonlau & Welch 1998) of candidates with
+    mean - f_best = ``gap`` and posterior deviation ``sigma``, as :func:`_ei_exact` computes it;
+    also z = gap / sigma and phi(z), with the bits that :func:`_ei_exact` reads.
 
+    EI = sigma tau(z) with tau(z) = phi(z) + z Phi(z) = z+ + tau(-t), t = |z|, and tau(-t) =
+    phi(t) (1 - t R(t)) with R the Mills ratio (1 - Phi) / phi. Birnbaum's (1942) R(t) >
+    (sqrt(t^2 + 4) - t) / 2 and Sampford's (1953) R(t) < 4 / (3t + sqrt(t^2 + 8)) put 1 - t R(t)
+    between 2 / (t^2 + 2 + t sqrt(t^2 + 8)) and 2 / (t^2 + 2 + t sqrt(t^2 + 4)), forms without
+    cancellation. Where Cephes' rule zeroes Phi(-t), the computed EI is sigma phi(t), so the
+    upper factor is 1 there. The bounds hold up to _EI_SLACK relative and _EI_FLOOR absolute;
+    where sigma <= 0, where EI is 0, they are 0 or nan."""
+    with np.errstate(all="ignore"):  # sigma 0 gives z = +-inf or nan; extreme z saturates phi
+        z = np.divide(gap, sigma)
+        t = np.abs(z)
+        q = np.multiply(z, z)
+        phi = np.multiply(q, -0.5)
+        np.exp(phi, out=phi)
+        phi /= _SQRT_2PI  # the bits of exp(-z**2 / 2) / sqrt(2 pi)
+        q += 2.0
+        upper, lower = np.add(q, 2.0), np.add(q, 6.0)
+        for factor in (upper, lower):
+            np.sqrt(factor, out=factor)
+            factor *= t
+            factor += q
+            np.divide(2.0, factor, out=factor)
+        np.copyto(upper, 1.0, where=q > _PHI_ZERO_Z2 + 2.0)
+        positive = np.maximum(gap, 0.0)
+        np.copyto(positive, 0.0, where=sigma <= 0.0)
+        scaled = np.multiply(sigma, phi)
+        for factor in (upper, lower):
+            factor *= scaled
+            factor += positive
+    return lower, upper, z, phi
+
+
+def _ei_argmax(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> int:
+    """Index of the largest EI, as ``argmax`` of every candidate's :func:`_ei_exact` picks it:
+    first index wins ties, and index 0 when every EI is 0. Only the candidates whose upper
+    bound (:func:`_ei_bounds`) reaches the largest lower bound get their EI computed."""
     gap = mean - f_best
-    with np.errstate(all="ignore"):  # extreme z only saturates cdf/pdf; sigma 0 is zeroed below
-        z = gap / sigma
-        ei = gap * ndtr(z) + sigma * (np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi))
-    ei[~(sigma > 0.0)] = 0.0
-    return np.maximum(ei, 0.0, out=ei)  # as the clip: ei is never -0.0 where sigma > 0
+    lower, upper, z, phi = _ei_bounds(gap, sigma)
+    threshold = ((float(np.fmax.reduce(lower)) * (1.0 - _EI_SLACK) - 2.0 * _EI_FLOOR)
+                 / (1.0 + _EI_SLACK))
+    if threshold > 0.0:
+        survivors = (upper >= threshold).nonzero()[0]
+    else:  # every EI is tiny; it is 0 where phi and the upper bound are 0
+        survivors = ((upper > 0.0) | (phi > 0.0)).nonzero()[0]
+    best, winner = 0.0, 0
+    for i in survivors.tolist():
+        value = _ei_exact(gap.item(i), sigma.item(i), z.item(i), phi.item(i))
+        if value > best:
+            best, winner = value, i
+    return winner
+
+
+def _ei_exact(gap: float, sigma: float, z: float, phi: float) -> float:
+    """EI = gap Phi(z) + sigma phi(z) of one candidate, clipped at 0 and 0 where sigma <= 0, with
+    Phi from ``math.erfc`` and Cephes' underflow rule: Phi(z) = 0 once (z / sqrt 2)^2 >
+    _ERFC_MAXLOG, as in scipy's ``ndtr``."""
+    if not sigma > 0.0:
+        return 0.0
+    x = z * _SQRT_HALF
+    cdf = 0.0 if x < 0.0 and x * x > _ERFC_MAXLOG else 0.5 * math.erfc(-x)
+    return max(gap * cdf + sigma * phi, 0.0)
 
 
 def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
@@ -215,8 +277,7 @@ def propose_next(kernel: Kernel, data: GpDataset, candidates) -> np.ndarray:
         raise ValueError("candidates must be non-empty and finite")
     candidates = candidates.reshape(len(candidates), -1)  # 1-D: one coordinate per candidate
     mean, variance = _posterior_batch(kernel, data, candidates)
-    ei = _expected_improvement_batch(mean, np.sqrt(variance), float(np.max(data.values)))
-    return candidates[int(np.argmax(ei))].copy()
+    return candidates[_ei_argmax(mean, np.sqrt(variance), float(np.max(data.values)))].copy()
 
 
 def _sobol_directions(dim: int) -> np.ndarray:

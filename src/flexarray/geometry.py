@@ -69,8 +69,10 @@ class ArrayConfig:
     def __post_init__(self):
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n_h, self.n_v)):
             raise ValueError(f"element counts must be integers >= 1, got {self.n_h}x{self.n_v}")
-        if not math.isfinite(self.wavelength) or self.wavelength <= 0:
-            raise ValueError(f"wavelength must be finite and positive, got {self.wavelength!r}")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0
+                and math.isfinite(2.0 * math.pi / self.wavelength)):
+            raise ValueError("wavelength must be finite and positive with a finite wavenumber "
+                             f"2 pi / wavelength, got {self.wavelength!r}")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2)
         # twice the largest bend radius bounds every coordinate, and twice that any sum of two

@@ -537,7 +537,7 @@ class ExperimentResult:
 
 def _array_config(s: dict) -> ArrayConfig:
     """The array of resolved settings ``s``; the bend model needs two columns."""
-    try:  # a subnormal wavelength halves to a zero spacing, a huge one overflows
+    try:  # a tiny wavelength overflows the wavenumber, a huge one the coordinates
         cfg = ArrayConfig(n_h=s["nh"], n_v=s["nv"], wavelength=s["wavelength"],
                           spacing=s.get("spacing"))
     except ValueError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flexarray.bayesopt import (GpDataset, Kernel, _expected_improvement_batch, _features, _lift,
+from flexarray.bayesopt import (GpDataset, Kernel, _ei_bounds, _ei_exact, _features, _lift,
                                 _posterior_batch, _unit_kernel)
 from flexarray.channel import PathSet
 from flexarray.errors import COND_MAX, PatternBoundaryError, SingularFisherError, condition_number
@@ -49,13 +49,17 @@ def gp_posterior(kernel: Kernel, data: GpDataset, query) -> GpPosterior:
 
 
 def expected_improvement(mean: float, sigma: float, f_best: float) -> float:
-    """Closed-form expected improvement over the incumbent ``f_best``."""
-    return float(_expected_improvement_batch(*np.array([[mean], [sigma]], dtype=float), f_best)[0])
+    """Closed-form expected improvement over the incumbent ``f_best``, as the acquisition
+    computes it for a candidate it keeps."""
+    gap, sigma = np.array([mean - f_best]), np.array([sigma], dtype=float)
+    _, _, z, phi = _ei_bounds(gap, sigma)
+    return _ei_exact(gap.item(), sigma.item(), z.item(), phi.item())
 
 
 def expected_improvement_copies(mean: np.ndarray, sigma: np.ndarray, f_best: float) -> np.ndarray:
-    """Reference for ``_expected_improvement_batch``: the same EI formula, 0 where sigma is not
-    positive by ``np.where`` and clamped at 0 by ``np.clip``, each on a copy."""
+    """EI of every candidate with scipy's normal cdf ``ndtr``, the form the acquisition's argmax
+    is checked against: 0 where sigma is not positive by ``np.where`` and clamped at 0 by
+    ``np.clip``, each on a copy."""
     from scipy.special import ndtr
 
     gap = mean - f_best

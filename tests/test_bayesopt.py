@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.stats import norm
 
 from flexarray import bayesopt, harness
-from flexarray.bayesopt import (JITTER_MAX, POSTERIOR_BLOCK, SOBOL_CANDIDATES, SOBOL_MAX_DIM,
-                                GpDataset, Kernel, OptimizeResult, SobolStream,
-                                _expected_improvement_batch, _features, _gram_cholesky, _lift,
-                                _posterior_batch, _row_norms, _unit_kernel, optimize,
-                                propose_next)
+from flexarray.bayesopt import (_EI_FLOOR, _EI_SLACK, JITTER_MAX, POSTERIOR_BLOCK,
+                                SOBOL_CANDIDATES, SOBOL_MAX_DIM, GpDataset, Kernel,
+                                OptimizeResult, SobolStream, _ei_argmax, _ei_bounds, _features,
+                                _gram_cholesky, _lift, _posterior_batch, _row_norms, _unit_kernel,
+                                optimize, propose_next)
 from flexarray.errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError,
                               condition_number)
 from flexarray.geometry import ArrayConfig, FlexModel
@@ -153,8 +152,8 @@ class TestPosteriorBlocks:
         mean, variance = one_shot_posterior(kernel, data, queries)
         got_mean, got_variance = _posterior_batch(kernel, data, queries)
         best = float(np.max(data.values))
-        assert (np.argmax(_expected_improvement_batch(got_mean, np.sqrt(got_variance), best))
-                == np.argmax(_expected_improvement_batch(mean, np.sqrt(variance), best)))
+        assert (_ei_argmax(got_mean, np.sqrt(got_variance), best)
+                == _ei_argmax(mean, np.sqrt(variance), best))
         np.testing.assert_allclose(got_variance, variance, rtol=0, atol=1e-11)
         weights = cho_solve((gram_factor(kernel, data.points), True), data.values)
         bound = 16 * kernel.eta0 * np.sum(np.abs(weights)) * np.finfo(float).eps
@@ -350,31 +349,115 @@ class TestExpectedImprovement:
     def test_nonnegative(self, mean, sigma, best):
         assert expected_improvement(mean, sigma, best) >= 0.0
 
-    def test_batch_equals_the_scipy_norm_form(self):
-        rng = np.random.default_rng(13)
-        mean = rng.normal(scale=3.0, size=500)
-        sigma = np.concatenate([np.abs(rng.normal(size=490)), np.zeros(5), np.full(5, 1e-9)])
-        ei = _expected_improvement_batch(mean, sigma, 0.7)
-        z = (mean - 0.7) / np.where(sigma > 0, sigma, 1.0)
-        reference = np.where(sigma > 0, (mean - 0.7) * norm.cdf(z) + sigma * norm.pdf(z), 0.0)
-        assert np.array_equal(ei, np.clip(reference, 0.0, None))
-
-    def test_in_place_zeroing_keeps_the_copying_forms_bits(self):
-        # sigma 0 (z = +-inf or nan), tiny sigma (|z| > 40, z overflowing) and the bulk
-        rng = np.random.default_rng(14)
-        mean = np.concatenate([rng.normal(scale=3.0, size=2000), [0.7, 1.7, -0.3] * 4])
-        sigma = np.concatenate([np.abs(rng.normal(size=2000)),
-                                np.repeat([0.0, 0.02, 1e-12, 1e-300], 3)])
-        with np.errstate(all="ignore"):
-            z = (mean - 0.7) / sigma
-        assert np.isnan(z).any() and np.isinf(z).any() and (np.abs(z[np.isfinite(z)]) > 40).any()
-        ei = _expected_improvement_batch(mean, sigma, 0.7)
-        assert ei.tobytes() == expected_improvement_copies(mean, sigma, 0.7).tobytes()
-
     def test_monotone_in_sigma_below_incumbent(self):
         sigmas = np.linspace(0.0, 3.0, 31)
         values = [expected_improvement(-1.0, s, 0.0) for s in sigmas]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def seed_13_inputs():
+    rng = np.random.default_rng(13)
+    mean = rng.normal(scale=3.0, size=500)
+    sigma = np.concatenate([np.abs(rng.normal(size=490)), np.zeros(5), np.full(5, 1e-9)])
+    return mean, sigma
+
+
+def seed_14_inputs():
+    # sigma 0 (z = +-inf or nan), tiny sigma (|z| > 40, z overflowing) and the bulk
+    rng = np.random.default_rng(14)
+    mean = np.concatenate([rng.normal(scale=3.0, size=2000), [0.7, 1.7, -0.3] * 4])
+    sigma = np.concatenate([np.abs(rng.normal(size=2000)),
+                            np.repeat([0.0, 0.02, 1e-12, 1e-300], 3)])
+    return mean, sigma
+
+
+def bracket_grid():
+    """(mean, sigma) over z in [-45, 45] with 0, the band where scipy's ndtr reads 0 but the
+    true cdf does not, and z = +-inf and nan, for sigma 0, 1e-300, subnormal and 1."""
+    z = np.concatenate([np.linspace(-45.0, 45.0, 18001), np.linspace(-38.5, -37.67, 8301),
+                        [0.0, -0.0]])
+    means, sigmas = [], []
+    for sigma in (0.0, 1e-300, 5e-320, 1.0):
+        means.append(z * (sigma if sigma > 0 else 1.0))  # sigma 0: z = gap / 0 = +-inf or nan
+        sigmas.append(np.full(len(z), sigma))
+    means.append(np.array([1e300, -1e300, 1e10, -1e10]))  # z overflows to +-inf
+    sigmas.append(np.full(4, 1e-300))
+    return np.concatenate(means), np.concatenate(sigmas)
+
+
+class TestEiBoundsAndArgmax:
+    """The acquisition brackets every EI with Mills-ratio bounds and computes the exact EI only
+    where the upper bound reaches the largest lower bound; the oracle is the ndtr form."""
+
+    def test_bounds_bracket_the_ndtr_form(self):
+        mean, sigma = bracket_grid()
+        with np.errstate(over="ignore"):
+            z = np.divide(mean, sigma, out=np.full(len(mean), np.nan), where=sigma > 0)
+        assert np.isnan(z).any() and np.isinf(z).any() and (np.abs(z) > 37.677).any()
+        assert ((z > -38.5) & (z < -37.67)).sum() >= 3 * 8000
+        lower, upper, _, _ = _ei_bounds(mean, sigma)
+        oracle = expected_improvement_copies(mean, sigma, 0.0)
+        kept = sigma > 0
+        assert np.all(lower[kept] * (1 - _EI_SLACK) - _EI_FLOOR <= oracle[kept])
+        assert np.all(oracle[kept] <= upper[kept] * (1 + _EI_SLACK) + _EI_FLOOR)
+        assert not np.any(upper[~kept] > 0) and not np.any(lower[~kept] > 0)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1.0])
+    def test_bounds_are_tight_at_the_incumbent(self, sigma):
+        lower, upper, _, _ = _ei_bounds(np.zeros(1), np.array([sigma]))
+        assert lower[0] == upper[0] == sigma / np.sqrt(2.0 * np.pi)
+
+    @pytest.mark.parametrize("inputs", [seed_13_inputs, seed_14_inputs], ids=["seed-13", "seed-14"])
+    def test_argmax_equals_the_ndtr_forms(self, inputs):
+        mean, sigma = inputs()
+        for f_best in (0.7, 3.0, 8.5):
+            oracle = expected_improvement_copies(mean, sigma, f_best)
+            assert _ei_argmax(mean, sigma, f_best) == int(np.argmax(oracle))
+
+    @pytest.mark.parametrize("inputs", [seed_13_inputs, seed_14_inputs], ids=["seed-13", "seed-14"])
+    def test_exact_ei_is_the_ndtr_forms_to_rounding(self, inputs):
+        # Phi from math.erfc and from ndtr differ by rounding; below the incumbent the two EI
+        # terms cancel, which scales that up to 7.9e-11 relative near z = -37.4
+        mean, sigma = inputs()
+        exact = np.array([expected_improvement(m, s, 0.7) for m, s in zip(mean, sigma)])
+        oracle = expected_improvement_copies(mean, sigma, 0.7)
+        normal = oracle >= np.finfo(float).tiny
+        near = normal & (mean - 0.7 >= -5.0 * sigma)
+        np.testing.assert_allclose(exact[near], oracle[near], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(exact[normal], oracle[normal], rtol=2e-10, atol=0)
+        assert np.all(exact[~normal] <= np.finfo(float).tiny)
+
+    @settings(max_examples=200, deadline=None)
+    @given(draws=st.lists(st.tuples(st.floats(-6, 6), st.floats(0, 3)), min_size=1, max_size=60),
+           f_best=st.floats(-3, 3))
+    def test_argmax_equals_the_ndtr_form_on_draws(self, draws, f_best):
+        mean, sigma = np.array(draws).T
+        oracle = expected_improvement_copies(mean, sigma, f_best)
+        got, want = _ei_argmax(mean, sigma, f_best), int(np.argmax(oracle))
+        # math.erfc and ndtr differ by rounding, so only a near-tie may pick another index
+        assert got == want or oracle[got] >= oracle[want] * (1 - 1e-12)
+
+    @pytest.mark.parametrize("mean, sigma", [
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),  # sigma 0: EI 0 even above the incumbent
+        ([-100.0, -60.0, -45.0], [1.0, 1.0, 1.0]),  # phi underflows to 0
+        ([0.5, -50.0, -80.0], [0.0, 1.0, 1.0]),
+    ], ids=["sigma-0", "underflow", "mixed"])
+    def test_every_ei_zero_picks_index_0(self, mean, sigma):
+        mean, sigma = np.array(mean), np.array(sigma)
+        assert not np.any(expected_improvement_copies(mean, sigma, 0.0))
+        assert _ei_argmax(mean, sigma, 0.0) == 0
+
+    def test_ties_go_to_the_first_index(self):
+        mean, sigma = np.array([0.0, 1.0, 0.5, 1.0, 1.0]), np.array([1.0, 0.5, 1e-3, 0.5, 0.5])
+        assert _ei_argmax(mean, sigma, 0.2) == 1
+        assert _ei_argmax(np.zeros(4), np.ones(4), 0.0) == 0
+
+    def test_only_a_tiny_ei_left_is_still_found(self):
+        # every lower bound is 0 here; the one EI above 0 is subnormal
+        mean, sigma = np.array([-80.0, -37.9, -80.0]), np.ones(3)
+        oracle = expected_improvement_copies(mean, sigma, 0.0)
+        assert 0 < oracle[1] < np.finfo(float).tiny and oracle[0] == oracle[2] == 0
+        assert _ei_argmax(mean, sigma, 0.0) == 1
 
 
 class TestProposeNext:

@@ -263,6 +263,16 @@ class TestBadSettingsExitTwo:
                                       "--wavelength", "5e-324"])
         self.assert_usage_error(result, "wavelength")
 
+    @pytest.mark.parametrize("command, args", [
+        ("crb-sweep", ["--draws", "1"]),
+        ("sumrate", ["--strategy", "jfp", "--model", "bend", "--trials", "1"]),
+        ("power-sweep", ["--model", "bend"]),
+    ], ids=["crb-sweep", "sumrate", "power-sweep"])
+    def test_wavelength_whose_wavenumber_overflows(self, runner, command, args):
+        # 2 pi / 1e-310 overflows: crb-sweep spent 100 redraws and power-sweep exited 3
+        result = runner.invoke(main, [command, *args, "--wavelength", "1e-310"])
+        self.assert_usage_error(result, "wavelength")
+
     @pytest.mark.parametrize("command, args, setting", list(_out_of_range_cases()))
     def test_out_of_range_setting(self, runner, command, args, setting):
         self.assert_usage_error(runner.invoke(main, [command, *args]), setting)

@@ -59,6 +59,18 @@ class TestPlanar:
             ArrayConfig(2, 2, **{field: value})
 
 
+    @pytest.mark.parametrize("wavelength", [1e-310, 3.4e-308])
+    def test_wavelength_whose_wavenumber_overflows_rejected(self, wavelength):
+        assert not np.isfinite(2.0 * np.pi / wavelength)
+        with pytest.raises(ValueError, match="wavelength"):
+            ArrayConfig(2, 2, wavelength=wavelength)
+
+    def test_smallest_wavelength_with_a_finite_wavenumber_accepted(self):
+        wavelength = 3.5e-308
+        assert np.isfinite(2.0 * np.pi / wavelength)
+        assert ArrayConfig(2, 2, wavelength=wavelength).spacing == wavelength / 2
+
+
 class TestRotated:
     def test_zero_angle_is_planar(self):
         cfg = ArrayConfig(4, 3)

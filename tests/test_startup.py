@@ -1,5 +1,5 @@
-"""What ``import flexarray`` brings: scipy loads only when a Gaussian-process fit
-needs it, and every exported name is documented.
+"""What ``import flexarray`` brings: no run of the package loads any scipy module, and every
+exported name is documented.
 
 Each scipy case runs in a fresh interpreter: this test process has imported scipy
 already (the bayesopt tests use it), so ``sys.modules`` here says nothing.
@@ -54,6 +54,13 @@ import numpy as np
 from flexarray.bayesopt import optimize
 optimize(lambda p: -float(np.sum(p**2)), [(-1.0, 1.0)] * {dim}, budget=2, seed=0)
 """
+JFP_CLI_RUN = """
+from flexarray.cli import main
+try:
+    main(["sumrate", "--strategy", "jfp", "--model", "bend", "--trials", "1"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
 
 
 def scipy_modules_after(code: str) -> set:
@@ -66,17 +73,12 @@ def scipy_modules_after(code: str) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("code", ["import flexarray", TINY_RUNS, CLI_HELP, SUMRATES],
-                         ids=["import", "gp-free-experiments", "cli-help", "scenario-sumrates"])
-def test_no_scipy_without_a_gp_fit(code):
+@pytest.mark.parametrize("code", ["import flexarray", TINY_RUNS, CLI_HELP, SUMRATES,
+                                  GP_RUN.format(dim=1), GP_RUN.format(dim=3), JFP_CLI_RUN],
+                         ids=["import", "gp-free-experiments", "cli-help", "scenario-sumrates",
+                              "gp-1-D", "gp-3-D", "sumrate-jfp-cli"])  # 3-D: numpy Sobol candidates
+def test_no_run_loads_scipy(code):
     assert scipy_modules_after(code) == set()
-
-
-@pytest.mark.parametrize("dim", [1, 3], ids=["1-D", "3-D"])  # 3-D: Sobol candidates from numpy
-def test_gp_run_loads_special_but_not_linalg_or_stats(dim):
-    loaded = scipy_modules_after(GP_RUN.format(dim=dim))
-    assert "scipy.special" in loaded
-    assert not any(module.startswith(("scipy.linalg", "scipy.stats")) for module in loaded)
 
 
 def test_readme_layout_table_names_every_export():
