@@ -18,22 +18,16 @@ def _uninformed(hermitian):
              & (np.diagonal(hermitian, axis1=-2, axis2=-1).real > 0).all(axis=-1))
 
 
-def _stand_in(hermitian, refused):
-    """The stack with an identity in place of each refused matrix (itself if none is)."""
-    if not refused.any():
-        return hermitian
-    return np.where(refused[..., None, None], np.eye(hermitian.shape[-1]), hermitian)
-
-
 def condition_number(hermitian):
     """lambda_max / lambda_min of each Hermitian matrix of a (..., n, n) stack from one
-    ``eigvalsh``; inf where a matrix is not finite or not positive definite. One
-    matrix gives a float, a stack an array of its leading shape."""
+    ``eigvalsh`` of its informed matrices; inf where a matrix is not finite or not positive
+    definite. One matrix gives a float, a stack an array of its leading shape."""
     hermitian = np.asarray(hermitian)
-    refused = _uninformed(hermitian)
-    eigs = np.linalg.eigvalsh(_stand_in(hermitian, refused))
-    low, high = eigs[..., 0], eigs[..., -1]
-    conditions = np.where(refused | (low <= 0), np.inf, high / np.where(low > 0, low, 1.0))
+    informed = ~_uninformed(hermitian)
+    eigs = np.linalg.eigvalsh(hermitian[informed])
+    low, high = eigs[:, 0], eigs[:, -1]
+    conditions = np.full(informed.shape, np.inf)
+    conditions[informed] = np.where(low > 0, high / np.where(low > 0, low, 1.0), np.inf)
     return float(conditions) if conditions.ndim == 0 else conditions
 
 
@@ -42,34 +36,43 @@ def guarded_inverse(hermitian):
     refused, and the refusals: the condition number that refused each matrix (> COND_MAX),
     0 where accepted; the decisions and bits of :func:`condition_number`, then ``inv``:
 
-    1. a non-finite entry or non-positive diagonal entry refuses a matrix with inf, and an
-       identity stands in for it, so one ``inv`` covers the stack;
+    1. a non-finite entry or non-positive diagonal entry refuses a matrix with inf, and the
+       rest are inverted without it: an ``inv`` has the same bits for a matrix in any stack;
     2. ||J||_F ||J^-1||_F <= COND_MAX / SCREEN_MARGIN bounds |lambda|max / |lambda|min, and
        one Cholesky of the matrices it bounds shows them positive definite: accepted;
     3. ``eigvalsh`` decides the rest, or every matrix if ``inv`` finds one exactly singular
-       or the Cholesky fails, and ``inv`` then runs again with the new stand-ins."""
+       or the Cholesky fails, and ``inv`` then runs again on the accepted ones."""
     hermitian = np.asarray(hermitian)
     stack = hermitian.reshape(-1, *hermitian.shape[-2:])
-    refused = _uninformed(stack)
-    stack, refusals = _stand_in(stack, refused), np.where(refused, np.inf, 0.0)
+    informed = ~_uninformed(stack)
+    screened = stack if informed.all() else stack[informed]  # no LU for a matrix refused outright
+    refusals = np.zeros(len(screened))
     try:
-        inverses = np.linalg.inv(stack)
-        bound = np.linalg.norm(stack, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
+        inverses = np.linalg.inv(screened)
+        bound = np.linalg.norm(screened, axis=(1, 2)) * np.linalg.norm(inverses, axis=(1, 2))
         uncertain = ~(bound <= COND_MAX / SCREEN_MARGIN)
-        bounded = ~(uncertain | refused)
         # the bound sees |lambda|, the Cholesky the sign: of the whole stack when it is all bounded
-        np.linalg.cholesky(stack if bounded.all() else stack[bounded])
+        np.linalg.cholesky(screened[~uncertain] if uncertain.any() else screened)
     except np.linalg.LinAlgError:
-        inverses, uncertain = None, ~refused
+        inverses, uncertain = None, np.ones(len(screened), dtype=bool)
     if uncertain.any():
-        conditions = condition_number(stack[uncertain])
+        conditions = condition_number(screened[uncertain])
         refusals[uncertain] = np.where(conditions <= COND_MAX, 0.0, conditions)
-    rejected = refusals > 0
+    accepted = refusals == 0
     if inverses is None:
-        inverses = np.linalg.inv(_stand_in(stack, rejected))
-    if rejected.any():
-        inverses[rejected] = np.nan
+        inverses = _spread(np.linalg.inv(screened[accepted]), accepted, np.nan)
+    inverses[~accepted] = np.nan
+    if not informed.all():
+        inverses = _spread(inverses, informed, np.nan)
+        refusals = _spread(refusals, informed, np.inf)
     return inverses.reshape(hermitian.shape), refusals.reshape(hermitian.shape[:-2])
+
+
+def _spread(values, chosen, fill):
+    """A stack with the ``values`` at the ``chosen`` places and ``fill`` at the others."""
+    spread = np.full((len(chosen), *values.shape[1:]), fill, dtype=values.dtype)
+    spread[chosen] = values
+    return spread
 
 
 class FlexArrayError(Exception):

@@ -12,8 +12,9 @@ at a flex angle only where one of its own paths meets a pattern support edge.
 
 Each derivative column is a sum of Kronecker products of row and column atoms
 (:func:`_atoms`), so by <a (x) b, c (x) d> = <a, c><b, d>, Re(D^H D) =
-Re(W^H [(A^H A) o (B^H B)] W) for 0/1/j weights W: O((4L)^2 N_h) per flex angle, and a
-grid is one batch whose grams are bit for bit the one-angle builds.
+Re(W^H [(A^H A) o (B^H B)] W) for 0/1/j weights W, whose entries are sums of at most two
+blocks of the pair products (:func:`_contract`): O((4L)^2 N_h) per flex angle, and a grid is
+one batch whose grams are bit for bit the one-angle builds.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .channel import PathSet
 from .errors import OptimizationError, PatternBoundaryError, SingularFisherError, guarded_inverse
 from .geometry import ArrayConfig, FlexModel, _finite_scalar, flex_geometry
 from .radiation import PatternSpec, pattern_and_derivatives, support_edges
-
-_FAMILIES = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1j]])  # pairs -> params
 
 
 @dataclass
@@ -48,7 +47,7 @@ def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet
     c = exp(-jk sin(theta) u), and row atoms (4L, N_v) [g r; g jk sin(theta) z r; g r; s r],
     r = exp(-jk z cos(theta)), g = s beta, s = sqrt(1/L). Pair m is (row atom m) (x) (column
     atom m); the parameter columns are theta = pairs 0 + 1, phi = 2, beta_R = 3 and
-    beta_I = j 3 (``_FAMILIES``). ``edges`` (G, L) marks the paths on a support edge, whose
+    beta_I = j 3 (:func:`_contract`). ``edges`` (G, L) marks the paths on a support edge, whose
     pattern is taken from behind the array (azimuth pi), where it is 0."""
     n, mount = paths.link().n_paths, _finite_scalar(mount, "mount")
     geometry = flex_geometry(model, cfg, psi)
@@ -75,10 +74,24 @@ def _atoms(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec, paths: PathSet
 def _grams(model, cfg, spec, paths, psi, mount) -> tuple:
     """Re(D^H D) (G, 4L, 4L) at the 1-D ``psi``, and each angle's first edge path (L if none)."""
     columns, rows, edges = _atoms(model, cfg, spec, paths, psi, mount)
-    weights = np.kron(_FAMILIES, np.eye(paths.n_paths))
     pairs = (columns.conj() @ columns.swapaxes(1, 2)) * (rows.conj() @ rows.T)
     first_edges = np.where(edges.any(axis=1), edges.argmax(axis=1), paths.n_paths)
-    return np.real(weights.conj().T @ pairs @ weights), first_edges.tolist()
+    return _contract(pairs, paths.n_paths), first_edges.tolist()
+
+
+def _contract(pairs, n: int):
+    """Re(W^H P W) of (G, 4n, 4n) pair products P for the family weights W (pair rows 0 + 1
+    to theta, 2 to phi, 3 to beta_R and -j 3 to beta_I, then the columns alike with +j): each
+    entry is at most two exactly weighted terms, summed here in the order of the two BLAS
+    products, rows first, and -0 is written +0 as their accumulators write it."""
+    p = pairs.reshape(-1, 4, n, 4, n)
+    rows = np.concatenate([p[:, :1] + p[:, 1:2], p[:, 2:], -1j * p[:, 3:]], axis=1)
+    grams = np.empty(rows.shape)
+    grams[..., 0, :] = rows.real[..., 0, :] + rows.real[..., 1, :]
+    grams[..., 1:3, :] = rows.real[..., 2:, :]
+    grams[..., 3, :] = -rows.imag[..., 3, :]
+    grams += 0.0
+    return grams.reshape(pairs.shape)
 
 
 def fisher_matrix(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -210,8 +211,7 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
                            psi_max: float = np.pi / 2, steps: int = 181, mount: float = 0.0):
     """Channel power of the flexed array relative to the planar one, in dB; the reference
     and every step are one channel build over the flex angles."""
-    if steps < 1:
-        raise ValueError(f"steps: need at least one flex angle, got {steps!r}")
+    _count("steps", steps)
     cfg = cfg or DEFAULT_SWEEP_CFG
     paths = paths or default_sweep_paths()
     grid = [float(psi) for psi in np.linspace(psi_min, psi_max, steps)]
@@ -222,6 +222,13 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
     if not np.isfinite([db for _, db in rows]).all():
         raise FlexArrayError("zero power or an overflow at some shape; the dB ratio is undefined")
     return ["psi", "power_db_vs_fixed"], rows
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is a ``numbers.Integral`` >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def _crb_regime_paths(rng: np.random.Generator, n_paths: int) -> PathSet:
@@ -244,13 +251,12 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     Fisher matrix is skipped; a draw is redrawn whole only when its planar build
     fails either way or every point of some grid fails. Arrays are unmounted.
     """
-    if draws < 1:
-        raise ValueError(f"draws: need at least one draw, got {draws!r}")
-    models, l_values = list(models), [int(v) for v in l_values]
+    _count("draws", draws)
+    models, l_values = list(models), [_count("l_values", v) for v in l_values]
     if not models or FlexModel.PLANAR in models or len(set(models)) < len(models):
         raise ValueError(f"models: need distinct flex models, none planar, got {models!r}")
-    if not l_values or min(l_values) < 1 or len(set(l_values)) < len(l_values):
-        raise ValueError(f"l_values: need distinct path counts, each >= 1, got {l_values!r}")
+    if not l_values or len(set(l_values)) < len(l_values):
+        raise ValueError(f"l_values: need distinct path counts, got {l_values!r}")
     l_max = max(l_values)
     fixed_sums = {n: 0.0 for n in l_values}
     optimized_sums = {(model, n): 0.0 for model in models for n in l_values}
@@ -286,6 +292,7 @@ def experiment_sumrate(strategy: str, model: FlexModel, spec: PatternSpec, cfg: 
                        seed: int, budget_1d: int = BUDGET_1D, budget_3d: int = BUDGET_3D,
                        n_init: int = N_INIT):
     """Monte Carlo sum-rate of one strategy: fixed baseline vs optimized flex."""
+    _count("trials", trials)
     if len(snr_values) == 0:
         raise ValueError("snr_values: need at least one SNR")
     rows = []

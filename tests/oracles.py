@@ -71,6 +71,17 @@ def expected_improvement_copies(mean: np.ndarray, sigma: np.ndarray, f_best: flo
 
 # -- estimation -------------------------------------------------------------
 
+FAMILIES = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1j]])  # pairs -> params
+
+
+def family_contraction(pairs: np.ndarray, n_paths: int) -> np.ndarray:
+    """Re(W^H P W) of (G, 4L, 4L) pair products P by two dense BLAS products with the family
+    weights W = kron(FAMILIES, I_L): the parameter columns are theta = pairs 0 + 1, phi = 2,
+    beta_R = 3 and beta_I = j 3. The reference for :func:`flexarray.estimation._contract`."""
+    weights = np.kron(FAMILIES, np.eye(n_paths))
+    return np.real(weights.conj().T @ pairs @ weights)
+
+
 def stack_parameters(paths: PathSet) -> np.ndarray:
     """Channel parameters as one real vector [theta; phi; beta_R; beta_I] of
     length 4L, in the ordering used by the Fisher matrix and CRB indices."""

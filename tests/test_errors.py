@@ -203,6 +203,71 @@ class TestGuardedInverse:
                                            0.0, 1.0, (0.3, 0.3), grid_size=3)
         assert stacks == [(0, 4, 4)]
 
+    @staticmethod
+    def recorded(monkeypatch, name):
+        """Copies of the stacks that ``np.linalg.<name>`` receives from now on."""
+        calls, function = [], getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a: calls.append(np.array(a)) or function(a))
+        return calls
+
+    @staticmethod
+    def with_uninformed(stack, rng, k):
+        """The stack with k uninformed matrices put in at random places, and the mask of the
+        informed ones."""
+        n = stack.shape[-1]
+        nan_off_diagonal = np.eye(n)
+        nan_off_diagonal[0, 1] = nan_off_diagonal[1, 0] = np.nan
+        uninformed = [np.zeros((n, n)), np.full((n, n), np.nan), -np.eye(n),
+                      np.diag([1.0] * (n - 1) + [0.0]), np.full((n, n), np.inf), nan_off_diagonal]
+        places = sorted(rng.choice(len(stack) + k, size=k, replace=False))
+        matrices = list(stack)
+        for place, matrix in zip(places, uninformed[:k]):
+            matrices.insert(place, matrix)
+        informed = np.ones(len(matrices), dtype=bool)
+        informed[places] = False
+        return np.array(matrices), informed
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_lu_and_eigvalsh_see_only_the_informed_matrices(self, monkeypatch, k):
+        rng = np.random.default_rng([167, k])
+        stack, informed = self.with_uninformed(
+            hermitian_stack(rng, 6, np.geomspace(1.0, 1e13, 9)), rng, k)
+        inverted = self.recorded(monkeypatch, "inv")
+        decided = self.recorded(monkeypatch, "eigvalsh")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            guarded_inverse(stack)
+        monkeypatch.undo()
+        assert len(inverted) == 1 and np.array_equal(inverted[0], stack[informed])
+        assert sum(map(len, decided)) > 0  # the screen left some to eigvalsh
+        assert not errors._uninformed(np.concatenate(decided)).any()
+        refusals = assert_matches_the_reference(stack)
+        assert np.all(refusals[~informed] == np.inf)
+
+    def test_a_stack_refused_whole_gives_no_matrix_to_lu(self, monkeypatch):
+        stack, informed = self.with_uninformed(np.zeros((0, 4, 4)), np.random.default_rng(3), 6)
+        inverted = self.recorded(monkeypatch, "inv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverses, refusals = guarded_inverse(stack)
+        assert not informed.any() and sum(map(len, inverted)) == 0
+        assert np.isnan(inverses).all() and np.all(refusals == np.inf)
+
+    def test_after_a_singular_matrix_lu_sees_only_the_accepted_ones(self, monkeypatch):
+        rng = np.random.default_rng(173)
+        stack, informed = self.with_uninformed(
+            np.concatenate([hermitian_stack(rng, 4, [10.0, 1e3, 1.01e12]), np.ones((1, 4, 4))]),
+            rng, 2)
+        inverted = self.recorded(monkeypatch, "inv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, refusals = guarded_inverse(stack)
+        monkeypatch.undo()
+        first, again = inverted  # the first inv raises on the exactly singular matrix
+        assert np.array_equal(first, stack[informed])
+        assert np.array_equal(again, stack[refusals == 0]) and len(again) == 2
+        assert_matches_the_reference(stack)
+
     def test_leading_shape_and_one_matrix(self):
         stack = hermitian_stack(np.random.default_rng(11), 3, [2.0, 1e13, 5.0, 7.0], True)
         inverses, refusals = guarded_inverse(stack.reshape(2, 2, 3, 3))

@@ -9,11 +9,12 @@ from flexarray.errors import (COND_MAX, OptimizationError, PatternBoundaryError,
                               SingularFisherError)
 from flexarray.estimation import FisherMatrix, fisher_matrix, mean_angle_crb, optimal_psi_for_crb
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry, mounted_geometry
-from flexarray.harness import CRB_PSI_RANGE, _crb_regime_paths, generate_scenario
+from flexarray.harness import (CRB_PSI_RANGE, _crb_regime_paths, experiment_crb_sweep,
+                               generate_scenario)
 from flexarray.radiation import (BOUNDARY_EPS, PatternKind, PatternSpec, pattern_and_derivatives,
                                  wrap_angle)
-from oracles import (array_manifold, channel_param_derivatives, crb, pattern_coefficient,
-                     stack_parameters)
+from oracles import (array_manifold, channel_param_derivatives, crb, family_contraction,
+                     pattern_coefficient, stack_parameters)
 
 OMNI = PatternSpec(PatternKind.OMNI)
 COS1 = PatternSpec(PatternKind.COSINE, kappa=1.0)
@@ -884,3 +885,92 @@ class TestBatchInvariants:
                     assert np.array_equal(one, gram) and one_edge == first_edge
                     kinds.add(first_edge == n_paths)
         assert kinds == ({True} if spec is OMNI else {True, False})
+
+
+def same_bits(got, expected) -> bool:
+    """Equal shapes and equal bits, so -0.0 differs from +0.0."""
+    return got.shape == expected.shape and np.array_equal(got.view(np.uint64),
+                                                          expected.view(np.uint64))
+
+
+def planted_pairs(rng, n_paths: int, g: int, cancel: int):
+    """A (g, 4L, 4L) complex stack of pair products with zeros of both signs planted: in a fifth
+    of the real and of the imaginary parts and in one whole (pair row, pair column) block. With
+    ``cancel`` 1 or 3, theta's second pair row is the negative of its first, and with 2 or 3
+    its second pair column, so that those sums cancel exactly."""
+    shape = (g, 4 * n_paths, 4 * n_paths)
+    pairs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (pairs.real, pairs.imag):
+        spots = rng.random(shape) < 0.2
+        part[spots] = rng.choice([0.0, -0.0], size=np.count_nonzero(spots))
+    blocks = pairs.reshape(g, 4, n_paths, 4, n_paths)
+    row, column = rng.integers(4, size=2)
+    blocks[:, row, :, column] = complex(*rng.choice([0.0, -0.0], size=2))
+    if cancel & 1:
+        blocks[:, 1] = -blocks[:, 0]
+    if cancel & 2:
+        blocks[:, :, :, 1] = -blocks[:, :, :, 0]
+    return pairs
+
+
+def crb_sweep_contractions(ops: int = 2) -> list:
+    """(G, L, same bits) of every contraction ``_grams`` makes in the benchmark's crb-sweep
+    draws (ops 0.. of seed 0: three flex models, 8x8 cosine kappa = 2, L = 1..6): whether its
+    grams equal the dense form of the pair products it was given."""
+    checked, contract = [], estimation._contract
+
+    def checking(pairs, n_paths):
+        grams = contract(pairs, n_paths)
+        checked.append((len(pairs), n_paths,
+                        same_bits(grams, family_contraction(pairs, n_paths))))
+        return grams
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_contract", checking)
+        for op in range(ops):
+            seed = int(np.random.SeedSequence([0, op]).generate_state(1)[0])
+            experiment_crb_sweep(FLEX_MODELS, COS2, ArrayConfig(8, 8, wavelength=WAVELENGTH),
+                                 range(1, 7), draws=1, seed=seed)
+    return checked
+
+
+def block_sum_checks() -> dict:
+    """Whether the block sums equal the dense form bit for bit: one entry per planted stack
+    (L = 1..6, G in {1, 181}) and per contraction of one crb-sweep draw. A child process run
+    under another BLAS kernel prints this (tests/test_golden.py)."""
+    rng = np.random.default_rng(163)
+    planted = []
+    for n_paths in range(1, 7):
+        for g in (1, 181):
+            pairs = planted_pairs(rng, n_paths, g, cancel=n_paths % 4)
+            planted.append(same_bits(estimation._contract(pairs, n_paths),
+                                     family_contraction(pairs, n_paths)))
+    return {"planted": planted, "crb-sweep": [same for *_, same in crb_sweep_contractions(1)]}
+
+
+class TestBlockSums:
+    """``_contract`` gives the dense Re(W^H P W) of ``oracles.family_contraction`` bit for bit,
+    zero signs included: every entry is at most two exactly weighted terms, added in the order
+    of the two dense products, and a dense product's sums never end at -0."""
+
+    @pytest.mark.parametrize("g", [1, 181])
+    @pytest.mark.parametrize("n_paths", range(1, 7))
+    def test_planted_zeros_give_the_dense_bits(self, n_paths, g):
+        rng = np.random.default_rng([157, n_paths, g])
+        zeros = 0
+        for cancel in range(4):
+            pairs = planted_pairs(rng, n_paths, g, cancel)
+            expected = family_contraction(pairs, n_paths)
+            assert same_bits(estimation._contract(pairs, n_paths), expected)
+            zeros += np.count_nonzero(expected == 0.0)
+        assert zeros > 0
+
+    def test_the_crb_sweep_draws_give_the_dense_bits(self):
+        checked = crb_sweep_contractions()
+        assert {(g, n_paths) for g, n_paths, _ in checked} == {(181, 6), (1, 6)}
+        assert all(same for *_, same in checked)
+
+    def test_a_negative_zero_becomes_positive(self):
+        pairs = np.full((1, 4, 4), complex(-0.0, -0.0))
+        assert same_bits(estimation._contract(pairs, 1), np.zeros((1, 4, 4)))
+        assert same_bits(family_contraction(pairs, 1), np.zeros((1, 4, 4)))

@@ -20,7 +20,8 @@ picks its kernels by CPU at run time and each kernel rounds its own way. So
 one test reruns the value check and the pinned ``optimize`` traces of
 ``tests/test_bayesopt.py`` in a child process told to use OpenBLAS's Haswell
 kernels: every trace point must be equal, and every value within
-``VALUE_RTOL``.
+``VALUE_RTOL``. Another child process under those kernels checks that the
+Fisher grams' block sums still equal the dense contraction bit for bit.
 
 ``python tests/test_golden.py --check`` prints the largest relative deviation
 of each case from the value record. ``python tests/test_golden.py`` re-records
@@ -195,6 +196,20 @@ def test_another_blas_kernel_makes_the_same_decisions():
         assert [row[:-1] for row in rows] == [row[:-1] for row in recorded]
         assert all(math.isclose(row[-1], pinned[-1], rel_tol=VALUE_RTOL)
                    for row, pinned in zip(rows, recorded))
+
+
+@pytest.mark.skipif(not openblas_with_avx2(), reason="needs numpy's OpenBLAS and an AVX2 CPU")
+def test_another_blas_kernel_gives_the_block_sums_the_dense_bits():
+    """The Fisher grams' block sums equal the dense BLAS contraction under the Haswell kernels
+    too: each of its entries is a fixed sum of at most two terms, whatever the kernel."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join([str(TESTS), str(TESTS.parent / "src")])}
+    child = subprocess.run([sys.executable, "-c", "import json, test_estimation; "
+                            "print(json.dumps(test_estimation.block_sum_checks()))"],
+                           env=env, check=True, capture_output=True, text=True, timeout=600)
+    got = json.loads(child.stdout)
+    assert len(got["planted"]) == 12 and got["crb-sweep"]
+    assert all(got["planted"]) and all(got["crb-sweep"]), got
 
 
 @pytest.fixture

@@ -226,9 +226,12 @@ class TestExperiments:
                                snr_values=[], trials=2, seed=0)
 
     @pytest.mark.parametrize("name, draws, l_values", [
-        ("draws", -1, [1, 2]), ("draws", 0, [1, 2]), ("l_values", 1, []),
-        ("l_values", 1, [-1]), ("l_values", 1, [2, 0])],
-        ids=["negative-draws", "zero-draws", "empty-l", "negative-l", "zero-l"])
+        ("draws", -1, [1, 2]), ("draws", 0, [1, 2]), ("draws", 1.5, [1, 2]),
+        ("draws", 1.0, [1, 2]), ("draws", "2", [1, 2]), ("l_values", 1, []),
+        ("l_values", 1, [-1]), ("l_values", 1, [2, 0]), ("l_values", 1, [2.7]),
+        ("l_values", 1, [1, 2.0]), ("l_values", 1, [np.float64(3.0)])],
+        ids=["negative-draws", "zero-draws", "fractional-draws", "float-draws", "text-draws",
+             "empty-l", "negative-l", "zero-l", "fractional-l", "float-l", "numpy-float-l"])
     def test_crb_sweep_bad_counts_rejected_before_any_draw(self, monkeypatch, name, draws,
                                                             l_values):
         monkeypatch.setattr(harness, "_crb_regime_paths",
@@ -236,6 +239,19 @@ class TestExperiments:
         with pytest.raises(ValueError, match=name):
             harness.experiment_crb_sweep([FlexModel.ROTATABLE], OMNI, ArrayConfig(2, 2),
                                          l_values, draws, seed=0, grid_size=3)
+
+    def test_crb_sweep_takes_numpy_integer_counts(self):
+        _, rows = harness.experiment_crb_sweep([FlexModel.ROTATABLE], OMNI, ArrayConfig(2, 2),
+                                               np.arange(1, 3), np.int64(1), seed=0, grid_size=3)
+        assert [row[0] for row in rows] == [1, 2] and all(type(row[0]) is int for row in rows)
+
+    @pytest.mark.parametrize("trials", [0, -1, 1.5, 2.0])
+    def test_sumrate_trials_below_one_or_no_integer_are_named(self, monkeypatch, trials):
+        monkeypatch.setattr(harness, "generate_scenario",
+                            lambda *args, **kwargs: pytest.fail("drew a scenario"))
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            experiment_sumrate("jfp", FlexModel.ROTATABLE, OMNI, CFG, k_users=2, n_paths=3,
+                               snr_values=[10.0], trials=trials, seed=0)
 
     @pytest.mark.parametrize("models, l_values, name", [
         ([], [1, 2], "models"), ([FlexModel.PLANAR], [1], "models"),
@@ -252,7 +268,7 @@ class TestExperiments:
             harness.experiment_crb_sweep(models, OMNI, ArrayConfig(2, 2), l_values, 1, seed=0,
                                          grid_size=3)
 
-    @pytest.mark.parametrize("steps", [0, -1, -181])
+    @pytest.mark.parametrize("steps", [0, -1, -181, 2.5, 3.0, "5"])
     def test_power_sweep_without_steps_is_rejected_by_name(self, steps):
         with pytest.raises(ValueError, match="steps"):
             experiment_power_sweep(FlexModel.ROTATABLE, OMNI, steps=steps)
