@@ -19,13 +19,12 @@ the Sobol stream is numpy code (:class:`SobolStream`) with the bits of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError,
+from .errors import (COND_MAX, SCREEN_MARGIN, GramConditionError, OptimizationError, _integer,
                      condition_number)
 
 BUDGET_1D, BUDGET_3D, N_INIT = 30, 60, 4  # default GP rounds (1-D, 3-D), random first points
@@ -316,8 +315,7 @@ class SobolStream:
     def random(self, n: int) -> np.ndarray:
         """The next ``n`` > 0 points, shape (n, dim), in Gray-code order: point 0 is the shift,
         point k the point before it XOR the direction number at the lowest zero bit of k - 1."""
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+        n = _integer(n, "n", 1)
         prev = np.arange(self._count - 1, self._count + n - 1)
         steps = np.take(self._directions, np.frexp((prev + 1) & ~prev)[1] - 1, axis=0)
         steps[0] = self._point if self._count == 0 else self._point ^ steps[0]
@@ -356,8 +354,7 @@ def optimize(objective: Callable[[np.ndarray], float], bounds: Sequence, budget:
     repeats that proposal without refitting. A nan or inf objective value raises
     OptimizationError naming the point.
     """
-    if budget < 0 or n_init < 1:
-        raise ValueError("need budget >= 0 and n_init >= 1")
+    budget, n_init = _integer(budget, "budget", 0), _integer(n_init, "n_init", 1)
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim == 1:
         bounds = bounds[None, :]

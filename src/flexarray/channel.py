@@ -43,8 +43,8 @@ class PathSet:
     sqrt(1/L) factor is applied once inside the channel synthesis. Indexing
     gives a validated sub-set: ``paths[m, k]`` is one link, ``link[:n]`` its first n paths
     as a prefix view that shares its root's kept Fisher grams (both turn read-only). A
-    scenario's channel factors and a root's Fisher grams read only the paths, so they are
-    derived once per set and kept (:meth:`derived`); a set is frozen and copies its arrays, so
+    scenario's channel factors and own-sector ZF gains and a root's Fisher grams read only
+    the paths, so they are derived once per set and kept (:meth:`derived`); a set is frozen and copies its arrays, so
     nothing else can change them.
     """
 

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, the condition rule they enforce, and the
-guarded inverse that applies the rule to the ZF and Fisher stacks."""
+"""Exception types shared across the package, the condition rule they enforce, the
+guarded inverse that applies the rule to the ZF and Fisher stacks, and the integer rule
+for counts and indices."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -66,6 +70,15 @@ def guarded_inverse(hermitian):
         inverses = _spread(inverses, informed, np.nan)
         refusals = _spread(refusals, informed, np.inf)
     return inverses.reshape(hermitian.shape), refusals.reshape(hermitian.shape[:-2])
+
+
+def _integer(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int; ValueError naming it ``name`` unless it is a ``numbers.Integral``
+    other than a bool (numpy integers pass) from ``low`` to ``high``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high:
+        return int(value)
+    limits = f"of at least {low}" if high == math.inf else f"from {low} to {high}"
+    raise ValueError(f"{name} must be an integer {limits}, got {value!r}")
 
 
 def _spread(values, chosen, fill):

@@ -20,13 +20,13 @@ one batch whose grams are bit for bit the one-angle builds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathSet
-from .errors import OptimizationError, PatternBoundaryError, SingularFisherError, guarded_inverse
+from .errors import (OptimizationError, PatternBoundaryError, SingularFisherError, _integer,
+                     guarded_inverse)
 from .geometry import ArrayConfig, FlexModel, _finite_scalar, flex_geometry
 from .radiation import PatternSpec, pattern_and_derivatives, support_edges
 
@@ -161,8 +161,7 @@ def optimal_psi_for_crb(model: FlexModel, cfg: ArrayConfig, spec: PatternSpec,
     non-negative half, then toward smaller |psi|. Returns (psi_star, crb_star);
     raises OptimizationError when every point fails.
     """
-    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 2):
-        raise ValueError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
+    grid_size = _integer(grid_size, "grid_size", 2)
     bounds = np.asarray(psi_range, dtype=float)
     if bounds.shape != (2,) or not np.isfinite(bounds).all():
         raise ValueError(f"psi_range must hold two finite flex angles, got {psi_range!r}")

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -22,9 +21,9 @@ import numpy as np
 
 from . import bayesopt, precoding
 from .bayesopt import BUDGET_1D, BUDGET_3D, N_INIT
-from .channel import PathSet, channel_power, flexible_channel, sector_block
+from .channel import PathSet, channel_power, flexible_channel
 from .errors import (ConfigError, FlexArrayError, OptimizationError, PatternBoundaryError,
-                     RankDeficiencyError, SingularFisherError)
+                     RankDeficiencyError, SingularFisherError, _integer)
 from .estimation import fisher_matrix, mean_angle_crb, optimal_psi_for_crb
 from .geometry import PSI_RANGES, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from .radiation import PatternKind, PatternSpec, pattern_gain
@@ -47,7 +46,8 @@ class Scenario:
     ``paths`` holds the paths of every user, shape (3 sectors, K, L), with
     global azimuths; every array sees them less its mount. The path set keeps
     one set of the channel's flex-independent factors per heights and wavelength,
-    read by both channel builders, and is read-only from their first build on.
+    read by both channel builders, and each array shape's own-sector ZF gains, which
+    no SNR changes; it is read-only from the first build on.
     """
 
     cfg: ArrayConfig
@@ -83,8 +83,7 @@ def generate_scenario(cfg: ArrayConfig, pattern: PatternSpec, flex_model: FlexMo
 
     Deterministic for a fixed seed.
     """
-    if k_users < 1 or n_paths < 1:
-        raise ValueError("need k_users >= 1 and n_paths >= 1")
+    k_users, n_paths = _integer(k_users, "k_users", 1), _integer(n_paths, "n_paths", 1)
     rng = np.random.default_rng(seed)
     theta = np.empty((3, k_users, n_paths))
     phi = np.empty((3, k_users, n_paths))
@@ -113,13 +112,13 @@ def _objective(scenario: Scenario, strategy: str, sector: int = 0, leakage=None)
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: expected one of {STRATEGIES}, got {strategy!r}")
-    if sector not in (0, 1, 2):
-        raise ConfigError(f"sector: expected 0, 1 or 2, got {sector!r}")
+    try:
+        sector = _integer(sector, "sector", 0, 2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if strategy == "single-sector":
         def rate(psi):
-            geometry = flex_geometry(scenario.flex_model, scenario.cfg, float(psi[0]))
-            own = sector_block(scenario, geometry, sector)
-            return precoding.single_sector_sumrate(own, scenario.p_total, precoding.NOISE_POWER)
+            return precoding.sector_rate_alone(scenario, sector, float(psi[0]))
     elif strategy == "sfp":
         if leakage is None:
             leakage = precoding.sfp_leakage(scenario, np.zeros(3))
@@ -168,6 +167,8 @@ def optimize_strategy(scenario: Scenario, strategy: str, seed=0, budget_1d: int 
     design, so ``rate_flex`` can never fall below ``rate_fixed`` (the planar
     baseline of the same strategy).
     """
+    for name, budget in (("budget_1d", budget_1d), ("budget_3d", budget_3d)):
+        _integer(budget, name, 0)
     lo, hi = scenario.psi_bounds
     leakage = precoding.sfp_leakage(scenario, np.zeros(3)) if strategy == "sfp" else None
     fixed = flex = 0.0
@@ -211,7 +212,7 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
                            psi_max: float = np.pi / 2, steps: int = 181, mount: float = 0.0):
     """Channel power of the flexed array relative to the planar one, in dB; the reference
     and every step are one channel build over the flex angles."""
-    _count("steps", steps)
+    _integer(steps, "steps", 1)
     cfg = cfg or DEFAULT_SWEEP_CFG
     paths = paths or default_sweep_paths()
     grid = [float(psi) for psi in np.linspace(psi_min, psi_max, steps)]
@@ -222,13 +223,6 @@ def experiment_power_sweep(model: FlexModel, spec: PatternSpec, cfg: ArrayConfig
     if not np.isfinite([db for _, db in rows]).all():
         raise FlexArrayError("zero power or an overflow at some shape; the dB ratio is undefined")
     return ["psi", "power_db_vs_fixed"], rows
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless it is a ``numbers.Integral`` >= 1."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
 
 
 def _crb_regime_paths(rng: np.random.Generator, n_paths: int) -> PathSet:
@@ -251,8 +245,8 @@ def experiment_crb_sweep(models: Sequence[FlexModel], spec: PatternSpec, cfg: Ar
     Fisher matrix is skipped; a draw is redrawn whole only when its planar build
     fails either way or every point of some grid fails. Arrays are unmounted.
     """
-    _count("draws", draws)
-    models, l_values = list(models), [_count("l_values", v) for v in l_values]
+    _integer(draws, "draws", 1)
+    models, l_values = list(models), [_integer(v, "l_values", 1) for v in l_values]
     if not models or FlexModel.PLANAR in models or len(set(models)) < len(models):
         raise ValueError(f"models: need distinct flex models, none planar, got {models!r}")
     if not l_values or len(set(l_values)) < len(l_values):
@@ -292,7 +286,7 @@ def experiment_sumrate(strategy: str, model: FlexModel, spec: PatternSpec, cfg: 
                        seed: int, budget_1d: int = BUDGET_1D, budget_3d: int = BUDGET_3D,
                        n_init: int = N_INIT):
     """Monte Carlo sum-rate of one strategy: fixed baseline vs optimized flex."""
-    _count("trials", trials)
+    _integer(trials, "trials", 1)
     if len(snr_values) == 0:
         raise ValueError("snr_values: need at least one SNR")
     rows = []

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import array_blocks, sector_block
-from .errors import RankDeficiencyError, guarded_inverse
-from .geometry import flex_geometry
+from .errors import RankDeficiencyError, _integer, guarded_inverse
+from .geometry import _finite_scalar, flex_geometry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import Scenario
@@ -52,11 +52,41 @@ def effective_gain(channel: np.ndarray) -> np.ndarray:
 
 def single_sector_sumrate(channel: np.ndarray, p_total: float, sigma2: float) -> float:
     """Equal-power ZF sum-rate of one array serving its K users alone."""
+    _check_power(p_total, sigma2)
+    return _equal_power_rate(effective_gain(channel), p_total, sigma2)
+
+
+def sector_rate_alone(scenario: "Scenario", sector: int, psi_m: float) -> float:
+    """:func:`single_sector_sumrate` of array ``sector``, flexed to ``psi_m``, serving its own
+    sector's users with the whole power, from the kept gains (:func:`_own_gains`)."""
+    _check_power(scenario.p_total, NOISE_POWER)
+    return _equal_power_rate(_own_gains(scenario, sector, psi_m), scenario.p_total, NOISE_POWER)
+
+
+def _check_power(p_total: float, sigma2: float) -> None:
     if not (0.0 <= p_total < np.inf and 0.0 < sigma2 < np.inf):
         raise ValueError("need finite p_total >= 0 and sigma2 > 0")
-    k = channel.shape[1]
-    gains = effective_gain(channel)
-    return float(np.sum(np.log2(1.0 + p_total * gains / (k * sigma2))))
+
+
+def _equal_power_rate(gains: np.ndarray, p_total: float, sigma2: float) -> float:
+    """Sum-rate of K users with post-ZF ``gains`` (K,) sharing ``p_total`` equally."""
+    return float(np.sum(np.log2(1.0 + p_total * gains / (len(gains) * sigma2))))
+
+
+def _own_gains(scenario: "Scenario", sector, psi_m) -> np.ndarray:
+    """Post-ZF gains (K,) of array ``sector`` flexed to ``psi_m`` to its own sector's users,
+    read-only. They depend on neither the SNR nor any leakage, so they are kept on the
+    scenario's paths, one dict per (model, array, pattern) by (sector, float hex of psi_m):
+    an optimizer that measures a flex angle again, or a scenario at another SNR, reads them.
+    A sector other than 0, 1 or 2 and a psi_m that is no finite scalar are refused first."""
+    sector, psi_m = _integer(sector, "sector", 0, 2), _finite_scalar(psi_m, "psi")
+    kept = scenario.paths.derived(
+        (_own_gains, scenario.flex_model, scenario.cfg, scenario.pattern), dict)
+    if (gains := kept.get(key := (sector, psi_m.hex()))) is None:
+        geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
+        gains = kept[key] = effective_gain(sector_block(scenario, geometry, sector))
+        gains.flags.writeable = False
+    return gains
 
 
 def _array_responses(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
@@ -100,8 +130,7 @@ def sfp_leakage(scenario: "Scenario", psi: Sequence[float]) -> np.ndarray:
 def sector_rate_given_leakage(scenario: "Scenario", sector: int, psi_m: float,
                               leakage: np.ndarray) -> float:
     """Sum-rate of one sector under per-sector ZF and fixed received leakage."""
-    geometry = flex_geometry(scenario.flex_model, scenario.cfg, psi_m)
-    gains = effective_gain(sector_block(scenario, geometry, sector))
+    gains = _own_gains(scenario, sector, psi_m)
     sinr = scenario.p_total / (3.0 * scenario.k_users) * gains / (leakage + NOISE_POWER)
     return float(np.sum(np.log2(1.0 + sinr)))
 

@@ -588,6 +588,9 @@ class TestOptimize:
             optimize(objective, [(-1, 1)], budget=1, n_init=0)
         with pytest.raises(ValueError):
             optimize(objective, [(1, -1)], budget=1)
+        for name, count in (("budget", 2.5), ("budget", True), ("n_init", 1.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+                optimize(objective, [(-1, 1)], **{"budget": 1, name: count})
         for bad in (np.nan, np.inf, -np.inf):  # numpy's sampler named no argument for these
             for bounds in ([(-1.0, bad)], [(bad, 1.0)], [(-1.0, 1.0), (0.0, bad), (-1.0, 1.0)]):
                 with pytest.raises(ValueError, match="^bounds must be finite"):

@@ -3,10 +3,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, array_blocks,
-                               channel_power, flexible_channel, sector_block)
+from flexarray.channel import (MOUNTS, PathSet, _combine, _path_factors, _scenario_factors,
+                               array_blocks, channel_power, flexible_channel, sector_block)
 from flexarray.geometry import BEND_EPS, ArrayConfig, FlexModel, flex_geometry, mounted_geometry
 from flexarray.harness import Scenario, generate_scenario, optimize_strategy
+from flexarray.precoding import _own_gains
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import array_manifold, pattern_coefficient
 
@@ -437,7 +438,8 @@ class TestPathFactors:
                                      FlexModel.BENDABLE, k_users=2, n_paths=3, seed=59)
         for strategy in ("sfp", "jfp", "sjfp"):
             optimize_strategy(scenario, strategy, budget_1d=1, budget_3d=1, n_init=1)
-        assert len(scenario.paths._derived) == 1
+        # one set of channel factors for all three, and the own-sector gains SFP keeps
+        assert [key[0] for key in scenario.paths._derived] == [_scenario_factors, _own_gains]
 
 
 class TestLinkFactors:

@@ -245,13 +245,33 @@ class TestExperiments:
                                                np.arange(1, 3), np.int64(1), seed=0, grid_size=3)
         assert [row[0] for row in rows] == [1, 2] and all(type(row[0]) is int for row in rows)
 
-    @pytest.mark.parametrize("trials", [0, -1, 1.5, 2.0])
+    @pytest.mark.parametrize("trials", [0, -1, 1.5, 2.0, True])
     def test_sumrate_trials_below_one_or_no_integer_are_named(self, monkeypatch, trials):
         monkeypatch.setattr(harness, "generate_scenario",
                             lambda *args, **kwargs: pytest.fail("drew a scenario"))
         with pytest.raises(ValueError, match="trials must be an integer"):
             experiment_sumrate("jfp", FlexModel.ROTATABLE, OMNI, CFG, k_users=2, n_paths=3,
                                snr_values=[10.0], trials=trials, seed=0)
+
+    @pytest.mark.parametrize("name, value", [("k_users", 2.5), ("n_paths", 2.5),
+                                             ("budget_1d", 2.5), ("budget_3d", 1.5),
+                                             ("n_init", 1.5)])
+    def test_sumrate_counts_that_are_no_integer_are_named(self, monkeypatch, name, value):
+        # each used to raise TypeError from range or np.empty
+        monkeypatch.setattr(bayesopt, "propose_next", lambda *args: pytest.fail("fitted a GP"))
+        counts = dict(k_users=2, n_paths=3, budget_1d=2, budget_3d=2, n_init=2)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+            experiment_sumrate("sfp", FlexModel.ROTATABLE, OMNI, CFG, snr_values=[10.0],
+                               trials=1, seed=0, **{**counts, name: value})
+
+    @pytest.mark.parametrize("strategy", ["sfp", "sjfp"])
+    def test_sumrate_takes_numpy_integer_counts(self, strategy):
+        counts = dict(k_users=2, n_paths=3, budget_1d=2, budget_3d=2, n_init=2)
+        expected = experiment_sumrate(strategy, FlexModel.ROTATABLE, OMNI, CFG,
+                                      snr_values=[10.0], trials=1, seed=0, **counts)
+        assert experiment_sumrate(strategy, FlexModel.ROTATABLE, OMNI, CFG, snr_values=[10.0],
+                                  trials=np.int64(1), seed=0,
+                                  **{name: np.int64(v) for name, v in counts.items()}) == expected
 
     @pytest.mark.parametrize("models, l_values, name", [
         ([], [1, 2], "models"), ([FlexModel.PLANAR], [1], "models"),
@@ -295,8 +315,10 @@ class TestExperiments:
         assert all(a <= b for a, b in zip(incumbents, incumbents[1:]))
         assert rows[-1][0] == len(rows) - 1
 
-    @pytest.mark.parametrize("sector", [-1, 3])
+    @pytest.mark.parametrize("sector", [-1, 3, 1.0, True])
     def test_sector_outside_the_three_rejected(self, sector):
+        # 1.0 used to raise IndexError from the leakage, and True to score sector 1's users
+        # under the leakage of all three sectors
         with pytest.raises(ConfigError, match="sector"):
             experiment_bo_trace("sfp", small_scenario(), seed=0, budget=1, sector=sector)
 

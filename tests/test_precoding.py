@@ -1,16 +1,20 @@
 import warnings
+from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from flexarray.channel import MOUNTS, flexible_channel, sector_block
+from flexarray import harness, precoding
+from flexarray.channel import MOUNTS, PathSet, flexible_channel, sector_block
 from flexarray.errors import COND_MAX, RankDeficiencyError
 from flexarray.geometry import ArrayConfig, FlexModel, flex_geometry
 from flexarray.harness import generate_scenario
-from flexarray.precoding import (_array_responses, _sector_state, _zero_forcing, effective_gain,
-                                 jfp_sumrate, sector_rate_given_leakage, sfp_leakage,
-                                 single_sector_sumrate, sjfp_sumrate)
+from flexarray.precoding import (_array_responses, _own_gains, _sector_state, _zero_forcing,
+                                 effective_gain, jfp_sumrate, sector_rate_alone,
+                                 sector_rate_given_leakage, sfp_leakage, single_sector_sumrate,
+                                 sjfp_sumrate)
 from flexarray.radiation import PatternKind, PatternSpec
 from oracles import zf_precoder
 
@@ -216,6 +220,106 @@ class TestSfp:
                     for i in range(scenario.k_users):
                         brute += abs(victim.conj() @ f[:, i]) ** 2
                 assert leakage[m, k] == pytest.approx(brute, rel=1e-10)
+
+
+def cold_copy(scenario, **changes):
+    """``scenario`` (with ``changes``) on a fresh copy of its paths, which keeps nothing yet."""
+    paths = scenario.paths
+    return replace(scenario, paths=PathSet(paths.theta, paths.phi, paths.beta), **changes)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestKeptGains:
+    """The post-ZF gains of each (sector, flex angle) are built once per scenario paths and
+    read by both 1-D objectives, bit for bit what a fresh build gives."""
+
+    @pytest.mark.parametrize("pattern, model, k_users", [
+        (OMNI, FlexModel.ROTATABLE, 3), (COS2, FlexModel.BENDABLE, 16),
+        (COS1, FlexModel.FOLDABLE, 4)], ids=["omni-rotate", "cosine2-bend-full", "cosine1-fold"])
+    def test_kept_gains_have_the_bits_of_a_cold_build(self, pattern, model, k_users):
+        scenario = make_scenario(pattern=pattern, model=model, seed=21, k_users=k_users)
+        leakage = sfp_leakage(scenario, np.zeros(3))
+        for sector, psi in [(0, 0.0), (1, -0.3), (2, 0.45), (1, -0.3), (0, -0.0)]:
+            cold = cold_copy(scenario)
+            expected = effective_gain(own_block(cold, sector, psi))
+            kept = _own_gains(scenario, sector, psi)
+            assert bits(kept) == bits(expected) and kept is _own_gains(scenario, sector, psi)
+            assert (sector_rate_given_leakage(scenario, sector, psi, leakage[sector])
+                    == sector_rate_given_leakage(cold, sector, psi, leakage[sector]))
+            assert (sector_rate_alone(scenario, sector, psi)
+                    == single_sector_sumrate(own_block(cold, sector, psi), scenario.p_total, 1.0))
+
+    def test_one_channel_block_per_distinct_point_of_an_sfp_run(self, monkeypatch):
+        scenario = harness.generate_scenario(ArrayConfig(8, 2, 0.03), OMNI, FlexModel.ROTATABLE,
+                                             k_users=2, n_paths=3, snr_db=10.0, seed=6)
+        measured, built = [], []
+        make, build = harness._objective, precoding.sector_block
+
+        def recording(scenario, strategy, sector=0, leakage=None):
+            objective, dim = make(scenario, strategy, sector, leakage)
+            return (lambda psi: measured.append((sector, float(psi[0]).hex()))
+                    or objective(psi)), dim
+
+        monkeypatch.setattr(harness, "_objective", recording)
+        monkeypatch.setattr(precoding, "sector_block",
+                            lambda scenario, geometry, sector: built.append(sector)
+                            or build(scenario, geometry, sector))
+        harness.optimize_strategy(scenario, "sfp", seed=11)
+        assert len(measured) == 108 and len(set(measured)) < len(measured)
+        assert Counter(built) == Counter(sector for sector, _ in set(measured))
+
+    @pytest.mark.parametrize("change", [
+        dict(flex_model=FlexModel.BENDABLE), dict(cfg=ArrayConfig(8, 2, 0.03, spacing=0.02)),
+        dict(pattern=COS2)], ids=["model", "array", "pattern"])
+    def test_model_array_and_pattern_keep_their_own_gains_on_shared_paths(self, change):
+        scenario = make_scenario(seed=22)
+        other = replace(scenario, **change)
+        assert other.paths is scenario.paths
+        expected = effective_gain(own_block(cold_copy(other), 1, 0.3))
+        assert bits(expected) != bits(_own_gains(scenario, 1, 0.3))
+        assert bits(_own_gains(other, 1, 0.3)) == bits(expected)
+
+    def test_gains_are_shared_across_snrs(self, monkeypatch):
+        scenario = make_scenario(seed=23)
+        gains = _own_gains(scenario, 2, -0.2)
+        monkeypatch.setattr(precoding, "sector_block", lambda *args: pytest.fail("built a block"))
+        louder = replace(scenario, snr_db=30.0)
+        assert _own_gains(louder, 2, -0.2) is gains
+        leakage = np.full(scenario.k_users, 0.5)
+        assert (sector_rate_given_leakage(louder, 2, -0.2, leakage)
+                > sector_rate_given_leakage(scenario, 2, -0.2, leakage))
+
+    def test_kept_gains_are_read_only(self):
+        gains = _own_gains(make_scenario(seed=24), 0, 0.1)
+        assert not gains.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gains[0] = 0.0
+
+    @pytest.mark.parametrize("psi", [np.array([0.1]), [0.1], np.nan, np.inf, None],
+                             ids=["array", "list", "nan", "inf", "none"])
+    @pytest.mark.parametrize("rate", [
+        lambda scenario, psi: sector_rate_given_leakage(scenario, 0, psi, np.zeros(3)),
+        lambda scenario, psi: sector_rate_alone(scenario, 0, psi)], ids=["sfp", "alone"])
+    def test_a_flex_angle_that_is_no_finite_scalar_is_named(self, rate, psi):
+        # a 1-element array used to flex the array and score 1104.49 where psi = 0.1 scores 4.13
+        with pytest.raises(ValueError, match="^psi must be a finite scalar"):
+            rate(make_scenario(seed=25), psi)
+
+    @pytest.mark.parametrize("sector", [-1, 3, 1.0, True, "1"])
+    @pytest.mark.parametrize("rate", [
+        lambda scenario, sector: sector_rate_given_leakage(scenario, sector, 0.1, np.zeros(3)),
+        lambda scenario, sector: sector_rate_alone(scenario, sector, 0.1)], ids=["sfp", "alone"])
+    def test_a_sector_outside_the_three_is_named(self, rate, sector):
+        # -1 used to serve array 2 and 3 to raise IndexError
+        with pytest.raises(ValueError, match="^sector must be an integer from 0 to 2, got"):
+            rate(make_scenario(seed=26), sector)
+
+    def test_a_numpy_integer_sector_reads_the_same_gains(self):
+        scenario = make_scenario(seed=27)
+        assert _own_gains(scenario, np.int64(2), np.float64(0.2)) is _own_gains(scenario, 2, 0.2)
 
 
 class TestJfp:
